@@ -330,35 +330,42 @@ class MockPcfgGenerator:
         hi = math.ceil(target * (1 + self.length_tolerance))
         return lo, hi
 
-    def _sample_tree(self, rng, guided, prompted_by_parent):
-        used = set()
-        state = {"adhered": False, "nodes": 0}
+    def _sample(self, rng, guided, prompted_by_parent):
+        """One ancestral derivation: its tokens and the rules it used.
 
-        def expand(symbol, depth):
-            state["nodes"] += 1
-            if depth > self.max_depth or state["nodes"] > 10_000:
+        Raises _DepthExceeded past ``max_depth`` or 10,000 nodes.
+        """
+        tokens = []
+        used = set()
+        adhered = False
+        nodes = 0
+        lexicon = self.grammar.lexicon
+        rules = self.grammar.rules
+        stack = [(self.grammar.start, 0)]
+        while stack:
+            symbol, depth = stack.pop()
+            nodes += 1
+            if depth > self.max_depth or nodes > 10_000:
                 raise _DepthExceeded
-            if symbol in self.grammar.lexicon:
-                token = _choose(rng, self.grammar.lexicon[symbol])
-                return ParseTree(symbol, (token,))
-            options = self.grammar.rules[symbol]
-            if guided and not state["adhered"] and symbol in prompted_by_parent:
+            if symbol in lexicon:
+                tokens.append(_choose(rng, lexicon[symbol]))
+                continue
+            options = rules[symbol]
+            if guided and not adhered and symbol in prompted_by_parent:
                 prompted = prompted_by_parent[symbol]
                 subset = [(rhs, p) for rhs, p in options if rhs in prompted]
                 if subset:
                     total = sum(p for _, p in subset)
                     subset = [(rhs, p / total) for rhs, p in subset]
                     rhs = _choose(rng, subset)
-                    state["adhered"] = True
+                    adhered = True
                 else:
                     rhs = _choose(rng, options)
             else:
                 rhs = _choose(rng, options)
-            used.add(SyntacticRule(symbol, rhs))
-            return ParseTree(symbol, tuple(expand(s, depth + 1) for s in rhs))
-
-        tree = expand(self.grammar.start, 0)
-        return tree, frozenset(used)
+            used.add((symbol, rhs))
+            stack.extend((child, depth + 1) for child in reversed(rhs))
+        return tokens, used
 
     def generate(self, spec):
         rng = substream(self.seed, "mock", prompt_hash(spec, self.template))
@@ -382,18 +389,19 @@ class MockPcfgGenerator:
                 # like a generator ignoring part of its instructions.
                 use_guide = guided and attempt < self.max_attempts // 2
                 try:
-                    tree, used = self._sample_tree(rng, use_guide, prompted_by_parent)
+                    tokens, used = self._sample(rng, use_guide, prompted_by_parent)
                 except _DepthExceeded:
                     continue
-                n = len(tree.leaves())
-                if lo <= n <= hi:
-                    accepted = (tree, used)
+                if lo <= len(tokens) <= hi:
+                    accepted = (tokens, used)
                     break
             if accepted is None:
                 continue  # this slot degrades; the pool just ends up smaller
-            tree, used = accepted
-            sentences.append(Sentence(tuple(tree.leaves())))
-            derivations.append(used)
+            tokens, used = accepted
+            sentences.append(Sentence(tuple(tokens)))
+            derivations.append(
+                frozenset(SyntacticRule(symbol, rhs) for symbol, rhs in used)
+            )
         if not sentences:
             raise GenerationError(
                 f"no derivation of length {lo}..{hi} found in "

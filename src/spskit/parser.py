@@ -13,7 +13,14 @@ word frequent under one tag is still reachable under every other tag.
 
 Parsing returns the Viterbi tree with a length-normalized confidence,
 ``exp(logprob / n_tokens)``, in (0, 1]; a sentence outside the grammar's
-coverage gets a designated flat fallback tree with confidence 0.
+coverage gets a designated flat fallback tree with confidence 0.  The chart
+looks binary rules up by left child, then by right child, so a left label
+that starts no rule is skipped before the right cell is read.  A token's
+closed width-1 cell depends only on its lexical class (the token itself when
+some tag keeps it, else UNK), so each model caches those cells, at most one
+per kept token plus one for UNK; ``reindex`` clears the cache.  The winning
+derivation is read back from the backpointers straight into the
+debinarized tree.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ PROB_TOL = 1e-6
 class TrainConfig:
     alpha: float = 0.01
     unk_threshold: int = 1
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -75,34 +81,34 @@ class ParserModel:
     lexical: dict               # (preterminal label, token class) -> probability
     unk_threshold: int
     alpha: float
-    inventory: object = None
     fallback_root: str = ""
     fallback_pos: str = ""
-    _by_children: dict = field(default_factory=dict, repr=False)
+    _by_left: dict = field(default_factory=dict, repr=False)
     _by_unary_child: dict = field(default_factory=dict, repr=False)
     _exact: dict = field(default_factory=dict, repr=False)
     _unk: list = field(default_factory=list, repr=False)
+    _lex_cells: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.reindex()
 
     def reindex(self):
-        by_children = {}
+        """Rebuild the lookup tables; call after editing rules or lexical."""
+        by_left = {}            # left child -> right child -> [(parent, logp)]
         by_unary_child = {}
         for rule, prob in self.rules.items():
+            option = (rule.parent, math.log(prob))
             if len(rule.children) == 1:
-                by_unary_child.setdefault(rule.children[0], []).append(
-                    (rule.parent, math.log(prob))
-                )
-            else:
-                by_children.setdefault(rule.children, []).append(
-                    (rule.parent, math.log(prob))
-                )
-        for options in by_children.values():
-            options.sort()
+                by_unary_child.setdefault(rule.children[0], []).append(option)
+            elif len(rule.children) == 2:
+                left, right = rule.children
+                by_left.setdefault(left, {}).setdefault(right, []).append(option)
+        for by_right in by_left.values():
+            for options in by_right.values():
+                options.sort()
         for options in by_unary_child.values():
             options.sort()
-        self._by_children = by_children
+        self._by_left = by_left
         self._by_unary_child = by_unary_child
 
         exact = {}
@@ -117,6 +123,7 @@ class ParserModel:
         unk.sort()
         self._exact = exact
         self._unk = unk
+        self._lex_cells = {}
 
     def lexical_options(self, token):
         """(preterminal, logprob) choices for one token.
@@ -195,37 +202,6 @@ class ParserModel:
         return model
 
 
-def _check_standard_form(tree):
-    for node in tree.subtrees():
-        has_token = any(isinstance(c, str) for c in node.children)
-        if has_token and (len(node.children) != 1):
-            raise ValueError(
-                f"node {node.label!r} mixes tokens and subtrees or holds several "
-                "tokens; the parser requires one token per preterminal"
-            )
-        if any(marker in node.label for marker in RESERVED):
-            raise ValueError(
-                f"label {node.label!r} uses a reserved character ({RESERVED})"
-            )
-
-
-def _binarize(node):
-    """Right-binarize: A -> c1 c2 .. ck becomes a chain of A|<..> tails."""
-    if node.is_preterminal:
-        return node
-    children = [_binarize(c) for c in node.children]
-
-    def tail(rest):
-        label = node.label + BIN_OPEN + ",".join(c.label for c in rest) + BIN_CLOSE
-        if len(rest) == 2:
-            return ParseTree(label, tuple(rest))
-        return ParseTree(label, (rest[0], tail(rest[1:])))
-
-    if len(children) <= 2:
-        return ParseTree(node.label, tuple(children))
-    return ParseTree(node.label, (children[0], tail(children[1:])))
-
-
 def _smooth(counts, alpha):
     """Additive smoothing on relative frequencies over the observed shapes."""
     total = sum(counts.values())
@@ -236,8 +212,7 @@ def _smooth(counts, alpha):
 def train(treebank, config=None, inventory=None):
     """Estimate a smoothed PCFG from trees; deterministic for a given input.
 
-    ``inventory`` is optional; when given, trees are validated against it and
-    the model keeps a reference for downstream validation.
+    ``inventory`` is optional; when given, trees are validated against it.
     """
     config = config or TrainConfig()
     treebank = list(treebank)
@@ -245,30 +220,52 @@ def train(treebank, config=None, inventory=None):
         raise ValueError("cannot train on an empty treebank")
 
     root_counts = {}
-    rule_counts = {}
+    rule_counts = {}            # (parent, child labels) -> count
     tag_token_counts = {}
+
+    def walk(node):
+        """Check a node, then count its right-binarized productions in
+        preorder: A -> c1 c2 .. ck (k > 2) counts as A -> c1 A|<c2,..,ck>,
+        A|<c2,..,ck> -> c2 A|<c3,..,ck>, .., A|<c(k-1),ck> -> c(k-1) ck."""
+        label = node.label
+        children = node.children
+        if len(children) > 1 and any(isinstance(c, str) for c in children):
+            raise ValueError(
+                f"node {label!r} mixes tokens and subtrees or holds several "
+                "tokens; the parser requires one token per preterminal"
+            )
+        if any(marker in label for marker in RESERVED):
+            raise ValueError(
+                f"label {label!r} uses a reserved character ({RESERVED})"
+            )
+        if isinstance(children[0], str):
+            counts = tag_token_counts.setdefault(label, {})
+            counts[children[0]] = counts.get(children[0], 0) + 1
+            return
+        labels = [c.label for c in children]
+        parent = label
+        for i in range(len(children) - 2):
+            tail = label + BIN_OPEN + ",".join(labels[i + 1:]) + BIN_CLOSE
+            key = (parent, (labels[i], tail))
+            rule_counts[key] = rule_counts.get(key, 0) + 1
+            walk(children[i])
+            parent = tail
+        key = (parent, tuple(labels[-2:]))
+        rule_counts[key] = rule_counts.get(key, 0) + 1
+        for child in children[-2:]:
+            walk(child)
+
     for tree in treebank:
-        _check_standard_form(tree)
+        walk(tree)
         if inventory is not None:
             validate_tree(tree, inventory)
-        prepared = _binarize(tree)
-        root_counts[prepared.label] = root_counts.get(prepared.label, 0) + 1
-        for node in prepared.subtrees():
-            if node.is_preterminal:
-                counts = tag_token_counts.setdefault(node.label, {})
-                token = node.children[0]
-                counts[token] = counts.get(token, 0) + 1
-            else:
-                rule = SyntacticRule(
-                    node.label, tuple(c.label for c in node.children)
-                )
-                rule_counts[rule] = rule_counts.get(rule, 0) + 1
+        root_counts[tree.label] = root_counts.get(tree.label, 0) + 1
 
-    rules = {}
     by_parent = {}
-    for rule, count in rule_counts.items():
-        by_parent.setdefault(rule.parent, {})[rule] = count
-    for parent, counts in by_parent.items():
+    for (parent, children), n in rule_counts.items():
+        by_parent.setdefault(parent, {})[SyntacticRule(parent, children)] = n
+    rules = {}
+    for counts in by_parent.values():
         rules.update(_smooth(counts, config.alpha))
 
     # Tokens rare under a tag fold into that tag's UNK class, and every tag
@@ -298,25 +295,11 @@ def train(treebank, config=None, inventory=None):
         lexical=lexical,
         unk_threshold=config.unk_threshold,
         alpha=config.alpha,
-        inventory=inventory,
         fallback_root=fallback_root,
         fallback_pos=fallback_pos,
     )
     model.validate()
     return model
-
-
-def _debinarize(node):
-    if node.is_preterminal:
-        return node
-    children = []
-    for child in node.children:
-        child = _debinarize(child)
-        if BIN_OPEN in child.label:
-            children.extend(child.children)
-        else:
-            children.append(child)
-    return ParseTree(node.label, tuple(children))
 
 
 def _fallback_tree(model, sentence):
@@ -332,23 +315,34 @@ def _close_unaries(model, cell):
     Only strict score improvements replace an entry: a probability-1 unary
     pair could otherwise swap backpointers into a cycle on equal scores.
     Following a cycle multiplies probabilities <= 1, so the loop terminates.
+    Ties go to the child inserted first, so cell insertion order matters.
     """
+    by_unary_child = model._by_unary_child
     while True:
         improved = False
-        for child_label, entry in list(cell.items()):
-            score, _, _ = entry
-            for parent, logp in model._by_unary_child.get(child_label, ()):
+        for child_label, (score, _) in list(cell.items()):
+            for parent, logp in by_unary_child.get(child_label, ()):
                 candidate = score + logp
                 incumbent = cell.get(parent)
                 if incumbent is None or candidate > incumbent[0]:
-                    cell[parent] = (
-                        candidate,
-                        (-1, child_label, ""),
-                        ("un", child_label),
-                    )
+                    cell[parent] = (candidate, (child_label,))
                     improved = True
         if not improved:
             return
+
+
+def _lexical_cell(model, token):
+    """The closed width-1 cell of a token, shared with its lexical class.
+
+    The cached cell goes into charts as it is, so nothing may mutate it.
+    """
+    key = token if token in model._exact else UNK
+    cell = model._lex_cells.get(key)
+    if cell is None:
+        cell = {label: (logp, ()) for label, logp in model.lexical_options(token)}
+        _close_unaries(model, cell)
+        model._lex_cells[key] = cell
+    return cell
 
 
 def parse(model, sentence):
@@ -359,52 +353,50 @@ def parse(model, sentence):
     """
     if isinstance(sentence, (list, tuple)):
         sentence = Sentence(tuple(sentence))
-    n = len(sentence.tokens)
+    tokens = sentence.tokens
+    n = len(tokens)
+    by_left = model._by_left
 
-    # chart[(i, j)] maps label -> (logprob, tiebreak, backpointer)
-    chart = {}
-    for i, token in enumerate(sentence.tokens):
-        cell = {}
-        for label, logp in model.lexical_options(token):
-            cell[label] = (logp, (0, "", ""), ("lex",))
-        _close_unaries(model, cell)
-        chart[(i, i + 1)] = cell
+    # chart[start][end] maps label -> (logprob, backpointer); a backpointer
+    # is () for a token, (child,) for a unary step and (split, left, right)
+    # for a binary one, which doubles as the tie-break key.
+    chart = [[None] * (n + 1) for _ in range(n)]
+    for i, token in enumerate(tokens):
+        chart[i][i + 1] = _lexical_cell(model, token)
 
     for width in range(2, n + 1):
         for start in range(0, n - width + 1):
             end = start + width
+            row = chart[start]
             cell = {}
             for split in range(start + 1, end):
-                left_cell = chart[(start, split)]
-                right_cell = chart[(split, end)]
-                if not left_cell or not right_cell:
+                right_cell = chart[split][end]
+                if not right_cell:
                     continue
-                for left_label, (lscore, _, _) in left_cell.items():
-                    for right_label, (rscore, _, _) in right_cell.items():
-                        options = model._by_children.get((left_label, right_label))
-                        if not options:
+                for left_label, (lscore, _) in row[split].items():
+                    by_right = by_left.get(left_label)
+                    if by_right is None:
+                        continue
+                    for right_label, (rscore, _) in right_cell.items():
+                        options = by_right.get(right_label)
+                        if options is None:
                             continue
                         base = lscore + rscore
-                        tiebreak = (split, left_label, right_label)
+                        back = (split, left_label, right_label)
                         for parent, logp in options:
                             score = base + logp
                             incumbent = cell.get(parent)
                             if (
                                 incumbent is None
                                 or score > incumbent[0]
-                                or (score == incumbent[0] and tiebreak < incumbent[1])
+                                or (score == incumbent[0] and back < incumbent[1])
                             ):
-                                cell[parent] = (
-                                    score,
-                                    tiebreak,
-                                    ("bin", split, left_label, right_label),
-                                )
+                                cell[parent] = (score, back)
             _close_unaries(model, cell)
-            chart[(start, end)] = cell
+            row[end] = cell
 
-    top = chart[(0, n)]
     best = None
-    for label, (score, _, _) in top.items():
+    for label, (score, _) in chart[0][n].items():
         root_prob = model.roots.get(label)
         if root_prob is None:
             continue
@@ -414,19 +406,26 @@ def parse(model, sentence):
     if best is None:
         return PseudoTree(sentence, _fallback_tree(model, sentence), 0.0)
 
-    def build(label, start, end):
-        _, _, back = chart[(start, end)][label]
-        if back[0] == "lex":
-            return ParseTree(label, (sentence.tokens[start],))
-        if back[0] == "un":
-            return ParseTree(label, (build(back[1], start, end),))
-        _, split, left_label, right_label = back
-        return ParseTree(
-            label, (build(left_label, start, split), build(right_label, split, end))
-        )
+    def children(label, start, end):
+        """The children of ``label``'s node over the span, with the children
+        of every binarization node spliced in its place."""
+        back = chart[start][end][label][1]
+        if not back:
+            return (tokens[start],)
+        if len(back) == 1:
+            spans = ((back[0], start, end),)
+        else:
+            split, left, right = back
+            spans = ((left, start, split), (right, split, end))
+        out = []
+        for child, lo, hi in spans:
+            if BIN_OPEN in child:
+                out.extend(children(child, lo, hi))
+            else:
+                out.append(ParseTree(child, children(child, lo, hi)))
+        return tuple(out)
 
-    raw = build(best[1], 0, n)
-    tree = _debinarize(raw)
+    tree = ParseTree(best[1], children(best[1], 0, n))
     confidence = math.exp(best[0] / n)
     return PseudoTree(sentence, tree, confidence)
 

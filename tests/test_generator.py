@@ -12,6 +12,7 @@ from spskit.generator import (
     PromptConfig,
     PromptSpec,
     ServiceGenerator,
+    _choose,
     corpus_stats,
     default_template,
     pcfg_from_treebank,
@@ -22,7 +23,7 @@ from spskit.generator import (
 from spskit.rules import SyntacticRule
 from spskit.seeding import derive_seed, substream
 from spskit.synthetic import sample_corpus, source_grammar, target_grammar
-from spskit.treebank import Sentence, parse_bracketed
+from spskit.treebank import ParseTree, Sentence, parse_bracketed
 
 
 @pytest.fixture
@@ -251,6 +252,118 @@ class TestMockGenerator:
                     hits += 1
         assert total >= 150
         assert hits / total >= 0.6
+
+
+# Reference: the mock sampler as a plain tree-building recursion, and the
+# batch loop around it.  MockPcfgGenerator must draw the same random numbers
+# and return the same batches and derivations.
+
+
+class RefDepthExceeded(Exception):
+    pass
+
+
+def ref_sample_tree(gen, rng, guided, prompted_by_parent):
+    used = set()
+    state = {"adhered": False, "nodes": 0}
+
+    def expand(symbol, depth):
+        state["nodes"] += 1
+        if depth > gen.max_depth or state["nodes"] > 10_000:
+            raise RefDepthExceeded
+        if symbol in gen.grammar.lexicon:
+            return ParseTree(symbol, (_choose(rng, gen.grammar.lexicon[symbol]),))
+        options = gen.grammar.rules[symbol]
+        if guided and not state["adhered"] and symbol in prompted_by_parent:
+            prompted = prompted_by_parent[symbol]
+            subset = [(rhs, p) for rhs, p in options if rhs in prompted]
+            if subset:
+                total = sum(p for _, p in subset)
+                subset = [(rhs, p / total) for rhs, p in subset]
+                rhs = _choose(rng, subset)
+                state["adhered"] = True
+            else:
+                rhs = _choose(rng, options)
+        else:
+            rhs = _choose(rng, options)
+        used.add(SyntacticRule(symbol, rhs))
+        return ParseTree(symbol, tuple(expand(s, depth + 1) for s in rhs))
+
+    return expand(gen.grammar.start, 0), frozenset(used)
+
+
+def ref_generate(gen, spec):
+    """(sentences, derivations) of one batch, or None if every slot failed."""
+    rng = substream(gen.seed, "mock", prompt_hash(spec, gen.template))
+    prompted_by_parent = {}
+    for rule in set(spec.rules) & gen.grammar.rule_set():
+        prompted_by_parent.setdefault(rule.parent, set()).add(rule.children)
+    lo, hi = gen.length_bounds(spec.target_length)
+    sentences, derivations = [], []
+    for _ in range(gen.batch_size):
+        guided = rng.random() < gen.guide_probability and bool(prompted_by_parent)
+        for attempt in range(gen.max_attempts):
+            use_guide = guided and attempt < gen.max_attempts // 2
+            try:
+                tree, used = ref_sample_tree(gen, rng, use_guide, prompted_by_parent)
+            except RefDepthExceeded:
+                continue
+            if lo <= len(tree.leaves()) <= hi:
+                sentences.append(Sentence(tuple(tree.leaves())))
+                derivations.append(used)
+                break
+    return (tuple(sentences), tuple(derivations)) if sentences else None
+
+
+# Recursive: deep derivations hit max_depth, long ones miss the length bound.
+RECURSIVE_GRAMMAR = Pcfg(
+    "s",
+    {
+        "s": [(("np", "vp"), 0.5), (("s", "c", "s"), 0.3), (("vp",), 0.2)],
+        "np": [(("n",), 0.5), (("np", "pp"), 0.3), (("a", "np"), 0.2)],
+        "vp": [(("v",), 0.4), (("v", "np"), 0.4), (("vp", "pp"), 0.2)],
+        "pp": [(("p", "np"), 1.0)],
+    },
+    {
+        "n": [("na", 0.5), ("nb", 0.3), ("vn", 0.2)],
+        "v": [("va", 0.6), ("vn", 0.4)],
+        "a": [("aa", 1.0)],
+        "p": [("pa", 1.0)],
+        "c": [("ca", 1.0)],
+    },
+)
+
+
+class TestMockReferenceParity:
+    @pytest.mark.parametrize(
+        "grammar, settings",
+        [
+            (target_grammar(), dict(batch_size=25)),
+            (target_grammar(), dict(batch_size=25, length_tolerance=0.0)),
+            (source_grammar(), dict(batch_size=10, guide_probability=1.0, max_attempts=6)),
+            (RECURSIVE_GRAMMAR, dict(batch_size=20, max_depth=6, max_attempts=30)),
+        ],
+    )
+    def test_batches_and_derivations_match_reference(self, grammar, settings):
+        corpus = sample_corpus(grammar, 120, seed=31, name="mock-parity")
+        stats = corpus_stats(corpus)
+        examples = [t.sentence() for t in corpus[:20]]
+        rng = substream(32, "mock-parity")
+        produced = 0
+        for seed in (0, 7):
+            gen = MockPcfgGenerator(grammar, seed=seed, record_derivations=True, **settings)
+            for length in (2, 3, 4, 6, 9):
+                config = PromptConfig(length_sigma=1.0, min_length=length)
+                spec = sample_prompt(stats, examples, rng, config)
+                expected = ref_generate(gen, spec)
+                if expected is None:
+                    with pytest.raises(GenerationError):
+                        gen.generate(spec)
+                    continue
+                batch = gen.generate(spec)
+                assert (batch.sentences, batch.derivations) == expected
+                produced += len(batch.sentences)
+        assert produced >= 50
 
 
 class _StubHandler(http.server.BaseHTTPRequestHandler):

@@ -5,19 +5,24 @@ import pytest
 
 from spskit.errors import ModelFormatError
 from spskit.evaluation import score_corpus
+from spskit.generator import Pcfg
 from spskit.parser import (
+    BIN_CLOSE,
+    BIN_OPEN,
+    RESERVED,
     UNK,
     ParserModel,
     PcfgBackend,
     PseudoTree,
     TrainConfig,
+    _smooth,
     parse,
     parse_pool,
     train,
 )
 from spskit.rules import SyntacticRule
-from spskit.synthetic import demo_inventory, source_grammar, sample_corpus
-from spskit.treebank import ParseTree, Sentence, parse_bracketed, serialize
+from spskit.synthetic import demo_inventory, sample_corpus, source_grammar, target_grammar
+from spskit.treebank import ParseTree, Sentence, parse_bracketed, serialize, validate_tree
 
 ALPHA = 0.01
 
@@ -264,10 +269,191 @@ def enumerate_derivations(model, tokens, max_unary_chain=3):
     return derivations
 
 
+# Reference implementations: the straightforward chart and trainer the
+# optimized ones in spskit.parser must match bit for bit.  The chart builds
+# the binarized Viterbi tree, then debinarizes it; the trainer binarizes each
+# tree, then counts its productions.
+
+
+def ref_debinarize(node):
+    if node.is_preterminal:
+        return node
+    children = []
+    for child in node.children:
+        child = ref_debinarize(child)
+        if BIN_OPEN in child.label:
+            children.extend(child.children)
+        else:
+            children.append(child)
+    return ParseTree(node.label, tuple(children))
+
+
+def ref_binarize(node):
+    if node.is_preterminal:
+        return node
+    children = [ref_binarize(c) for c in node.children]
+
+    def tail(rest):
+        label = node.label + BIN_OPEN + ",".join(c.label for c in rest) + BIN_CLOSE
+        if len(rest) == 2:
+            return ParseTree(label, tuple(rest))
+        return ParseTree(label, (rest[0], tail(rest[1:])))
+
+    if len(children) <= 2:
+        return ParseTree(node.label, tuple(children))
+    return ParseTree(node.label, (children[0], tail(children[1:])))
+
+
+def ref_check_standard_form(tree):
+    for node in tree.subtrees():
+        has_token = any(isinstance(c, str) for c in node.children)
+        if has_token and (len(node.children) != 1):
+            raise ValueError(
+                f"node {node.label!r} mixes tokens and subtrees or holds several "
+                "tokens; the parser requires one token per preterminal"
+            )
+        if any(marker in node.label for marker in RESERVED):
+            raise ValueError(
+                f"label {node.label!r} uses a reserved character ({RESERVED})"
+            )
+
+
+def ref_train(treebank, config=TrainConfig(), inventory=None):
+    """(roots, rules, lexical, fallback_root, fallback_pos) of a treebank."""
+    root_counts, rule_counts, tag_token_counts = {}, {}, {}
+    for tree in treebank:
+        ref_check_standard_form(tree)
+        if inventory is not None:
+            validate_tree(tree, inventory)
+        prepared = ref_binarize(tree)
+        root_counts[prepared.label] = root_counts.get(prepared.label, 0) + 1
+        for node in prepared.subtrees():
+            if node.is_preterminal:
+                counts = tag_token_counts.setdefault(node.label, {})
+                token = node.children[0]
+                counts[token] = counts.get(token, 0) + 1
+            else:
+                rule = SyntacticRule(node.label, tuple(c.label for c in node.children))
+                rule_counts[rule] = rule_counts.get(rule, 0) + 1
+    rules, by_parent = {}, {}
+    for rule, count in rule_counts.items():
+        by_parent.setdefault(rule.parent, {})[rule] = count
+    for counts in by_parent.values():
+        rules.update(_smooth(counts, config.alpha))
+    lexical = {}
+    fallback_pos, best_pos_count = "", -1
+    for label, counts in tag_token_counts.items():
+        total = sum(counts.values())
+        if (total, label) > (best_pos_count, fallback_pos):
+            best_pos_count, fallback_pos = total, label
+        folded = {UNK: 0}
+        for token, count in counts.items():
+            if count > config.unk_threshold:
+                folded[token] = count
+            else:
+                folded[UNK] += count
+        for cls, prob in _smooth(folded, config.alpha).items():
+            lexical[(label, cls)] = prob
+    roots = _smooth(root_counts, config.alpha)
+    fallback_root = max(root_counts, key=lambda lab: (root_counts[lab], lab))
+    return roots, rules, lexical, fallback_root, fallback_pos
+
+
+def ref_indexes(model):
+    """(children pair -> options, unary child -> options), options sorted."""
+    by_children, by_unary_child = {}, {}
+    for rule, prob in model.rules.items():
+        option = (rule.parent, math.log(prob))
+        if len(rule.children) == 1:
+            by_unary_child.setdefault(rule.children[0], []).append(option)
+        else:
+            by_children.setdefault(rule.children, []).append(option)
+    for options in list(by_children.values()) + list(by_unary_child.values()):
+        options.sort()
+    return by_children, by_unary_child
+
+
+def ref_close_unaries(by_unary_child, cell):
+    while True:
+        improved = False
+        for child_label, entry in list(cell.items()):
+            score, _, _ = entry
+            for parent, logp in by_unary_child.get(child_label, ()):
+                candidate = score + logp
+                incumbent = cell.get(parent)
+                if incumbent is None or candidate > incumbent[0]:
+                    cell[parent] = (candidate, (-1, child_label, ""), ("un", child_label))
+                    improved = True
+        if not improved:
+            return
+
+
+def ref_parse(model, tokens):
+    """(tree, confidence) of the Viterbi parse, or None for the fallback."""
+    by_children, by_unary_child = ref_indexes(model)
+    n = len(tokens)
+    chart = {}
+    for i, token in enumerate(tokens):
+        cell = {}
+        for label, logp in model.lexical_options(token):
+            cell[label] = (logp, (0, "", ""), ("lex",))
+        ref_close_unaries(by_unary_child, cell)
+        chart[(i, i + 1)] = cell
+    for width in range(2, n + 1):
+        for start in range(0, n - width + 1):
+            end = start + width
+            cell = {}
+            for split in range(start + 1, end):
+                left_cell, right_cell = chart[(start, split)], chart[(split, end)]
+                if not left_cell or not right_cell:
+                    continue
+                for left_label, (lscore, _, _) in left_cell.items():
+                    for right_label, (rscore, _, _) in right_cell.items():
+                        options = by_children.get((left_label, right_label))
+                        if not options:
+                            continue
+                        base = lscore + rscore
+                        tiebreak = (split, left_label, right_label)
+                        for parent, logp in options:
+                            score = base + logp
+                            incumbent = cell.get(parent)
+                            if (
+                                incumbent is None
+                                or score > incumbent[0]
+                                or (score == incumbent[0] and tiebreak < incumbent[1])
+                            ):
+                                cell[parent] = (
+                                    score, tiebreak, ("bin", split, left_label, right_label)
+                                )
+            ref_close_unaries(by_unary_child, cell)
+            chart[(start, end)] = cell
+    best = None
+    for label, (score, _, _) in chart[(0, n)].items():
+        root_prob = model.roots.get(label)
+        if root_prob is None:
+            continue
+        total = score + math.log(root_prob)
+        if best is None or total > best[0] or (total == best[0] and label < best[1]):
+            best = (total, label)
+    if best is None:
+        return None
+
+    def build(label, start, end):
+        _, _, back = chart[(start, end)][label]
+        if back[0] == "lex":
+            return ParseTree(label, (tokens[start],))
+        if back[0] == "un":
+            return ParseTree(label, (build(back[1], start, end),))
+        _, split, left_label, right_label = back
+        return ParseTree(
+            label, (build(left_label, start, split), build(right_label, split, end))
+        )
+
+    return ref_debinarize(build(best[1], 0, n)), math.exp(best[0] / n)
+
+
 class TestAgainstEnumerationOracle:
     def test_viterbi_matches_exhaustive_argmax(self):
-        from spskit.parser import _debinarize
-
         trees = sample_corpus(source_grammar(), 30, seed=12, name="enum")
         model = train(trees)
         checked = 0
@@ -290,7 +476,7 @@ class TestAgainstEnumerationOracle:
                 text for score, text in derivations if score == best_logp
             }
             assert serialize(result.tree) in {
-                serialize(_debinarize(parse_bracketed(t))) for t in best_texts
+                serialize(ref_debinarize(parse_bracketed(t))) for t in best_texts
             }
         assert checked >= 10
 
@@ -352,3 +538,210 @@ class TestBackend:
         result = backend.parse(model, trees[0].sentence())
         assert isinstance(result, PseudoTree)
         assert backend.name == "pcfg"
+
+
+# Recursive, with words shared between tags: long, ambiguous sentences.
+RECURSIVE_GRAMMAR = Pcfg(
+    "s",
+    {
+        "s": [(("np", "vp"), 0.45), (("np", "vp", "pp"), 0.25), (("s", "c", "s"), 0.3)],
+        "np": [(("n",), 0.45), (("a", "n"), 0.2), (("np", "pp"), 0.2), (("n", "n"), 0.15)],
+        "vp": [(("v",), 0.35), (("v", "np"), 0.45), (("vp", "pp"), 0.2)],
+        "pp": [(("p", "np"), 0.8), (("p", "n", "np"), 0.2)],
+    },
+    {
+        "n": [("na", 0.3), ("nb", 0.3), ("nc", 0.2), ("vn", 0.2)],
+        "v": [("va", 0.5), ("vb", 0.3), ("vn", 0.2)],
+        "a": [("aa", 0.6), ("ab", 0.4)],
+        "p": [("pa", 0.7), ("pb", 0.3)],
+        "c": [("ca", 1.0)],
+    },
+)
+
+
+def assert_parses_match_reference(model, sentences):
+    """Returns how many sentences the grammar covers."""
+    covered = 0
+    # Two passes: the second reads every lexical cell from the model's cache.
+    for _ in range(2):
+        for tokens in sentences:
+            result = parse(model, Sentence(tuple(tokens)))
+            expected = ref_parse(model, tuple(tokens))
+            if expected is None:
+                assert result.confidence == 0.0
+                assert result.tree.label == model.fallback_root
+                continue
+            tree, confidence = expected
+            assert result.tree == tree, " ".join(tokens)
+            assert result.confidence.hex() == confidence.hex(), " ".join(tokens)
+            covered += 1
+    return covered // 2
+
+
+def assert_model_matches_reference(model, expected):
+    roots, rules, lexical, fallback_root, fallback_pos = expected
+    assert list(model.roots.items()) == list(roots.items())
+    assert list(model.rules.items()) == list(rules.items())
+    assert list(model.lexical.items()) == list(lexical.items())
+    assert (model.fallback_root, model.fallback_pos) == (fallback_root, fallback_pos)
+
+
+class TestReferenceParity:
+    @pytest.mark.parametrize("config", [TrainConfig(), TrainConfig(alpha=0.3, unk_threshold=3)])
+    def test_train_matches_reference(self, config):
+        corpora = [
+            skewed_treebank(),
+            sample_corpus(source_grammar(), 200, seed=21, name="parity-src"),
+            sample_corpus(target_grammar(), 200, seed=21, name="parity-tgt"),
+            sample_corpus(RECURSIVE_GRAMMAR, 200, seed=21, name="parity-rec"),
+        ]
+        for trees in corpora:
+            assert_model_matches_reference(train(trees, config), ref_train(trees, config))
+        trees = corpora[1]
+        assert_model_matches_reference(
+            train(trees, config, inventory=demo_inventory()),
+            ref_train(trees, config, inventory=demo_inventory()),
+        )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # the first offending node in preorder decides the message
+            ParseTree("s", (ParseTree("x|y", ("a",)), ParseTree("z", ("a", "b")))),
+            ParseTree(
+                "s",
+                (ParseTree("x", ("a",)), ParseTree("z", ("a", "b")), ParseTree("q|r", ("c",))),
+            ),
+            ParseTree("s<", ("a", ParseTree("x", ("b",)))),
+            parse_bracketed("(s (x a) (y (z b) (w<v c)))"),
+        ],
+    )
+    def test_train_rejects_like_reference(self, bad):
+        good = parse_bracketed("(s (x a) (y b))")
+        with pytest.raises(ValueError) as expected:
+            ref_train([good, bad])
+        with pytest.raises(ValueError) as got:
+            train([good, bad])
+        assert str(got.value) == str(expected.value)
+
+    def test_short_sentences_with_unknown_tokens(self):
+        model = train(sample_corpus(source_grammar(), 150, seed=22, name="parity-short"))
+        sentences = [
+            t.leaves() for t in sample_corpus(source_grammar(), 40, seed=23, name="p-dev")
+        ]
+        # the target domain brings tokens the source model never saw
+        sentences += [
+            t.leaves() for t in sample_corpus(target_grammar(), 40, seed=23, name="p-tgt")
+        ]
+        sentences += [["zzz"], ["zzz", "qqq"], ["na", "zzz", "va", "qqq", "nb"]]
+        assert assert_parses_match_reference(model, sentences) == len(sentences)
+
+    def test_long_sentences(self):
+        model = train(sample_corpus(RECURSIVE_GRAMMAR, 300, seed=24, name="parity-long"))
+        held_out = sample_corpus(RECURSIVE_GRAMMAR, 400, seed=25, name="parity-long-dev")
+        sentences = [t.leaves() for t in held_out if 10 <= len(t.leaves()) <= 18][:12]
+        assert len(sentences) == 12
+        sentences += [s[:5] + ["zzz"] + s[6:] for s in sentences[:4]]
+        assert assert_parses_match_reference(model, sentences) == len(sentences)
+
+    def test_probability_one_unary_pair(self):
+        # x -> y and y -> x both have probability 1, so closing a cell meets
+        # equal scores that must not replace each other.
+        model = ParserModel(
+            roots={"s": 0.5, "x": 0.5},
+            rules={
+                SyntacticRule("x", ("y",)): 1.0,
+                SyntacticRule("y", ("x",)): 1.0,
+                SyntacticRule("s", ("x", "y")): 1.0,
+            },
+            lexical={("x", "a"): 0.5, ("x", UNK): 0.5, ("y", "b"): 0.5, ("y", UNK): 0.5},
+            unk_threshold=1,
+            alpha=ALPHA,
+            fallback_root="s",
+            fallback_pos="x",
+        )
+        sentences = [["a"], ["b"], ["a", "b"], ["b", "a"], ["a", "zzz", "b"], ["zzz"]]
+        assert assert_parses_match_reference(model, sentences) == 5  # not "a zzz b"
+
+    def test_equal_score_unary_ties(self):
+        # p -> a and p -> b score the same wherever a and b do, so the unary
+        # closure keeps whichever child comes first in the cell.
+        model = ParserModel(
+            roots={"p": 1.0},
+            rules={
+                SyntacticRule("p", ("a",)): 0.4,
+                SyntacticRule("p", ("b",)): 0.4,
+                SyntacticRule("p", ("p", "p")): 0.2,
+                SyntacticRule("a", ("t", "t")): 0.5,
+                SyntacticRule("b", ("t", "t")): 0.5,
+            },
+            lexical={("a", UNK): 1.0, ("b", UNK): 1.0, ("t", UNK): 1.0},
+            unk_threshold=1,
+            alpha=ALPHA,
+            fallback_root="p",
+            fallback_pos="t",
+        )
+        sentences = [["w"] * n for n in range(1, 6)]
+        assert assert_parses_match_reference(model, sentences) == len(sentences)
+
+    def test_equal_score_splits(self):
+        # Every bracketing of "a a .. a" has the same rules, so only float
+        # rounding and the split tie-break separate them.
+        model = ParserModel(
+            roots={"s": 1.0},
+            rules={SyntacticRule("s", ("s", "s")): 0.3, SyntacticRule("s", ("t",)): 0.7},
+            lexical={("t", "a"): 0.9, ("t", UNK): 0.1},
+            unk_threshold=1,
+            alpha=ALPHA,
+            fallback_root="s",
+            fallback_pos="t",
+        )
+        sentences = [["a"] * n for n in range(1, 12)] + [["a", "zzz"] * 4]
+        assert assert_parses_match_reference(model, sentences) == len(sentences)
+
+
+class TestLexicalCellCache:
+    def test_reindex_after_editing_the_tables_takes_effect(self):
+        model = train(skewed_treebank())
+        sentence = Sentence(("a", "b"))
+        assert serialize(parse(model, sentence).tree) == "(s (x a) (y b))"
+
+        # x now rarely emits "a", so (s (z a) (y b)) wins.
+        model.lexical[("x", "a")], model.lexical[("x", UNK)] = (
+            model.lexical[("x", UNK)],
+            model.lexical[("x", "a")],
+        )
+        model.reindex()
+        assert serialize(parse(model, sentence).tree) == "(s (z a) (y b))"
+
+        # and back, through the rule table this time
+        xy, zy = SyntacticRule("s", ("x", "y")), SyntacticRule("s", ("z", "y"))
+        model.rules[xy], model.rules[zy] = 0.999, 0.001
+        model.lexical[("x", "a")], model.lexical[("x", UNK)] = (
+            model.lexical[("x", UNK)],
+            model.lexical[("x", "a")],
+        )
+        model.reindex()
+        result = parse(model, sentence)
+        assert serialize(result.tree) == "(s (x a) (y b))"
+        fresh = ParserModel(
+            roots=dict(model.roots),
+            rules=dict(model.rules),
+            lexical=dict(model.lexical),
+            unk_threshold=model.unk_threshold,
+            alpha=model.alpha,
+            fallback_root=model.fallback_root,
+            fallback_pos=model.fallback_pos,
+        )
+        assert parse(fresh, sentence) == result
+
+    def test_cache_is_bounded_by_the_lexicon(self):
+        model = train(sample_corpus(source_grammar(), 80, seed=26, name="cache"))
+        bound = len(model._exact) + 1
+        sentences = [t.sentence() for t in sample_corpus(target_grammar(), 60, seed=27, name="c")]
+        sentences += [Sentence((f"unseen{i}", "na")) for i in range(30)]
+        for sentence in sentences:
+            parse(model, sentence)
+            assert len(model._lex_cells) <= bound
+        classes = {t if t in model._exact else UNK for s in sentences for t in s.tokens}
+        assert len(model._lex_cells) == len(classes)

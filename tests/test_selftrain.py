@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -81,6 +82,18 @@ class TestDeterminism:
         per_seed = report["per_seed"]
         assert len(per_seed) == 1  # one distinct seed
         assert report["mean_target_f1"] == per_seed[4]["target_f1"]
+
+    def test_demo_experiment_results_are_pinned(self):
+        # Speed-ups to the parser, generator or scorer must leave every
+        # pool, selection and dev score of the demo experiment unchanged.
+        records = run(cross_domain_experiment(seed=1)).records
+        summary = json.dumps([
+            [r.iteration, r.pool_size, r.selected_ids, r.dev_f1_source, r.dev_f1_target]
+            for r in records
+        ])
+        assert hashlib.sha256(summary.encode("utf-8")).hexdigest() == (
+            "333a6106c776e903d5e1943d0b15b5ef671bd3ec18cf82bef4d5776118b2e40f"
+        )
 
 
 class TestMultiseed:
