@@ -16,7 +16,6 @@ from .generator import (
     PromptSpec,
     ServiceGenerator,
     corpus_stats,
-    generate,
     render_prompt,
     sample_prompt,
 )

@@ -10,14 +10,14 @@ flows from ``--seed`` through named substreams.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
-import tempfile
 
 from . import selftrain
-from .errors import SpsError
+from .errors import ConfigError, SpsError
 from .evaluation import ScoreOptions, score_corpus
 from .generator import (
     MockPcfgGenerator,
@@ -25,14 +25,13 @@ from .generator import (
     ServiceGenerator,
     corpus_stats,
     pcfg_from_treebank,
-    sample_prompt,
 )
 from .mapping import MappingTable, convert_corpus
 from .parser import ParserModel, PcfgBackend, PseudoTree, TrainConfig, parse_pool, train
-from .rules import RuleDistribution, export_rules, extract_corpus_rules, token_counts
+from .rules import export_rules, extract_corpus_rules
 from .seeding import substream
 from .segmentation import Lexicon, SplitTable, transfer_corpus
-from .selection import CriterionConfig, SelectionRefs, score, select_top_k
+from .selection import CriterionConfig, score, select_top_k
 from .selftrain import Experiment
 from .treebank import (
     LabelInventory,
@@ -40,33 +39,14 @@ from .treebank import (
     default_inventory,
     normalize_pos_nodes,
     read_treebank,
-    serialize,
+    write_text_atomic,
+    write_treebank,
 )
 
-log = logging.getLogger("spskit")
 
-
-def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_json(path, data):
-    _atomic_write_text(
-        path, json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def _write_treebank_atomic(trees, path):
-    _atomic_write_text(path, "".join(serialize(t) + "\n" for t in trees))
+def _write_json(path, data):
+    text = json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True)
+    write_text_atomic(path, text + "\n")
 
 
 def _summary(subcommand, **fields):
@@ -101,6 +81,14 @@ def _read_sentences(path):
     return sentences
 
 
+def _read_template(path):
+    if not path:
+        return None
+    _check_inputs(path)
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
 def _load_inventory(path):
     return LabelInventory.from_json(path) if path else default_inventory()
 
@@ -112,9 +100,9 @@ def cmd_convert(args):
     if args.strict:
         table.strict = True
     converted, report = convert_corpus(trees, table)
-    _write_treebank_atomic(converted, args.output)
+    write_treebank(converted, args.output)
     if args.report:
-        _atomic_write_json(args.report, report.to_dict())
+        _write_json(args.report, report.to_dict())
     _summary(
         "convert",
         trees=report.trees,
@@ -130,7 +118,7 @@ def cmd_normalize(args):
     trees = read_treebank(args.input, inventory=inventory)
     normalized = [normalize_pos_nodes(t, inventory) for t in trees]
     changed = sum(1 for a, b in zip(trees, normalized) if a != b)
-    _write_treebank_atomic(normalized, args.output)
+    write_treebank(normalized, args.output)
     _summary("normalize", trees=len(trees), changed=changed, output=args.output)
     return 0
 
@@ -143,9 +131,9 @@ def cmd_transfer_seg(args):
     out, report = transfer_corpus(
         trees, lexicon, split_table=split_table, lookahead=args.lookahead
     )
-    _write_treebank_atomic(out, args.output)
+    write_treebank(out, args.output)
     if args.report:
-        _atomic_write_json(args.report, report.to_dict())
+        _write_json(args.report, report.to_dict())
     _summary(
         "transfer-seg",
         trees=len(trees),
@@ -164,8 +152,7 @@ def cmd_extract_rules(args):
     counts = extract_corpus_rules(
         trees, exclude_labels=tuple(args.exclude_labels or ())
     )
-    text = export_rules(counts)
-    _atomic_write_text(args.output, text)
+    export_rules(counts, path=args.output)
     _summary(
         "extract-rules",
         trees=len(trees),
@@ -177,14 +164,10 @@ def cmd_extract_rules(args):
 
 
 def cmd_generate(args):
-    _check_inputs(args.stats_from, args.examples, args.mock_treebank, args.template)
-    stats_trees = read_treebank(args.stats_from)
-    stats = corpus_stats(stats_trees)
+    _check_inputs(args.stats_from, args.examples, args.mock_treebank)
+    stats = corpus_stats(read_treebank(args.stats_from))
     examples = _read_sentences(args.examples)
-    template = None
-    if args.template:
-        with open(args.template, encoding="utf-8") as f:
-            template = f.read()
+    template = _read_template(args.template)
 
     if args.backend == "mock":
         if not args.mock_treebank:
@@ -198,29 +181,19 @@ def cmd_generate(args):
             raise SpsError("--backend service requires --endpoint")
         backend = ServiceGenerator(args.endpoint, template=template, seed=args.seed)
 
-    rng = substream(_seed_of(args), "cli-generate")
-    prompt_config = PromptConfig(example_count=args.example_count)
-    sentences = []
-    provenance = []
-    failures = 0
-    while len(sentences) < args.count and failures < 20:
-        spec = sample_prompt(stats, examples, rng, config=prompt_config)
-        try:
-            batch = backend.generate(spec)
-        except SpsError as e:
-            failures += 1
-            log.warning("generation failed: %s", e)
-            continue
-        failures = 0
-        provenance.append(batch.provenance)
-        for sentence in batch.sentences:
-            sentences.append(sentence)
-            if len(sentences) >= args.count:
-                break
+    sentences, provenance = selftrain.build_pool(
+        backend,
+        stats,
+        examples,
+        args.count,
+        substream(_seed_of(args), "cli-generate"),
+        PromptConfig(example_count=args.example_count),
+        excluded=frozenset(),
+    )
     if not sentences:
         raise SpsError("generation produced no sentences")
-    _atomic_write_text(args.output, "".join(s.text() + "\n" for s in sentences))
-    _atomic_write_json(args.output + ".provenance.json", provenance)
+    write_text_atomic(args.output, "".join(s.text() + "\n" for s in sentences))
+    _write_json(args.output + ".provenance.json", provenance)
     _summary(
         "generate",
         sentences=len(sentences),
@@ -253,9 +226,9 @@ def cmd_parse(args):
     model = ParserModel.load(args.model)
     sentences = _read_sentences(args.input)
     results = parse_pool(model, sentences, jobs=args.jobs)
-    _write_treebank_atomic([r.tree for r in results], args.output)
+    write_treebank([r.tree for r in results], args.output)
     if args.confidences:
-        _atomic_write_text(
+        write_text_atomic(
             args.confidences,
             "".join(f"{r.confidence:.12g}\n" for r in results),
         )
@@ -284,15 +257,10 @@ def cmd_select(args):
         PseudoTree(t.sentence(), t, c) for t, c in zip(trees, confidences)
     ]
 
-    refs = SelectionRefs()
-    if args.source:
-        source = read_treebank(args.source)
-        refs.source_tokens = RuleDistribution(token_counts(source))
-        refs.source_rules = RuleDistribution(extract_corpus_rules(source))
-    if args.converted_target:
-        refs.converted_target_rules = RuleDistribution(
-            extract_corpus_rules(read_treebank(args.converted_target))
-        )
+    refs = selftrain.build_refs(
+        read_treebank(args.source) if args.source else None,
+        read_treebank(args.converted_target) if args.converted_target else None,
+    )
 
     cfg = CriterionConfig(
         kind=args.criterion,
@@ -301,12 +269,12 @@ def cmd_select(args):
     )
     scored = score(candidates, cfg, refs)
     selected = select_top_k(scored, cfg)
-    _write_treebank_atomic([p.tree for p in selected], args.output)
+    write_treebank([p.tree for p in selected], args.output)
     if args.sidecar:
         index = {id(c): i for i, c in enumerate(candidates)}
         by_id = {index[id(c)]: (c, s) for c, s in scored}
         chosen = {index[id(c)] for c in selected}
-        _atomic_write_json(
+        _write_json(
             args.sidecar,
             [
                 {
@@ -343,7 +311,7 @@ def cmd_eval(args):
     print(report.table())
     print(f"F1 {report.f1:.2f}")
     if args.json:
-        _atomic_write_json(args.json, report.to_dict())
+        _write_json(args.json, report.to_dict())
     _summary(
         "eval",
         pairs=len(preds),
@@ -354,10 +322,74 @@ def cmd_eval(args):
     return 0
 
 
+# The run config's top-level keys.  Its sections "criterion", "parser",
+# "prompt" and "score" take the fields of CriterionConfig, TrainConfig,
+# PromptConfig and ScoreOptions, whose defaults fill in what a section leaves
+# out; "generator" takes "backend", "template" and its backend's keys below.
+_RUN_KEYS = frozenset({
+    "source_treebank", "target_examples", "converted_target_treebank",
+    "source_dev", "target_dev", "exclude", "seed", "seeds", "out_dir",
+    "iterations", "pool_size", "rule_exclude_labels", "update_reference",
+    "criterion", "parser", "generator", "prompt", "score",
+})
+_GENERATOR_KEYS = {
+    "mock": ("treebank", "seed", "batch_size", "guide_probability"),
+    "service": ("endpoint", "seed", "max_attempts", "requests_per_minute"),
+}
+
+
+def _check_keys(section, where, allowed):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
+
+
+def _from_section(cls, config, name):
+    section = config.get(name, {})
+    where = f"run config section {name!r}"
+    _check_keys(section, where, {f.name for f in dataclasses.fields(cls)})
+    try:
+        return cls(**section)
+    except TypeError as e:  # a missing field or a value of the wrong type
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def _build_generator(config, seed):
+    gen_cfg = config.get("generator", {})
+    kind = gen_cfg.get("backend", "mock") if isinstance(gen_cfg, dict) else "mock"
+    if kind not in _GENERATOR_KEYS:
+        raise SpsError(f"unknown generator backend {kind!r}")
+    _check_keys(
+        gen_cfg,
+        f"run config section 'generator' (backend {kind!r})",
+        {"backend", "template", *_GENERATOR_KEYS[kind]},
+    )
+    template = _read_template(gen_cfg.get("template"))
+    options = {k: v for k, v in gen_cfg.items() if k not in ("backend", "template")}
+    if kind == "service":
+        endpoint = options.pop("endpoint", None)
+        if not endpoint:
+            raise SpsError("generator.backend 'service' requires generator.endpoint")
+        return ServiceGenerator(endpoint, template=template, **options)
+    grammar_path = options.pop("treebank", None)
+    if not grammar_path:
+        raise SpsError("generator.backend 'mock' requires generator.treebank")
+    _check_inputs(grammar_path)
+    grammar = pcfg_from_treebank(read_treebank(grammar_path))
+    return MockPcfgGenerator(grammar, template=template, **{"seed": seed, **options})
+
+
 def _build_experiment(config, seed_override=None, out_dir_override=None, jobs=1):
+    _check_keys(config, "the run config", _RUN_KEYS)
     for key in ("source_treebank", "target_examples", "criterion"):
         if key not in config:
             raise SpsError(f"run config is missing {key!r}")
+    criterion = _from_section(CriterionConfig, config, "criterion")
+    train_config = _from_section(TrainConfig, config, "parser")
+    prompt_config = _from_section(PromptConfig, config, "prompt")
+    score_options = _from_section(ScoreOptions, config, "score")
     _check_inputs(
         config["source_treebank"],
         config["target_examples"],
@@ -365,95 +397,39 @@ def _build_experiment(config, seed_override=None, out_dir_override=None, jobs=1)
         config.get("source_dev"),
         config.get("target_dev"),
     )
-    source_trees = read_treebank(config["source_treebank"])
-    target_examples = _read_sentences(config["target_examples"])
-    converted = (
-        read_treebank(config["converted_target_treebank"])
-        if config.get("converted_target_treebank")
-        else None
-    )
-    source_dev = (
-        read_treebank(config["source_dev"]) if config.get("source_dev") else None
-    )
-    target_dev = (
-        read_treebank(config["target_dev"]) if config.get("target_dev") else None
-    )
+
+    def optional_treebank(key):
+        return read_treebank(config[key]) if config.get(key) else None
+
     exclude = []
     for path in config.get("exclude", []):
         _check_inputs(path)
         exclude.extend(t.sentence() for t in read_treebank(path))
 
     seed = seed_override if seed_override is not None else config.get("seed", 0)
-
-    parser_cfg = config.get("parser", {})
-    backend = PcfgBackend(
-        TrainConfig(
-            alpha=parser_cfg.get("alpha", 0.01),
-            unk_threshold=parser_cfg.get("unk_threshold", 1),
-        )
-    )
-
-    gen_cfg = config.get("generator", {})
-    gen_kind = gen_cfg.get("backend", "mock")
-    template = None
-    if gen_cfg.get("template"):
-        _check_inputs(gen_cfg["template"])
-        with open(gen_cfg["template"], encoding="utf-8") as f:
-            template = f.read()
-    if gen_kind == "mock":
-        grammar_path = gen_cfg.get("treebank")
-        if not grammar_path:
-            raise SpsError("generator.backend 'mock' requires generator.treebank")
-        _check_inputs(grammar_path)
-        grammar = pcfg_from_treebank(read_treebank(grammar_path))
-        generator = MockPcfgGenerator(
-            grammar,
-            seed=gen_cfg.get("seed", seed),
-            batch_size=gen_cfg.get("batch_size", 10),
-            guide_probability=gen_cfg.get("guide_probability", 0.75),
-            template=template,
-        )
-    elif gen_kind == "service":
-        if not gen_cfg.get("endpoint"):
-            raise SpsError("generator.backend 'service' requires generator.endpoint")
-        generator = ServiceGenerator(
-            gen_cfg["endpoint"],
-            template=template,
-            seed=gen_cfg.get("seed"),
-            max_attempts=gen_cfg.get("max_attempts", 3),
-            requests_per_minute=gen_cfg.get("requests_per_minute", 60),
-        )
-    else:
-        raise SpsError(f"unknown generator backend {gen_kind!r}")
-
-    criterion = CriterionConfig(**config["criterion"])
-    prompt_config = PromptConfig(**config.get("prompt", {}))
-    score_cfg = config.get("score", {})
-    score_options = ScoreOptions(
-        include_root=score_cfg.get("include_root", False),
-        include_pos=score_cfg.get("include_pos", False),
-        exclude_labels=frozenset(score_cfg.get("exclude_labels", ())),
-    )
-
+    options = {
+        key: config[key]
+        for key in ("iterations", "pool_size", "update_reference")
+        if key in config
+    }
+    if "rule_exclude_labels" in config:
+        options["rule_exclude_labels"] = tuple(config["rule_exclude_labels"])
     return Experiment(
-        source_trees=source_trees,
-        target_examples=target_examples,
-        parser_backend=backend,
-        generator_backend=generator,
+        source_trees=read_treebank(config["source_treebank"]),
+        target_examples=_read_sentences(config["target_examples"]),
+        parser_backend=PcfgBackend(train_config),
+        generator_backend=_build_generator(config, seed),
         criterion=criterion,
-        iterations=config.get("iterations", 4),
-        pool_size=config.get("pool_size", 10000),
         seed=seed,
-        converted_target_trees=converted,
-        source_dev=source_dev,
-        target_dev=target_dev,
+        converted_target_trees=optional_treebank("converted_target_treebank"),
+        source_dev=optional_treebank("source_dev"),
+        target_dev=optional_treebank("target_dev"),
         exclude_sentences=tuple(exclude),
         prompt_config=prompt_config,
         score_options=score_options,
-        rule_exclude_labels=tuple(config.get("rule_exclude_labels", ())),
-        update_reference=config.get("update_reference", False),
         jobs=jobs,
         out_dir=out_dir_override or config.get("out_dir"),
+        **options,
     )
 
 
@@ -478,7 +454,7 @@ def cmd_self_train(args):
         out_dir = experiment.out_dir
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
-            _atomic_write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
+            _write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
         _summary(
             "self-train",
             seeds=aggregate["seeds"],

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import TokenMismatchError
+from .treebank import write_text_atomic
 
 __all__ = ["ScoreOptions", "ScoreReport", "spans", "score_pair", "score_corpus"]
 
@@ -55,14 +56,8 @@ def spans(tree, opts=ScoreOptions()):
 
 def score_pair(pred, gold, opts=ScoreOptions()):
     """(matched, predicted, gold) span counts for one tree pair."""
-    if pred.leaves() != gold.leaves():
-        raise TokenMismatchError(
-            f"token sequences differ: {pred.leaves()!r} vs {gold.leaves()!r}"
-        )
-    pred_spans = spans(pred, opts)
-    gold_spans = spans(gold, opts)
-    matched = sum((pred_spans & gold_spans).values())
-    return matched, sum(pred_spans.values()), sum(gold_spans.values())
+    report = score_corpus([pred], [gold], opts)
+    return report.matched, report.predicted, report.gold
 
 
 def _prf(matched, predicted, gold):
@@ -101,9 +96,8 @@ class ScoreReport:
         }
 
     def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, ensure_ascii=False, indent=2)
-            f.write("\n")
+        text = json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
+        write_text_atomic(path, text + "\n")
 
     def table(self):
         lines = [
@@ -128,7 +122,10 @@ def score_corpus(preds, golds, opts=ScoreOptions()):
     by_label = {}
     for index, (pred, gold) in enumerate(zip(preds, golds)):
         if pred.leaves() != gold.leaves():
-            raise TokenMismatchError(f"pair {index}: token sequences differ")
+            raise TokenMismatchError(
+                f"pair {index}: token sequences differ: "
+                f"{pred.leaves()!r} vs {gold.leaves()!r}"
+            )
         pred_spans = spans(pred, opts)
         gold_spans = spans(gold, opts)
         hit = pred_spans & gold_spans

@@ -24,7 +24,7 @@ import statistics
 import string
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import requests
@@ -45,7 +45,6 @@ __all__ = [
     "corpus_stats",
     "sample_prompt",
     "render_prompt",
-    "generate",
     "default_template",
 ]
 
@@ -57,17 +56,26 @@ class SourceStats:
     mean_length: float
     std_length: float
     rule_counts: Counter
+    lengths: tuple = field(default=(), repr=False)  # per tree, in corpus order
 
 
-def corpus_stats(trees, exclude_labels=()):
+def corpus_stats(trees, exclude_labels=(), base=None):
+    """Stats of ``trees``; with ``base``, of base's corpus followed by ``trees``.
+
+    Folding new trees into a ``base`` computed with the same ``exclude_labels``
+    gives the same stats as recomputing them over the whole corpus, without
+    re-extracting the trees already counted.
+    """
     trees = list(trees)
-    if not trees:
+    lengths = (base.lengths if base else ()) + tuple(len(t.leaves()) for t in trees)
+    if not lengths:
         raise ValueError("cannot compute stats of an empty corpus")
-    lengths = [len(t.leaves()) for t in trees]
+    rule_counts = extract_corpus_rules(trees, exclude_labels=exclude_labels)
     return SourceStats(
         mean_length=statistics.fmean(lengths),
         std_length=statistics.pstdev(lengths),
-        rule_counts=extract_corpus_rules(trees, exclude_labels=exclude_labels),
+        rule_counts=base.rule_counts + rule_counts if base else rule_counts,
+        lengths=lengths,
     )
 
 
@@ -192,11 +200,6 @@ def render_prompt(spec, template=None):
 
 def prompt_hash(spec, template=None):
     return hashlib.sha256(render_prompt(spec, template).encode("utf-8")).hexdigest()
-
-
-def generate(spec, backend):
-    """Ask a backend for one batch of sentences for this prompt."""
-    return backend.generate(spec)
 
 
 class Pcfg:

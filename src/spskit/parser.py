@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .errors import ModelFormatError
 from .rules import SyntacticRule
-from .treebank import ParseTree, Sentence, validate_tree
+from .treebank import ParseTree, Sentence, validate_tree, write_text_atomic
 
 __all__ = [
     "TrainConfig",
@@ -173,9 +173,7 @@ class ParserModel:
                 [label, cls, p] for (label, cls), p in sorted(self.lexical.items())
             ],
         }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(data, f, ensure_ascii=False, indent=1)
-            f.write("\n")
+        write_text_atomic(path, json.dumps(data, ensure_ascii=False, indent=1) + "\n")
 
     @classmethod
     def load(cls, path):

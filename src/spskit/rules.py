@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyFeaturesError
-from .treebank import ParseTree, Sentence
+from .treebank import ParseTree, Sentence, write_text_atomic
 
 __all__ = [
     "SyntacticRule",
@@ -209,6 +209,5 @@ def export_rules(counts, path=None):
     lines = [format_rule(rule) for rule in sorted(counts)]
     text = "\n".join(lines) + ("\n" if lines else "")
     if path is not None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        write_text_atomic(path, text)
     return text

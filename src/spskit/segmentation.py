@@ -24,7 +24,7 @@ import bisect
 import json
 from dataclasses import dataclass, field
 
-from .treebank import ParseTree
+from .treebank import ParseTree, write_text_atomic
 
 __all__ = [
     "Lexicon",
@@ -168,9 +168,8 @@ class TransferReport:
         }
 
     def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, ensure_ascii=False, indent=2)
-            f.write("\n")
+        text = json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
+        write_text_atomic(path, text + "\n")
 
 
 # Mutable working form: _Unit is a preterminal (POS label over one token) and

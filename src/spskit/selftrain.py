@@ -23,7 +23,6 @@ import dataclasses
 import json
 import logging
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, GenerationError
@@ -32,9 +31,12 @@ from .generator import PromptConfig, corpus_stats, sample_prompt
 from .rules import RuleDistribution, extract_corpus_rules, token_counts
 from .seeding import substream
 from .selection import CriterionConfig, SelectionRefs, score, select_top_k
-from .treebank import read_treebank, write_treebank
+from .treebank import read_treebank, write_text_atomic, write_treebank
 
-__all__ = ["Experiment", "IterationRecord", "RunManifest", "run", "run_multiseed"]
+__all__ = [
+    "Experiment", "IterationRecord", "RunManifest", "build_pool", "build_refs", "run",
+    "run_multiseed",
+]
 
 log = logging.getLogger(__name__)
 
@@ -145,7 +147,7 @@ class RunManifest:
         }
 
     def save(self, path):
-        _atomic_write_json(path, self.to_dict())
+        write_text_atomic(path, _json_text(self.to_dict()))
 
     @classmethod
     def load(cls, path):
@@ -160,86 +162,92 @@ class RunManifest:
         )
 
 
-def _atomic_write_json(path, data):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(data, f, ensure_ascii=False, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _json_text(data):
+    return json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
 def _sentence_key(sentence):
     return tuple(sentence.tokens)
 
 
-def _build_refs(experiment, pseudo_trees=()):
-    source = list(experiment.source_trees) + list(pseudo_trees)
+def build_refs(source_trees, converted_target_trees=None, exclude_labels=()):
+    """The reference distributions the selection criteria draw on.
+
+    The token and rule distributions of ``source_trees`` and the rule
+    distribution of ``converted_target_trees``; a reference whose corpus is
+    not given stays None, so criteria needing it fail with a ConfigError.
+    """
     refs = SelectionRefs()
-    refs.source_tokens = RuleDistribution(token_counts(source))
-    refs.source_rules = RuleDistribution(
-        extract_corpus_rules(source, exclude_labels=experiment.rule_exclude_labels)
-    )
-    if experiment.converted_target_trees:
+    if source_trees:
+        refs.source_tokens = RuleDistribution(token_counts(source_trees))
+        refs.source_rules = RuleDistribution(
+            extract_corpus_rules(source_trees, exclude_labels=exclude_labels)
+        )
+    if converted_target_trees:
         refs.converted_target_rules = RuleDistribution(
-            extract_corpus_rules(
-                experiment.converted_target_trees,
-                exclude_labels=experiment.rule_exclude_labels,
-            )
+            extract_corpus_rules(converted_target_trees, exclude_labels=exclude_labels)
         )
     return refs
 
 
-def _dev_f1(backend, model, golds, opts):
-    if not golds:
-        return None
-    preds = [backend.parse(model, gold.sentence()).tree for gold in golds]
-    return round(score_corpus(preds, golds, opts).f1, 4)
+def _record(experiment, model, **fields):
+    """An iteration's manifest record, with ``model``'s dev-set F1 scores."""
+
+    def dev_f1(golds):
+        if not golds:
+            return None
+        backend = experiment.parser_backend
+        preds = [backend.parse(model, gold.sentence()).tree for gold in golds]
+        return round(score_corpus(preds, golds, experiment.score_options).f1, 4)
+
+    return IterationRecord(
+        k=experiment.criterion.k,
+        criterion=experiment.criterion.kind,
+        dev_f1_source=dev_f1(experiment.source_dev),
+        dev_f1_target=dev_f1(experiment.target_dev),
+        seed=experiment.seed,
+        **fields,
+    )
 
 
-def _build_pool(experiment, iteration, stats, example_pool, excluded):
-    """Generate up to pool_size distinct candidate sentences for one iteration."""
-    rng = substream(experiment.seed, "generate", iteration)
+def build_pool(generator, stats, examples, size, rng, prompt_config, excluded):
+    """Generate up to ``size`` distinct candidate sentences.
+
+    Prompts are drawn from ``rng``; sentences whose token sequence is in
+    ``excluded`` or already pooled are dropped.  Twenty generation failures in
+    a row, or ``50 + 10 * size`` batches, end the pool early.  Returns the
+    pool and the provenance of every batch the backend returned.
+    """
     pool = []
+    provenance = []
     seen = set()
     failures = 0
     max_failures = 20
-    max_batches = 50 + 10 * experiment.pool_size
+    max_batches = 50 + 10 * size
     batches = 0
-    while len(pool) < experiment.pool_size and batches < max_batches:
+    while len(pool) < size and batches < max_batches:
         batches += 1
-        spec = sample_prompt(
-            stats, example_pool, rng, config=experiment.prompt_config
-        )
+        spec = sample_prompt(stats, examples, rng, config=prompt_config)
         try:
-            batch = experiment.generator_backend.generate(spec)
+            batch = generator.generate(spec)
         except GenerationError as e:
             failures += 1
             log.warning("generation failed (%d in a row): %s", failures, e)
             if failures >= max_failures:
-                log.warning(
-                    "giving up on iteration %d pool at %d/%d sentences",
-                    iteration,
-                    len(pool),
-                    experiment.pool_size,
-                )
+                log.warning("giving up at %d/%d sentences", len(pool), size)
                 break
             continue
         failures = 0
+        provenance.append(batch.provenance)
         for sentence in batch.sentences:
             key = _sentence_key(sentence)
             if key in excluded or key in seen:
                 continue
             seen.add(key)
             pool.append(sentence)
-            if len(pool) >= experiment.pool_size:
+            if len(pool) >= size:
                 break
-    return pool
+    return pool, provenance
 
 
 def _parse_pool(experiment, model, sentences):
@@ -269,7 +277,8 @@ def _persist_iteration(experiment, manifest, iteration, selected, scored_by_id):
         for cid in sorted(scored_by_id)
     ]
     score_name = f"scores_iter_{iteration}.json"
-    _atomic_write_json(os.path.join(experiment.out_dir, score_name), sidecar)
+    score_path = os.path.join(experiment.out_dir, score_name)
+    write_text_atomic(score_path, _json_text(sidecar))
     # Paths are stored relative to the run directory so manifests stay
     # byte-identical across runs and survive a directory move.
     manifest.artifacts[f"selected_iter_{iteration}"] = tree_name
@@ -327,87 +336,77 @@ def run(experiment, resume=False):
     if not example_pool:
         raise ConfigError("no target example sentences survive dev/test exclusion")
 
-    refs = _build_refs(
-        experiment, pseudo_trees if experiment.update_reference else ()
-    )
+    def current_refs():
+        used = pseudo_trees if experiment.update_reference else []
+        return build_refs(
+            list(experiment.source_trees) + used,
+            experiment.converted_target_trees,
+            experiment.rule_exclude_labels,
+        )
+
+    refs = current_refs()
+    stats = None
 
     try:
         for iteration in range(start_iteration, experiment.iterations + 1):
             if iteration == 0:
                 model = experiment.parser_backend.train(experiment.source_trees)
-                record = IterationRecord(
-                    iteration=0,
-                    pool_size=0,
-                    k=experiment.criterion.k,
-                    criterion=experiment.criterion.kind,
-                    selected_ids=[],
-                    train_size=len(experiment.source_trees),
-                    dev_f1_source=_dev_f1(
-                        experiment.parser_backend,
+                manifest.records.append(
+                    _record(
+                        experiment,
                         model,
-                        experiment.source_dev,
-                        experiment.score_options,
-                    ),
-                    dev_f1_target=_dev_f1(
-                        experiment.parser_backend,
-                        model,
-                        experiment.target_dev,
-                        experiment.score_options,
-                    ),
-                    seed=experiment.seed,
+                        iteration=0,
+                        pool_size=0,
+                        selected_ids=[],
+                        train_size=len(experiment.source_trees),
+                    )
                 )
-                manifest.records.append(record)
                 if manifest_path:
                     os.makedirs(experiment.out_dir, exist_ok=True)
                     manifest.save(manifest_path)
                 continue
 
+            # Fold only the trees added since the last iteration into the stats.
+            folded = len(stats.lengths) if stats else 0
             stats = corpus_stats(
-                list(experiment.source_trees) + pseudo_trees,
+                (list(experiment.source_trees) + pseudo_trees)[folded:],
                 exclude_labels=experiment.rule_exclude_labels,
+                base=stats,
             )
-            pool = _build_pool(experiment, iteration, stats, example_pool, excluded)
+            pool, _ = build_pool(
+                experiment.generator_backend,
+                stats,
+                example_pool,
+                experiment.pool_size,
+                substream(experiment.seed, "generate", iteration),
+                experiment.prompt_config,
+                excluded,
+            )
             candidates = _parse_pool(experiment, model, pool)
             scored = score(candidates, experiment.criterion, refs)
             selected = select_top_k(scored, experiment.criterion)
 
             id_by_candidate = {id(c): i for i, c in enumerate(candidates)}
-            scored_by_id = {
-                id_by_candidate[id(c)]: (c, s) for c, s in scored
-            }
+            scored_by_id = {id_by_candidate[id(c)]: (c, s) for c, s in scored}
             selected_ids = [id_by_candidate[id(c)] for c in selected]
-            selected_scored = {
-                cid: scored_by_id[cid] for cid in selected_ids
-            }
+            selected_scored = {cid: scored_by_id[cid] for cid in selected_ids}
 
             pseudo_trees.extend(p.tree for p in selected)
             if experiment.update_reference:
-                refs = _build_refs(experiment, pseudo_trees)
+                refs = current_refs()
             train_set = list(experiment.source_trees) + pseudo_trees
             model = experiment.parser_backend.train(train_set)
 
-            record = IterationRecord(
-                iteration=iteration,
-                pool_size=len(pool),
-                k=experiment.criterion.k,
-                criterion=experiment.criterion.kind,
-                selected_ids=selected_ids,
-                train_size=len(train_set),
-                dev_f1_source=_dev_f1(
-                    experiment.parser_backend,
+            manifest.records.append(
+                _record(
+                    experiment,
                     model,
-                    experiment.source_dev,
-                    experiment.score_options,
-                ),
-                dev_f1_target=_dev_f1(
-                    experiment.parser_backend,
-                    model,
-                    experiment.target_dev,
-                    experiment.score_options,
-                ),
-                seed=experiment.seed,
+                    iteration=iteration,
+                    pool_size=len(pool),
+                    selected_ids=selected_ids,
+                    train_size=len(train_set),
+                )
             )
-            manifest.records.append(record)
             _persist_iteration(
                 experiment, manifest, iteration, selected, selected_scored
             )

@@ -19,7 +19,7 @@ Sampling is depth-guarded and fully seeded.
 
 from __future__ import annotations
 
-from .generator import Pcfg
+from .generator import Pcfg, _choose
 from .seeding import substream
 from .treebank import LabelInventory, ParseTree
 
@@ -111,16 +111,6 @@ def source_grammar():
 
 def target_grammar():
     return Pcfg("s", _STRUCTURE_TARGET, _LEX_TARGET)
-
-
-def _choose(rng, options):
-    x = rng.random()
-    acc = 0.0
-    for item, p in options:
-        acc += p
-        if x < acc:
-            return item
-    return options[-1][0]
 
 
 def sample_tree(grammar, rng, max_depth=30):

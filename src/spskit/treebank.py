@@ -10,6 +10,8 @@ full-width variants, so this costs nothing in practice).
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from importlib import resources
 
@@ -25,6 +27,7 @@ __all__ = [
     "validate_tree",
     "read_treebank",
     "write_treebank",
+    "write_text_atomic",
     "default_inventory",
 ]
 
@@ -149,9 +152,7 @@ class LabelInventory:
             "sps_labels": sorted(self.sps_labels),
             "pos_labels": sorted(self.pos_labels),
         }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(data, f, ensure_ascii=False, indent=2)
-            f.write("\n")
+        write_text_atomic(path, json.dumps(data, ensure_ascii=False, indent=2) + "\n")
 
 
 def default_inventory():
@@ -281,7 +282,30 @@ def read_treebank(path, inventory=None):
 
 
 def write_treebank(trees, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for tree in trees:
-            f.write(serialize(tree))
-            f.write("\n")
+    write_text_atomic(path, "".join(serialize(tree) + "\n" for tree in trees))
+
+
+# mkstemp creates files readable by their owner only; outputs get the mode a
+# plain open() for writing would give them.  The umask can only be read by
+# setting it, so it is read once, here.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def write_text_atomic(path, text):
+    """Write UTF-8 ``text`` to ``path`` through a temporary file and a rename.
+
+    Readers see the old contents or the new ones, never a partial file; on
+    failure the temporary file is removed and ``path`` is left untouched.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            os.fchmod(f.fileno(), 0o666 & ~_UMASK)
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -261,6 +261,44 @@ class TestPipeline:
         )
         assert out.read_text() == out2.read_text()
 
+    def test_generate_writes_no_duplicate_sentence(self, tmp_path, capsys):
+        stats_treebank = tmp_path / "stats.txt"
+        write_treebank(sample_corpus(source_grammar(), 50, seed=3, name="cli-stats"), stats_treebank)
+        grammar_treebank = tmp_path / "grammar.txt"
+        write_treebank(sample_corpus(target_grammar(), 80, seed=3, name="cli-gram"), grammar_treebank)
+        examples = tmp_path / "examples.txt"
+        examples.write_text("na va\nnb vb nc\n", encoding="utf-8")
+        out = tmp_path / "sentences.txt"
+        code = main(
+            ["--seed", "5",
+             "generate", "--stats-from", str(stats_treebank),
+             "--examples", str(examples), "--count", "1000",
+             "--backend", "mock", "--mock-treebank", str(grammar_treebank),
+             "--output", str(out)]
+        )
+        assert code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1000
+        assert len(set(lines)) == 1000
+        assert summary_line(capsys)["sentences"] == 1000
+
+    def test_select_without_source_lacks_the_source_reference(self, tmp_path, capsys):
+        candidates = tmp_path / "candidates.txt"
+        candidates.write_text(
+            "(s (subj (n a)) (pred (v b)))\n(s (subj (n c)) (pred (v d)))\n",
+            encoding="utf-8",
+        )
+        confidences = tmp_path / "conf.txt"
+        confidences.write_text("0.5\n0.25\n", encoding="utf-8")
+        code = main(
+            ["select", "--candidates", str(candidates),
+             "--confidences", str(confidences), "--criterion", "srs", "--k", "1",
+             "--output", str(tmp_path / "selected.txt")]
+        )
+        assert code == 1
+        assert "missing reference distribution" in capsys.readouterr().err
+        assert not (tmp_path / "selected.txt").exists()
+
 
 class TestSelfTrainCommand:
     def make_config(self, tmp_path, seeds=None):
@@ -319,6 +357,45 @@ class TestSelfTrainCommand:
             (tmp_path / "run" / "aggregate.json").read_text(encoding="utf-8")
         )
         assert len(aggregate["mean_target_f1"]) == 2
+
+    @pytest.mark.parametrize(
+        "section, value, named",
+        [
+            (None, 20, "pool-size"),
+            ("criterion", {"kind": "csrs", "kk": 2}, "kk"),
+            ("prompt", {"sigma": 0}, "sigma"),
+            ("generator", {"batchsize": 3}, "batchsize"),
+            ("generator", {"endpoint": "http://localhost:1"}, "endpoint"),
+            ("criterion", {"k": 2}, "kind"),
+            ("parser", [0.01], "parser"),
+        ],
+        ids=[
+            "top-level-typo",
+            "criterion-typo",
+            "prompt-typo",
+            "generator-typo",
+            "generator-key-of-other-backend",
+            "criterion-missing-kind",
+            "section-not-an-object",
+        ],
+    )
+    def test_bad_run_config_is_a_data_error(
+        self, tmp_path, capsys, section, value, named
+    ):
+        path = self.make_config(tmp_path)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        if section is None:
+            config[named] = value
+        elif section == "generator":
+            config[section].update(value)
+        else:
+            config[section] = value
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["self-train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err
+        assert repr(named) in err
+        assert not (tmp_path / "run").exists()
 
     def test_report_subcommand(self, tmp_path, capsys):
         config = self.make_config(tmp_path)

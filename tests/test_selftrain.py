@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from spskit import selftrain
 from spskit.errors import ConfigError, GenerationError
-from spskit.generator import GenerationBatch
+from spskit.generator import GenerationBatch, corpus_stats
 from spskit.selection import CriterionConfig
 from spskit.selftrain import Experiment, RunManifest, run, run_multiseed
 from spskit.synthetic import cross_domain_experiment
@@ -172,6 +173,44 @@ class TestLeakageExclusion:
         )
         with pytest.raises(ConfigError):
             run(exp)
+
+
+class TestIncrementalStats:
+    @pytest.mark.parametrize("seed, exclude_labels", [(1, ()), (7, ("adv",))])
+    def test_stats_equal_a_recount_of_the_training_set(
+        self, seed, exclude_labels, tmp_path, monkeypatch
+    ):
+        seen = []
+
+        def recording(trees, exclude_labels=(), base=None):
+            stats = corpus_stats(trees, exclude_labels=exclude_labels, base=base)
+            seen.append(stats)
+            return stats
+
+        monkeypatch.setattr(selftrain, "corpus_stats", recording)
+        exp = small_experiment(
+            seed=seed,
+            iterations=3,
+            out_dir=str(tmp_path),
+            rule_exclude_labels=exclude_labels,
+        )
+        run(exp)
+        assert len(seen) == 3
+        pseudo = []
+        for iteration, stats in enumerate(seen, start=1):
+            recount = corpus_stats(
+                list(exp.source_trees) + pseudo, exclude_labels=exclude_labels
+            )
+            assert stats == recount
+            assert stats.mean_length.hex() == recount.mean_length.hex()
+            assert stats.std_length.hex() == recount.std_length.hex()
+            pseudo += read_treebank(tmp_path / f"selected_iter_{iteration}.txt")
+
+    def test_folding_in_nothing_keeps_the_stats(self):
+        base = corpus_stats(small_experiment().source_trees)
+        assert corpus_stats([], base=base) == base
+        with pytest.raises(ValueError):
+            corpus_stats([])
 
 
 class TestPersistenceAndResume:

@@ -1,8 +1,12 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spskit.errors import LabelError, RootPromotionError, TreeSyntaxError
+from spskit.parser import train
+from spskit.selftrain import RunManifest
 from spskit.treebank import (
     LabelInventory,
     ParseTree,
@@ -13,6 +17,7 @@ from spskit.treebank import (
     read_treebank,
     serialize,
     validate_tree,
+    write_text_atomic,
     write_treebank,
 )
 
@@ -157,6 +162,41 @@ class TestTreebankFiles:
         with pytest.raises(LabelError) as err:
             validate_tree(tree, fig_inventory)
         assert "yy" in str(err.value) and "zz" in str(err.value)
+
+
+WRITERS = {
+    "write_treebank": lambda path: write_treebank([parse_bracketed("(s (n a))")], path),
+    "ParserModel.save": lambda path: train([parse_bracketed("(s (n a))")]).save(path),
+    "RunManifest.save": lambda path: RunManifest(config={}).save(path),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_the_previous_contents(
+        self, writer, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "out"
+        path.write_text("previous\n", encoding="utf-8")
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            WRITERS[writer](path)
+        assert path.read_text(encoding="utf-8") == "previous\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_new_files_get_the_permissions_of_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w", encoding="utf-8") as f:
+            f.write("x\n")
+        atomic = tmp_path / "atomic.txt"
+        write_text_atomic(atomic, "x\n")
+        assert atomic.stat().st_mode == plain.stat().st_mode
+        assert atomic.read_bytes() == plain.read_bytes()
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestFuzzing:
