@@ -6,6 +6,7 @@ self-training loop needs, so swapping in a heavier model later changes no
 pipeline code.
 """
 
+import os
 import tempfile
 
 from spskit import ParserModel, Sentence, serialize, train
@@ -33,9 +34,10 @@ fallback = parse(model, Sentence(("na",) * 40))
 print("fallback confidence:", fallback.confidence)
 
 # Models persist as versioned JSON and are validated on load.
-with tempfile.NamedTemporaryFile(suffix=".json", mode="w", delete=False) as f:
-    path = f.name
-model.save(path)
-reloaded = ParserModel.load(path)
-assert parse(reloaded, held_out[0].sentence()) == parse(model, held_out[0].sentence())
-print("saved, reloaded, and verified at", path)
+with tempfile.TemporaryDirectory(prefix="spskit-demo-") as tmp:
+    path = os.path.join(tmp, "model.json")
+    model.save(path)
+    reloaded = ParserModel.load(path)
+    sentence = held_out[0].sentence()
+    assert parse(reloaded, sentence) == parse(model, sentence)
+    print("saved, reloaded, and verified at", path)

@@ -6,7 +6,7 @@ A parser trained on 500 source trees starts ~20 F1 points lower on the
 target dev set; four iterations of generate / parse / select (CSRs) / retrain
 recover most of that gap without hurting the source domain.
 
-Runs in a few seconds; artifacts land in a temp directory.
+Runs in a few seconds; artifacts land in a temp directory, removed at the end.
 """
 
 import tempfile
@@ -14,21 +14,21 @@ import tempfile
 from spskit.selftrain import run
 from spskit.synthetic import cross_domain_experiment
 
-out_dir = tempfile.mkdtemp(prefix="spskit-demo-")
-experiment = cross_domain_experiment(seed=1, out_dir=out_dir)
-manifest = run(experiment)
+with tempfile.TemporaryDirectory(prefix="spskit-demo-") as out_dir:
+    experiment = cross_domain_experiment(seed=1, out_dir=out_dir)
+    manifest = run(experiment)
 
-print(f"{'iter':>4} {'pool':>5} {'train':>6} {'source F1':>10} {'target F1':>10}")
-for record in manifest.records:
+    print(f"{'iter':>4} {'pool':>5} {'train':>6} {'source F1':>10} {'target F1':>10}")
+    for record in manifest.records:
+        print(
+            f"{record.iteration:>4} {record.pool_size:>5} {record.train_size:>6} "
+            f"{record.dev_f1_source:>10.2f} {record.dev_f1_target:>10.2f}"
+        )
+
+    first, last = manifest.records[0], manifest.records[-1]
     print(
-        f"{record.iteration:>4} {record.pool_size:>5} {record.train_size:>6} "
-        f"{record.dev_f1_source:>10.2f} {record.dev_f1_target:>10.2f}"
+        f"\ntarget gain {last.dev_f1_target - first.dev_f1_target:+.2f}, "
+        f"source change {last.dev_f1_source - first.dev_f1_source:+.2f}"
     )
-
-first, last = manifest.records[0], manifest.records[-1]
-print(
-    f"\ntarget gain {last.dev_f1_target - first.dev_f1_target:+.2f}, "
-    f"source change {last.dev_f1_source - first.dev_f1_source:+.2f}"
-)
-print("artifacts in", out_dir)
-print("resume works too: run(experiment, resume=True) continues a stopped run")
+    print("artifacts in", out_dir)
+    print("resume works too: run(experiment, resume=True) continues a stopped run")

@@ -32,7 +32,7 @@ from .rules import export_rules, extract_corpus_rules
 from .seeding import substream
 from .segmentation import Lexicon, SplitTable, transfer_corpus
 from .selection import CriterionConfig, score, select_top_k
-from .selftrain import Experiment
+from .selftrain import Experiment, _write_json
 from .treebank import (
     LabelInventory,
     Sentence,
@@ -42,11 +42,6 @@ from .treebank import (
     write_text_atomic,
     write_treebank,
 )
-
-
-def _write_json(path, data):
-    text = json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True)
-    write_text_atomic(path, text + "\n")
 
 
 def _summary(subcommand, **fields):
@@ -386,6 +381,9 @@ def _build_experiment(config, seed_override=None, out_dir_override=None, jobs=1)
     for key in ("source_treebank", "target_examples", "criterion"):
         if key not in config:
             raise SpsError(f"run config is missing {key!r}")
+    for key in ("rule_exclude_labels", "exclude"):
+        if not isinstance(config.get(key, []), list):
+            raise ConfigError(f"{key!r} must be a list, got {config[key]!r}")
     criterion = _from_section(CriterionConfig, config, "criterion")
     train_config = _from_section(TrainConfig, config, "parser")
     prompt_config = _from_section(PromptConfig, config, "prompt")

@@ -131,11 +131,6 @@ class ConversionReport:
     fallback_count: int = 0
     fallbacks_by_label: Counter = field(default_factory=Counter)
 
-    def merge(self, other):
-        self.trees += other.trees
-        self.fallback_count += other.fallback_count
-        self.fallbacks_by_label.update(other.fallbacks_by_label)
-
     def to_dict(self):
         return {
             "trees": self.trees,

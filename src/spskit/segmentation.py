@@ -12,6 +12,11 @@ The transfer runs in three stages over each tree:
    policies disagree on are undone and surfaced as misalignments for human
    review; flags that the word-first reading clears disappear.
 
+Each stage edits one mutable working tree in place, and merged leaves carry
+their provenance on it.  ``transfer_corpus`` converts each tree to that form
+once, runs all three stages on it and converts it back once; the public stage
+functions convert only at their own boundary.
+
 All operations require standard treebank form: every token sits alone under a
 preterminal node.  Merges only join leaves whose preterminals share a parent,
 and a merged leaf inherits the POS label of its first constituent.  Character
@@ -48,11 +53,11 @@ class Lexicon:
     """
 
     def __init__(self, words):
-        cleaned = {w for w in words if w}
-        if len(cleaned) != len(set(words)) or not cleaned:
-            raise ValueError("lexicon words must be non-empty and unique")
-        self.words = frozenset(cleaned)
-        self._sorted = sorted(cleaned)
+        words = list(words)
+        if not words or not all(words):
+            raise ValueError("lexicon words must be non-empty")
+        self.words = frozenset(words)
+        self._sorted = sorted(self.words)
 
     def __contains__(self, s):
         return s in self.words
@@ -142,13 +147,6 @@ class TransferReport:
     misaligned: list = field(default_factory=list)
     unmatched_logged: list = field(default_factory=list)
     merges: list = field(default_factory=list)
-
-    def merge_with(self, other):
-        self.merged += other.merged
-        self.split += other.split
-        self.misaligned.extend(other.misaligned)
-        self.unmatched_logged.extend(other.unmatched_logged)
-        self.merges.extend(other.merges)
 
     def to_dict(self):
         return {
@@ -243,81 +241,78 @@ def _unit_parts(unit):
     return (unit.token,), (unit.label,)
 
 
-def _attempt_merge(units, i, lex, lookahead):
-    """Greedy longest concatenation of units[i..] that is a lexicon word.
+def _longest_match(tokens, lex, lookahead):
+    """Greedy longest concatenation of tokens[0..lookahead] that is a word.
 
-    Returns (extra_units_merged, attempted_surface).  Zero extras means the
-    attempt failed; ``attempted can still be longer than the token when the
-    neighbors allowed extension without ever reaching a word.
+    Returns (extra_tokens_merged, attempted_surface).  Zero extras means no
+    word was reached; ``attempted`` can still be longer than the first token
+    when extension went on without ever reaching a word.  Extension stops at
+    the first concatenation that is no strict prefix of a lexicon word.
     """
-    unit, container = units[i]
-    concat = unit.token
-    attempted = concat
-    best = 0
-    for j in range(1, lookahead + 1):
-        if i + j >= len(units):
+    attempted = tokens[0]
+    extra = 0
+    for j in range(1, min(len(tokens), lookahead + 1)):
+        attempted += tokens[j]
+        if attempted in lex:
+            extra = j
+        if not lex.is_strict_prefix(attempted):
             break
-        nxt, nxt_container = units[i + j]
-        if nxt_container is not container or container is None:
-            break
-        concat += nxt.token
-        attempted = concat
-        if concat in lex:
-            best = j
-        if not lex.is_strict_prefix(concat):
-            break
-    return best, attempted
+    return extra, attempted
+
+
+def _attempt_merge(units, i, lex, lookahead):
+    """Longest match over units[i..] that share the parent of units[i]."""
+    container = units[i][1]
+    run = [units[i][0].token]
+    if container is not None:
+        for unit, parent in units[i + 1:i + 1 + lookahead]:
+            if parent is not container:
+                break
+            run.append(unit.token)
+    return _longest_match(run, lex, lookahead)
 
 
 def _commit_merge(units, i, extra):
-    """Fold units[i+1..i+extra] into units[i]; returns the merged unit."""
+    """Fold units[i+1..i+extra] into units[i] and drop them from ``units``."""
     unit, container = units[i]
     parts, part_pos = _unit_parts(unit)
-    for j in range(1, extra + 1):
-        nxt, _ = units[i + j]
+    for nxt, _ in units[i + 1:i + 1 + extra]:
         nparts, npos = _unit_parts(nxt)
         parts += nparts
         part_pos += npos
         container.children.remove(nxt)
+    del units[i + 1:i + 1 + extra]
     unit.token = "".join(parts)
     unit.parts = parts
     unit.part_pos = part_pos
-    return unit
 
 
 def _edit_sweeps(root, lex, lookahead, word_first):
     """Run merge sweeps to fixpoint; returns the number of commits."""
     merged = 0
     while True:
-        edited = False
+        before = merged
         units = _units(root)
         i = 0
         while i < len(units):
-            unit, _ = units[i]
-            token = unit.token
-            is_word = token in lex
-            is_prefix = lex.is_strict_prefix(token)
-            try_merge = is_prefix and not (is_word and word_first)
-            if try_merge:
-                extra, _attempted = _attempt_merge(units, i, lex, lookahead)
+            token = units[i][0].token
+            if lex.is_strict_prefix(token) and not (word_first and token in lex):
+                extra, _ = _attempt_merge(units, i, lex, lookahead)
                 if extra:
                     _commit_merge(units, i, extra)
                     merged += 1
-                    edited = True
-                    units = _units(root)
-                    i += 1
-                    continue
             i += 1
-        if not edited:
-            break
-    return merged
+        if merged == before:
+            return merged
 
 
 def _flag_sweep(root, lex, lookahead, word_first, tree_index, report):
-    """Collect misalignment/unmatched flags from a tree at merge fixpoint."""
+    """Collect flags and merge records from a tree at merge fixpoint."""
     units = _units(root)
     for i, (unit, _) in enumerate(units):
         token = unit.token
+        if unit.parts is not None:
+            report.merges.append(MergeRecord(tree_index, i, unit.parts, unit.part_pos))
         is_word = token in lex
         is_prefix = lex.is_strict_prefix(token)
         if is_word and (word_first or not is_prefix):
@@ -332,14 +327,73 @@ def _flag_sweep(root, lex, lookahead, word_first, tree_index, report):
         report.unmatched_logged.append((tree_index, token))
 
 
-def _collect_merge_records(root, tree_index):
-    records = []
-    for i, (unit, _) in enumerate(_units(root)):
-        if unit.parts is not None:
-            records.append(
-                MergeRecord(tree_index, i, unit.parts, unit.part_pos)
+def _split(root, table):
+    """Split every unit listed in the table in place; returns how many."""
+    if isinstance(root, _Unit):
+        if root.token in table:
+            raise ValueError(
+                "cannot split a single-node tree: the parts would need a parent"
             )
-    return records
+        return 0
+    split = 0
+    for unit, container in _units(root):
+        if unit.token in table:
+            pos = container.children.index(unit)
+            container.children[pos:pos + 1] = [
+                _Unit(unit.label, part) for part in table[unit.token]
+            ]
+            split += 1
+    return split
+
+
+def _word_first_segment(parts, part_pos, lex, lookahead):
+    """Segment merged parts under word-first precedence into new units.
+
+    Pieces that are neither words nor prefixes are kept verbatim; the
+    caller's final flag sweep is the single place such leaves get logged.
+    """
+    pieces = []
+    i = 0
+    while i < len(parts):
+        extra = 0
+        if parts[i] not in lex and lex.is_strict_prefix(parts[i]):
+            extra, _ = _longest_match(parts[i:], lex, lookahead)
+        if extra:
+            end = i + extra + 1
+            pieces.append(
+                _Unit(part_pos[i], "".join(parts[i:end]), parts[i:end], part_pos[i:end])
+            )
+        else:
+            pieces.append(_Unit(part_pos[i], parts[i]))
+        i += extra + 1
+    return pieces
+
+
+def _resolve(root, lex, lookahead, tree_index, report, origins):
+    """The word-first pass on a tree whose merged units carry provenance.
+
+    Undoes every merged unit whose first part is a lexicon word, last unit
+    first so that leaf indices stay valid, then runs the word-first sweeps
+    and the flag sweep.  An undone merge is reported under the tree index
+    ``origins`` gives for its leaf, else ``tree_index``.  Returns the number
+    of merges the sweeps commit.
+    """
+    units = _units(root)
+    for i in range(len(units) - 1, -1, -1):
+        unit, container = units[i]
+        if unit.parts is None or unit.parts[0] not in lex:
+            continue
+        report.misaligned.append((origins.get(i, tree_index), i, unit.token))
+        if container is None:
+            raise ValueError("cannot split back a single-node tree")
+        pos = container.children.index(unit)
+        container.children[pos:pos + 1] = _word_first_segment(
+            unit.parts, unit.part_pos, lex, lookahead
+        )
+        report.split += 1
+    merged = _edit_sweeps(root, lex, lookahead, word_first=True)
+    _flag_sweep(root, lex, lookahead, True, tree_index, report)
+    return merged
 
 
 def split_finest(tree, table):
@@ -349,17 +403,7 @@ def split_finest(tree, table):
     Leaves without a table entry are untouched.
     """
     root = _to_mutable(tree)
-    if isinstance(root, _Unit):
-        if root.token in table:
-            raise ValueError(
-                "cannot split a single-node tree: the parts would need a parent"
-            )
-        return _to_tree(root)
-    for unit, container in _units(root):
-        if unit.token in table:
-            pieces = [_Unit(unit.label, part) for part in table[unit.token]]
-            pos = container.children.index(unit)
-            container.children[pos:pos + 1] = pieces
+    _split(root, table)
     return _to_tree(root)
 
 
@@ -377,45 +421,7 @@ def merge_pass(tree, lex, tree_index=0, lookahead=DEFAULT_LOOKAHEAD):
     report = TransferReport()
     report.merged = _edit_sweeps(root, lex, lookahead, word_first=False)
     _flag_sweep(root, lex, lookahead, False, tree_index, report)
-    report.merges = _collect_merge_records(root, tree_index)
     return _to_tree(root), report
-
-
-def _word_first_segment(parts, part_pos, lex, lookahead):
-    """Segment merged parts under word-first precedence.
-
-    Returns a list of (token, pos, parts, part_pos) pieces.  Pieces that are
-    neither words nor prefixes are kept verbatim; the caller's final flag
-    sweep is the single place such leaves get logged.
-    """
-    out = []
-    i = 0
-    while i < len(parts):
-        token = parts[i]
-        if token in lex:
-            out.append((token, part_pos[i], None, None))
-            i += 1
-            continue
-        if lex.is_strict_prefix(token):
-            concat = token
-            best = 0
-            for j in range(1, lookahead + 1):
-                if i + j >= len(parts):
-                    break
-                concat += parts[i + j]
-                if concat in lex:
-                    best = j
-                if not lex.is_strict_prefix(concat):
-                    break
-            if best:
-                seg = parts[i:i + best + 1]
-                seg_pos = part_pos[i:i + best + 1]
-                out.append(("".join(seg), part_pos[i], tuple(seg), tuple(seg_pos)))
-                i += best + 1
-                continue
-        out.append((token, part_pos[i], None, None))
-        i += 1
-    return out
 
 
 def resolve_ambiguous(
@@ -431,44 +437,26 @@ def resolve_ambiguous(
     a residual conflict (misaligned) or an unknown term (unmatched).
     """
     root = _to_mutable(tree)
-    report = TransferReport()
-
-    # Undo ambiguous merges, highest leaf index first so indices stay valid.
+    units = _units(root)
+    origins = {}
+    # Highest leaf index first: of several bad records, the one furthest
+    # right is reported.
     for record in sorted(merges, key=lambda r: -r.leaf_index):
-        units = _units(root)
-        if record.leaf_index >= len(units):
+        if not 0 <= record.leaf_index < len(units):
             raise ValueError(f"merge record index {record.leaf_index} out of range")
-        unit, container = units[record.leaf_index]
+        if record.leaf_index in origins:
+            raise ValueError(f"two merge records for leaf {record.leaf_index}")
+        unit = units[record.leaf_index][0]
         if unit.token != record.surface:
             raise ValueError(
                 f"merge record at leaf {record.leaf_index} does not match the "
                 f"tree: {record.surface!r} vs {unit.token!r}"
             )
-        if record.parts[0] not in lex:
-            # Word-first precedence would commit the same merge; keep it and
-            # restore its provenance on the rebuilt working tree.
-            unit.parts = tuple(record.parts)
-            unit.part_pos = tuple(record.pos_labels)
-            continue
-        report.misaligned.append((record.tree_index, record.leaf_index, unit.token))
-        segments = _word_first_segment(
-            record.parts, record.pos_labels, lex, lookahead
-        )
-        pieces = []
-        for token, pos, seg_parts, seg_pos in segments:
-            piece = _Unit(pos, token)
-            piece.parts = seg_parts
-            piece.part_pos = seg_pos
-            pieces.append(piece)
-        if container is None:
-            raise ValueError("cannot split back a single-node tree")
-        pos_in_parent = container.children.index(unit)
-        container.children[pos_in_parent:pos_in_parent + 1] = pieces
-        report.split += 1
-
-    report.merged = _edit_sweeps(root, lex, lookahead, word_first=True)
-    _flag_sweep(root, lex, lookahead, True, tree_index, report)
-    report.merges = _collect_merge_records(root, tree_index)
+        unit.parts = tuple(record.parts)
+        unit.part_pos = tuple(record.pos_labels)
+        origins[record.leaf_index] = record.tree_index
+    report = TransferReport()
+    report.merged = _resolve(root, lex, lookahead, tree_index, report, origins)
     return _to_tree(root), report
 
 
@@ -477,32 +465,18 @@ def transfer_corpus(
 ):
     """Full granularity transfer over a corpus; reports are merged per tree.
 
-    Per tree: split to the finest granularity, merge greedily, then resolve
-    ambiguous merges word-first.  The aggregated report carries the final
-    flags (post-resolution) and one merge record per surviving merged leaf.
+    Per tree, on one working tree: split to the finest granularity, merge
+    greedily, then resolve ambiguous merges word-first.  The aggregated report
+    carries the final flags (post-resolution) and one merge record per
+    surviving merged leaf.
     """
     out = []
-    total = TransferReport()
+    report = TransferReport()
     for index, tree in enumerate(trees):
-        report = TransferReport()
+        root = _to_mutable(tree)
         if split_table is not None:
-            report.split += sum(1 for leaf in tree.leaves() if leaf in split_table)
-            tree = split_finest(tree, split_table)
-        merged_tree, first = merge_pass(
-            tree, lex, tree_index=index, lookahead=lookahead
-        )
-        final_tree, second = resolve_ambiguous(
-            merged_tree,
-            lex,
-            merges=first.merges,
-            tree_index=index,
-            lookahead=lookahead,
-        )
-        report.merged = first.merged + second.merged
-        report.split += second.split
-        report.misaligned = second.misaligned
-        report.unmatched_logged = second.unmatched_logged
-        report.merges = second.merges
-        out.append(final_tree)
-        total.merge_with(report)
-    return out, total
+            report.split += _split(root, split_table)
+        report.merged += _edit_sweeps(root, lex, lookahead, word_first=False)
+        report.merged += _resolve(root, lex, lookahead, index, report, {})
+        out.append(_to_tree(root))
+    return out, report

@@ -68,6 +68,13 @@ class Experiment:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for name in ("iterations", "pool_size"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name!r} must be an integer, got {value!r}")
+        flag = self.update_reference
+        if not isinstance(flag, bool):
+            raise ConfigError(f"'update_reference' must be true or false, got {flag!r}")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
         if self.pool_size < 1:
@@ -147,7 +154,7 @@ class RunManifest:
         }
 
     def save(self, path):
-        write_text_atomic(path, _json_text(self.to_dict()))
+        _write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
@@ -162,8 +169,9 @@ class RunManifest:
         )
 
 
-def _json_text(data):
-    return json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+def _write_json(path, data):
+    text = json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True)
+    write_text_atomic(path, text + "\n")
 
 
 def _sentence_key(sentence):
@@ -278,7 +286,7 @@ def _persist_iteration(experiment, manifest, iteration, selected, scored_by_id):
     ]
     score_name = f"scores_iter_{iteration}.json"
     score_path = os.path.join(experiment.out_dir, score_name)
-    write_text_atomic(score_path, _json_text(sidecar))
+    _write_json(score_path, sidecar)
     # Paths are stored relative to the run directory so manifests stay
     # byte-identical across runs and survive a directory move.
     manifest.artifacts[f"selected_iter_{iteration}"] = tree_name

@@ -368,6 +368,12 @@ class TestSelfTrainCommand:
             ("generator", {"endpoint": "http://localhost:1"}, "endpoint"),
             ("criterion", {"k": 2}, "kind"),
             ("parser", [0.01], "parser"),
+            (None, "4", "iterations"),
+            (None, 4.5, "iterations"),
+            (None, None, "pool_size"),
+            (None, "no", "update_reference"),
+            (None, 5, "rule_exclude_labels"),
+            (None, 3, "exclude"),
         ],
         ids=[
             "top-level-typo",
@@ -377,6 +383,12 @@ class TestSelfTrainCommand:
             "generator-key-of-other-backend",
             "criterion-missing-kind",
             "section-not-an-object",
+            "iterations-a-string",
+            "iterations-a-float",
+            "pool-size-null",
+            "update-reference-a-string",
+            "rule-exclude-labels-not-a-list",
+            "exclude-not-a-list",
         ],
     )
     def test_bad_run_config_is_a_data_error(

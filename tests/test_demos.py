@@ -27,3 +27,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert list(tmp_path.iterdir()) == []  # no temporary file left behind

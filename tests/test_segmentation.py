@@ -4,13 +4,15 @@ from hypothesis import strategies as st
 
 from spskit.segmentation import (
     Lexicon,
+    MergeRecord,
     SplitTable,
+    TransferReport,
     merge_pass,
     resolve_ambiguous,
     split_finest,
     transfer_corpus,
 )
-from spskit.treebank import parse_bracketed, serialize
+from spskit.treebank import ParseTree, parse_bracketed, serialize
 
 
 @pytest.fixture
@@ -44,6 +46,14 @@ class TestLexicon:
             Lexicon(["a", ""])
         with pytest.raises(ValueError):
             Lexicon([])
+
+    def test_accepts_a_generator(self):
+        lex = Lexicon(w for w in ["ab", "a"])
+        assert lex.words == {"ab", "a"}
+        assert lex.is_strict_prefix("a")
+
+    def test_duplicates_are_accepted(self):
+        assert len(Lexicon(["a", "a", "b"])) == 2
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -151,6 +161,22 @@ class TestMergePass:
         assert short == tree
         assert report_short.merged == 0
 
+    def test_sweeps_repeat_until_no_merge_commits(self):
+        # With one leaf of lookahead the first sweep makes ab; only a second
+        # sweep can extend it to abc.
+        lex = Lexicon(["ab", "abc"])
+        tree = parse_bracketed("(s (n a) (n b) (n c))")
+        out, report = merge_pass(tree, lex, lookahead=1)
+        assert serialize(out) == "(s (n abc))"
+        assert report.merged == 2
+        assert report.merges[0].parts == ("a", "b", "c")
+
+    def test_attempt_stops_at_the_first_non_prefix(self):
+        lex = Lexicon(["ab"])
+        _, report = merge_pass(parse_bracketed("(s (n a) (n c) (n b))"), lex)
+        assert report.misaligned == [(0, 0, "ac")]
+        assert report.unmatched_logged == [(0, "c"), (0, "b")]
+
     def test_fixpoint_idempotence(self, toy_lexicon):
         tree = parse_bracketed("(s (n 圣诞) (n 节) (n 武侠))")
         once, first = merge_pass(tree, toy_lexicon)
@@ -214,6 +240,41 @@ class TestResolveAmbiguous:
         final, second = resolve_ambiguous(merged, lex, merges=first.merges)
         assert serialize(final) == "(s (n 中国) (n 人))"
         assert second.unmatched_logged == [(0, "人")]
+
+    def test_merges_are_undone_last_leaf_first(self):
+        lex = Lexicon(["中国", "中国人", "人"])
+        tree = parse_bracketed("(s (n 中国) (n 人) (n 中国) (n 人))")
+        merged, first = merge_pass(tree, lex)
+        final, second = resolve_ambiguous(merged, lex, merges=first.merges)
+        assert final == tree
+        assert second.misaligned == [(0, 1, "中国人"), (0, 0, "中国人")]
+
+    @pytest.mark.parametrize("leaf_index", [1, -1])
+    def test_record_index_out_of_range_is_rejected(self, toy_lexicon, leaf_index):
+        tree = parse_bracketed("(s (n 圣诞节))")
+        record = MergeRecord(0, leaf_index, ("圣诞", "节"), ("n", "n"))
+        with pytest.raises(ValueError, match="out of range"):
+            resolve_ambiguous(tree, toy_lexicon, merges=[record])
+
+    def test_record_surface_mismatch_is_rejected(self, toy_lexicon):
+        tree = parse_bracketed("(s (n 圣诞节) (n 武侠))")
+        record = MergeRecord(0, 1, ("圣诞", "节"), ("n", "n"))
+        with pytest.raises(ValueError, match="does not match"):
+            resolve_ambiguous(tree, toy_lexicon, merges=[record])
+
+    def test_two_records_for_one_leaf_are_rejected(self, toy_lexicon):
+        tree = parse_bracketed("(s (n 圣诞节))")
+        record = MergeRecord(0, 0, ("圣诞", "节"), ("n", "n"))
+        with pytest.raises(ValueError, match="two merge records"):
+            resolve_ambiguous(tree, toy_lexicon, merges=[record, record])
+
+    def test_undone_merge_keeps_the_record_tree_index(self):
+        lex = Lexicon(["中国", "中国人", "人"])
+        tree = parse_bracketed("(s (n 中国人) (n 人))")
+        record = MergeRecord(5, 0, ("中国", "人"), ("n", "n"))
+        _, report = resolve_ambiguous(tree, lex, merges=[record], tree_index=2)
+        assert report.misaligned == [(5, 0, "中国人")]
+        assert report.split == 1
 
     def test_three_token_chain_matches_exhaustive_oracle(self):
         lex = Lexicon(["ab", "abc", "c"])
@@ -307,3 +368,82 @@ class TestTransferCorpus:
         leaves = out[0].leaves()
         for record in report.merges:
             assert leaves[record.leaf_index] == record.surface
+
+
+TOKENS = st.text(alphabet="ab", min_size=1, max_size=3)
+
+
+def nested_trees(depth):
+    """Standard-form trees up to ``depth`` levels above the preterminals."""
+    preterminal = st.builds(
+        lambda label, token: ParseTree(label, (token,)), st.sampled_from("nv"), TOKENS
+    )
+    if depth == 0:
+        return preterminal
+    branch = st.builds(
+        lambda label, children: ParseTree(label, tuple(children)),
+        st.sampled_from("sx"),
+        st.lists(nested_trees(depth - 1), min_size=1, max_size=4),
+    )
+    return st.one_of(preterminal, branch)
+
+
+def staged_transfer(trees, lex, split_table, lookahead):
+    """transfer_corpus as the three public stages, run per tree."""
+    out = []
+    report = TransferReport()
+    for index, tree in enumerate(trees):
+        if split_table is not None:
+            report.split += sum(1 for leaf in tree.leaves() if leaf in split_table)
+            tree = split_finest(tree, split_table)
+        tree, first = merge_pass(tree, lex, tree_index=index, lookahead=lookahead)
+        tree, second = resolve_ambiguous(
+            tree, lex, merges=first.merges, tree_index=index, lookahead=lookahead
+        )
+        out.append(tree)
+        report.merged += first.merged + second.merged
+        report.split += second.split
+        report.misaligned += second.misaligned
+        report.unmatched_logged += second.unmatched_logged
+        report.merges += second.merges
+    return out, report
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+class TestTransferMatchesStagedPasses:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(nested_trees(3), min_size=1, max_size=3),
+        st.sets(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=3),
+        st.data(),
+    )
+    def test_same_trees_and_report(self, trees, words, lookahead, data):
+        lex = Lexicon(words)
+        leaves = sorted({leaf for tree in trees for leaf in tree.leaves()})
+        split_table = None
+        if data.draw(st.booleans()):
+            entries = {}
+            for key in data.draw(st.lists(st.sampled_from(leaves), unique=True)):
+                cuts = data.draw(st.sets(st.integers(1, max(len(key) - 1, 1))))
+                bounds = [0, *sorted(cuts - {len(key)}), len(key)]
+                entries[key] = [key[a:b] for a, b in zip(bounds, bounds[1:])]
+            split_table = SplitTable(entries)
+
+        def actual():
+            out, report = transfer_corpus(
+                trees, lex, split_table=split_table, lookahead=lookahead
+            )
+            return out, report.to_dict()
+
+        def expected():
+            out, report = staged_transfer(trees, lex, split_table, lookahead)
+            return out, report.to_dict()
+
+        assert outcome(actual) == outcome(expected)
