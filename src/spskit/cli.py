@@ -252,15 +252,15 @@ def cmd_select(args):
         PseudoTree(t.sentence(), t, c) for t, c in zip(trees, confidences)
     ]
 
-    refs = selftrain.build_refs(
-        read_treebank(args.source) if args.source else None,
-        read_treebank(args.converted_target) if args.converted_target else None,
-    )
-
     cfg = CriterionConfig(
         kind=args.criterion,
         k=args.k,
         prefilter_multiplier=args.prefilter_multiplier,
+    )
+    refs = selftrain.build_refs(
+        cfg,
+        read_treebank(args.source) if args.source else None,
+        read_treebank(args.converted_target) if args.converted_target else None,
     )
     scored = score(candidates, cfg, refs)
     selected = select_top_k(scored, cfg)

@@ -18,6 +18,7 @@ length and rule count) and asks a backend for sentences.  Two backends ship:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import statistics
@@ -179,7 +180,9 @@ def sample_prompt(source_stats, target_examples, rng, config=None):
     )
 
 
+@functools.cache
 def default_template():
+    """The packaged prompt template, read once per process."""
     return (
         resources.files("spskit")
         .joinpath("data/prompt_template.txt")
@@ -371,7 +374,8 @@ class MockPcfgGenerator:
         return tokens, used
 
     def generate(self, spec):
-        rng = substream(self.seed, "mock", prompt_hash(spec, self.template))
+        digest = prompt_hash(spec, self.template)
+        rng = substream(self.seed, "mock", digest)
         prompted_in_grammar = set(spec.rules) & self._grammar_rules
         prompted_by_parent = {}
         for rule in prompted_in_grammar:
@@ -414,7 +418,7 @@ class MockPcfgGenerator:
         return GenerationBatch(
             sentences=tuple(sentences),
             provenance={
-                "prompt_sha256": prompt_hash(spec, self.template),
+                "prompt_sha256": digest,
                 "backend": self.name,
                 "seed": self.seed,
             },

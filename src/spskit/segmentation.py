@@ -396,6 +396,11 @@ def _resolve(root, lex, lookahead, tree_index, report, origins):
     return merged
 
 
+def _check_lookahead(lookahead):
+    if lookahead < 1:
+        raise ValueError(f"lookahead must be >= 1, got {lookahead}")
+
+
 def split_finest(tree, table):
     """Replace every leaf listed in the table by one leaf per part.
 
@@ -417,6 +422,7 @@ def merge_pass(tree, lex, tree_index=0, lookahead=DEFAULT_LOOKAHEAD):
     that are neither words nor prefixes are logged as unmatched.  Sweeps repeat
     until no merge commits.
     """
+    _check_lookahead(lookahead)
     root = _to_mutable(tree)
     report = TransferReport()
     report.merged = _edit_sweeps(root, lex, lookahead, word_first=False)
@@ -436,6 +442,7 @@ def resolve_ambiguous(
     leaves are then re-examined word-first; whatever still cannot be placed is
     a residual conflict (misaligned) or an unknown term (unmatched).
     """
+    _check_lookahead(lookahead)
     root = _to_mutable(tree)
     units = _units(root)
     origins = {}
@@ -470,6 +477,7 @@ def transfer_corpus(
     carries the final flags (post-resolution) and one merge record per
     surviving merged leaf.
     """
+    _check_lookahead(lookahead)
     out = []
     report = TransferReport()
     for index, tree in enumerate(trees):

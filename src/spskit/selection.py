@@ -60,6 +60,13 @@ class CriterionConfig:
         if not 0.0 <= self.conf_weight <= 1.0:
             raise ConfigError("conf_weight must be in [0, 1]")
 
+    @property
+    def reference_name(self):
+        """The ``SelectionRefs`` field this criterion scores against; None for conf."""
+        if self.kind == "conf":
+            return None
+        return self.reference or RULE_KIND_REFERENCE[self.kind]
+
 
 @dataclass
 class SelectionRefs:
@@ -90,8 +97,7 @@ def score(candidates, cfg, refs):
     usable = [c for c in candidates if c.confidence > 0.0]
     if cfg.kind == "conf":
         return [(c, -c.confidence) for c in usable]
-    reference_name = cfg.reference or RULE_KIND_REFERENCE[cfg.kind]
-    reference = refs.get(reference_name)
+    reference = refs.get(cfg.reference_name)
     mode = "tokens" if cfg.kind == "token" else "rules"
     return [
         (

@@ -178,23 +178,27 @@ def _sentence_key(sentence):
     return tuple(sentence.tokens)
 
 
-def build_refs(source_trees, converted_target_trees=None, exclude_labels=()):
-    """The reference distributions the selection criteria draw on.
+def build_refs(cfg, source_trees=None, converted_target_trees=None, exclude_labels=()):
+    """The reference distribution the criterion ``cfg`` draws on.
 
-    The token and rule distributions of ``source_trees`` and the rule
-    distribution of ``converted_target_trees``; a reference whose corpus is
-    not given stays None, so criteria needing it fail with a ConfigError.
+    Only that one reference is built: the token or rule distribution of
+    ``source_trees``, or the rule distribution of ``converted_target_trees``
+    (none for ``conf``).  When its corpus is not given it stays None, so
+    scoring fails with a ConfigError naming it.
     """
     refs = SelectionRefs()
-    if source_trees:
-        refs.source_tokens = RuleDistribution(token_counts(source_trees))
-        refs.source_rules = RuleDistribution(
-            extract_corpus_rules(source_trees, exclude_labels=exclude_labels)
-        )
-    if converted_target_trees:
-        refs.converted_target_rules = RuleDistribution(
-            extract_corpus_rules(converted_target_trees, exclude_labels=exclude_labels)
-        )
+    name = cfg.reference_name
+    corpus = {
+        "source_tokens": source_trees,
+        "source_rules": source_trees,
+        "converted_target_rules": converted_target_trees,
+    }.get(name)
+    if corpus:
+        if name == "source_tokens":
+            counts = token_counts(corpus)
+        else:
+            counts = extract_corpus_rules(corpus, exclude_labels=exclude_labels)
+        setattr(refs, name, RuleDistribution(counts))
     return refs
 
 
@@ -266,32 +270,33 @@ def _parse_pool(experiment, model, sentences):
     return [backend.parse(model, s) for s in sentences]
 
 
-def _persist_iteration(experiment, manifest, iteration, selected, scored_by_id):
-    if experiment.out_dir is None:
-        return
-    os.makedirs(experiment.out_dir, exist_ok=True)
+def _persist_iteration(experiment, manifest, iteration, selected, scored, index):
+    """Write an iteration's selected trees and its scores sidecar into out_dir."""
     tree_name = f"selected_iter_{iteration}.txt"
     write_treebank(
         [p.tree for p in selected], os.path.join(experiment.out_dir, tree_name)
     )
+    chosen = {id(c) for c in selected}
     sidecar = [
         {
-            "id": cid,
+            "id": index[id(c)],
             "kind": experiment.criterion.kind,
-            "score": scored_by_id[cid][1],
-            "confidence": scored_by_id[cid][0].confidence,
-            "sentence": scored_by_id[cid][0].sentence.text(),
+            "score": s,
+            "confidence": c.confidence,
+            "sentence": c.sentence.text(),
         }
-        for cid in sorted(scored_by_id)
+        for c, s in scored
+        if id(c) in chosen
     ]
     score_name = f"scores_iter_{iteration}.json"
-    score_path = os.path.join(experiment.out_dir, score_name)
-    _write_json(score_path, sidecar)
+    _write_json(
+        os.path.join(experiment.out_dir, score_name),
+        sorted(sidecar, key=lambda row: row["id"]),
+    )
     # Paths are stored relative to the run directory so manifests stay
     # byte-identical across runs and survive a directory move.
     manifest.artifacts[f"selected_iter_{iteration}"] = tree_name
     manifest.artifacts[f"scores_iter_{iteration}"] = score_name
-    manifest.save(os.path.join(experiment.out_dir, MANIFEST_NAME))
 
 
 def run(experiment, resume=False):
@@ -302,35 +307,26 @@ def run(experiment, resume=False):
     run continues where it stopped.
     """
     manifest = RunManifest(config=experiment.config_snapshot())
-    pseudo_trees = []
-    start_iteration = 0
-    model = None
+    train_set = list(experiment.source_trees)
+    out_dir = experiment.out_dir
 
-    manifest_path = (
-        os.path.join(experiment.out_dir, MANIFEST_NAME)
-        if experiment.out_dir
-        else None
-    )
+    def save():
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+            manifest.save(os.path.join(out_dir, MANIFEST_NAME))
+
     if resume:
-        if manifest_path is None:
+        if not out_dir:
             raise ConfigError("resume requires out_dir")
+        manifest_path = os.path.join(out_dir, MANIFEST_NAME)
         if os.path.exists(manifest_path):
             manifest = RunManifest.load(manifest_path)
             if manifest.config != experiment.config_snapshot():
                 raise ConfigError("resume config does not match the stored manifest")
-            for record in manifest.records:
-                if record.iteration == 0:
-                    continue
+            for record in manifest.records[1:]:
                 name = manifest.artifacts[f"selected_iter_{record.iteration}"]
-                pseudo_trees.extend(
-                    read_treebank(os.path.join(experiment.out_dir, name))
-                )
-            start_iteration = len(manifest.records)
+                train_set += read_treebank(os.path.join(out_dir, name))
             manifest.status = "running"
-            if start_iteration > 0:
-                model = experiment.parser_backend.train(
-                    list(experiment.source_trees) + pseudo_trees
-                )
 
     excluded = {
         _sentence_key(t.sentence())
@@ -345,39 +341,35 @@ def run(experiment, resume=False):
         raise ConfigError("no target example sentences survive dev/test exclusion")
 
     def current_refs():
-        used = pseudo_trees if experiment.update_reference else []
         return build_refs(
-            list(experiment.source_trees) + used,
+            experiment.criterion,
+            train_set if experiment.update_reference else experiment.source_trees,
             experiment.converted_target_trees,
             experiment.rule_exclude_labels,
         )
 
     refs = current_refs()
     stats = None
+    model = experiment.parser_backend.train(train_set)
+    if not manifest.records:
+        manifest.records.append(
+            _record(
+                experiment,
+                model,
+                iteration=0,
+                pool_size=0,
+                selected_ids=[],
+                train_size=len(train_set),
+            )
+        )
+        save()
 
     try:
-        for iteration in range(start_iteration, experiment.iterations + 1):
-            if iteration == 0:
-                model = experiment.parser_backend.train(experiment.source_trees)
-                manifest.records.append(
-                    _record(
-                        experiment,
-                        model,
-                        iteration=0,
-                        pool_size=0,
-                        selected_ids=[],
-                        train_size=len(experiment.source_trees),
-                    )
-                )
-                if manifest_path:
-                    os.makedirs(experiment.out_dir, exist_ok=True)
-                    manifest.save(manifest_path)
-                continue
-
+        for iteration in range(len(manifest.records), experiment.iterations + 1):
             # Fold only the trees added since the last iteration into the stats.
             folded = len(stats.lengths) if stats else 0
             stats = corpus_stats(
-                (list(experiment.source_trees) + pseudo_trees)[folded:],
+                train_set[folded:],
                 exclude_labels=experiment.rule_exclude_labels,
                 base=stats,
             )
@@ -393,16 +385,11 @@ def run(experiment, resume=False):
             candidates = _parse_pool(experiment, model, pool)
             scored = score(candidates, experiment.criterion, refs)
             selected = select_top_k(scored, experiment.criterion)
+            index = {id(c): i for i, c in enumerate(candidates)}
 
-            id_by_candidate = {id(c): i for i, c in enumerate(candidates)}
-            scored_by_id = {id_by_candidate[id(c)]: (c, s) for c, s in scored}
-            selected_ids = [id_by_candidate[id(c)] for c in selected]
-            selected_scored = {cid: scored_by_id[cid] for cid in selected_ids}
-
-            pseudo_trees.extend(p.tree for p in selected)
+            train_set = train_set + [p.tree for p in selected]
             if experiment.update_reference:
                 refs = current_refs()
-            train_set = list(experiment.source_trees) + pseudo_trees
             model = experiment.parser_backend.train(train_set)
 
             manifest.records.append(
@@ -411,23 +398,22 @@ def run(experiment, resume=False):
                     model,
                     iteration=iteration,
                     pool_size=len(pool),
-                    selected_ids=selected_ids,
+                    selected_ids=[index[id(c)] for c in selected],
                     train_size=len(train_set),
                 )
             )
-            _persist_iteration(
-                experiment, manifest, iteration, selected, selected_scored
-            )
+            if out_dir:
+                _persist_iteration(
+                    experiment, manifest, iteration, selected, scored, index
+                )
+            save()
     except Exception:
         manifest.status = "aborted"
-        if manifest_path and manifest.records:
-            manifest.save(manifest_path)
+        save()
         raise
 
     manifest.status = "complete"
-    if manifest_path:
-        os.makedirs(experiment.out_dir, exist_ok=True)
-        manifest.save(manifest_path)
+    save()
     return manifest
 
 

@@ -143,6 +143,27 @@ class TestTransferSeg:
         assert lines[0] == "(s (n 圣诞节))"
         assert lines[1] == "(s (n 武侠) (n 小说))"
 
+    @pytest.mark.parametrize("lookahead", ["0", "-2"])
+    def test_lookahead_below_one_is_a_data_error(self, tmp_path, capsys, lookahead):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("(s (n 圣诞) (n 节) (v 到))\n", encoding="utf-8")
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("圣诞节\n到\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        code = main(
+            [
+                "transfer-seg",
+                "--input", str(corpus),
+                "--lexicon", str(lexicon),
+                "--output", str(out),
+                "--lookahead", lookahead,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err and "lookahead" in err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_convert_normalize_extract(self, tmp_path, capsys):

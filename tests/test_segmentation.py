@@ -332,6 +332,21 @@ class TestTransferCorpus:
         assert data["merged"] == 1
         assert data["merges"][0]["parts"] == ["圣诞", "节"]
 
+    @pytest.mark.parametrize("lookahead", [0, -2])
+    def test_lookahead_below_one_is_rejected(self, lookahead):
+        # A lookahead of 0 would silently merge nothing: 圣诞+节 needs one.
+        lex = Lexicon(["圣诞节", "到"])
+        tree = parse_bracketed("(s (n 圣诞) (n 节) (v 到))")
+        assert transfer_corpus([tree], lex, lookahead=1)[1].merged == 1
+        for stage in (
+            lambda: transfer_corpus([tree], lex, lookahead=lookahead),
+            lambda: transfer_corpus([], lex, lookahead=lookahead),
+            lambda: merge_pass(tree, lex, lookahead=lookahead),
+            lambda: resolve_ambiguous(tree, lex, lookahead=lookahead),
+        ):
+            with pytest.raises(ValueError, match="lookahead"):
+                stage()
+
     @settings(deadline=None)
     @given(
         st.lists(

@@ -7,7 +7,9 @@ import pytest
 from spskit import selftrain
 from spskit.errors import ConfigError, GenerationError
 from spskit.generator import GenerationBatch, corpus_stats
-from spskit.selection import CriterionConfig
+from spskit.parser import PseudoTree
+from spskit.rules import extract_corpus_rules, token_counts
+from spskit.selection import CriterionConfig, score
 from spskit.selftrain import Experiment, RunManifest, run, run_multiseed
 from spskit.synthetic import cross_domain_experiment
 from spskit.treebank import read_treebank
@@ -175,6 +177,50 @@ class TestLeakageExclusion:
             run(exp)
 
 
+class TestBuildRefs:
+    @pytest.mark.parametrize(
+        "criterion, built",
+        [
+            (CriterionConfig(kind="token"), "source_tokens"),
+            (CriterionConfig(kind="srs_conf"), "source_rules"),
+            (CriterionConfig(kind="csrs"), "converted_target_rules"),
+            (CriterionConfig(kind="srs", reference="converted_target_rules"),
+             "converted_target_rules"),
+            (CriterionConfig(kind="conf"), None),
+        ],
+        ids=["token", "srs_conf", "csrs", "srs-reference-override", "conf"],
+    )
+    def test_only_the_reference_the_criterion_reads_is_built(self, criterion, built):
+        exp = small_experiment()
+        refs = selftrain.build_refs(
+            criterion, exp.source_trees, exp.converted_target_trees, ("adv",)
+        )
+        expected = {
+            "source_tokens": token_counts(exp.source_trees),
+            "source_rules": extract_corpus_rules(exp.source_trees, ("adv",)),
+            "converted_target_rules": extract_corpus_rules(
+                exp.converted_target_trees, ("adv",)
+            ),
+        }
+        for name, counts in expected.items():
+            reference = getattr(refs, name)
+            if name == built:
+                assert reference.counts == counts
+            else:
+                assert reference is None
+
+    def test_a_reference_without_its_corpus_is_missing(self):
+        exp = small_experiment()
+        candidates = [PseudoTree(t.sentence(), t, 0.5) for t in exp.source_trees[:3]]
+        for criterion, source in (
+            (CriterionConfig(kind="srs"), None),
+            (CriterionConfig(kind="srs", reference="bogus"), exp.source_trees),
+        ):
+            refs = selftrain.build_refs(criterion, source, exp.converted_target_trees)
+            with pytest.raises(ConfigError, match="missing reference distribution"):
+                score(candidates, criterion, refs)
+
+
 class TestIncrementalStats:
     @pytest.mark.parametrize("seed, exclude_labels", [(1, ()), (7, ("adv",))])
     def test_stats_equal_a_recount_of_the_training_set(
@@ -266,7 +312,16 @@ class TestPersistenceAndResume:
         assert manifest.status == "aborted"
         assert [r.iteration for r in manifest.records] == [0, 1, 2]
 
-    def test_resume_reproduces_a_straight_run(self, tmp_path):
+    # Six generator calls per iteration: failing after 0, 8 or 12 calls
+    # aborts iteration 1, 2 or 3; None lets the first run complete.
+    @pytest.mark.parametrize(
+        "fail_after, records_on_disk",
+        [(0, 1), (8, 2), (12, 3), (None, 4)],
+        ids=["iter0-only", "mid-run", "last-iter", "complete"],
+    )
+    def test_resume_reproduces_a_straight_run(
+        self, tmp_path, fail_after, records_on_disk
+    ):
         straight = run(small_experiment(seed=3, iterations=3))
 
         resumable_dir = tmp_path / "resumable"
@@ -282,23 +337,33 @@ class TestPersistenceAndResume:
 
             def generate(self, spec):
                 self.calls += 1
-                if self.calls > self.fail_after:
+                if self.fail_after is not None and self.calls > self.fail_after:
                     raise RuntimeError("backend lost")
                 return self.inner.generate(spec)
 
         broken = dataclasses.replace(
             exp,
-            generator_backend=FailsEventually(exp.generator_backend, fail_after=8),
+            generator_backend=FailsEventually(exp.generator_backend, fail_after),
         )
-        with pytest.raises(RuntimeError):
+        if fail_after is None:
             run(broken)
+        else:
+            with pytest.raises(RuntimeError):
+                run(broken)
         partial = RunManifest.load(resumable_dir / "manifest.json")
-        assert partial.status == "aborted"
-        assert 0 < len(partial.records) < 4
+        assert partial.status == ("complete" if fail_after is None else "aborted")
+        assert len(partial.records) == records_on_disk
+        files = {p.name: p.read_bytes() for p in resumable_dir.iterdir()}
 
         resumed = run(exp, resume=True)
         assert resumed.status == "complete"
         assert resumed.to_dict()["records"] == straight.to_dict()["records"]
+        for name, data in files.items():
+            if name != "manifest.json":
+                assert (resumable_dir / name).read_bytes() == data
+        if fail_after is None:
+            manifest = (resumable_dir / "manifest.json").read_bytes()
+            assert manifest == files["manifest.json"]
 
     def test_resume_with_mismatched_config_is_rejected(self, tmp_path):
         exp = small_experiment(seed=1, iterations=1, out_dir=str(tmp_path))
