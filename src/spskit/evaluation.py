@@ -4,6 +4,8 @@ Spans are (label, start, end) over token positions, micro-averaged across the
 corpus in the evalb convention.  By default the root span and preterminal
 (POS-level) spans are not counted; punctuation spans are counted unless their
 labels are listed in ``exclude_labels``.  Scores are on a 0..100 scale.
+``score_corpus`` accepts the gold trees' spans precomputed, for a caller that
+scores many predictions against the same gold trees.
 """
 
 from __future__ import annotations
@@ -109,14 +111,23 @@ class ScoreReport:
         return "\n".join(lines)
 
 
-def score_corpus(preds, golds, opts=ScoreOptions()):
-    """Micro-averaged report over aligned prediction/gold corpora."""
+def score_corpus(preds, golds, opts=ScoreOptions(), *, gold_spans=None):
+    """Micro-averaged report over aligned prediction/gold corpora.
+
+    ``gold_spans``, when given, holds ``spans(gold, opts)`` for every gold
+    tree, so a caller scoring the same golds again and again builds them
+    once.  The leaves of every pair are still checked.
+    """
     preds = list(preds)
     golds = list(golds)
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} vs {len(golds)}")
     if not preds:
         raise ValueError("cannot score an empty corpus")
+    if gold_spans is not None and len(gold_spans) != len(golds):
+        raise ValueError(
+            f"length mismatch: {len(gold_spans)} gold span sets for {len(golds)} trees"
+        )
 
     matched = predicted = gold_total = 0
     by_label = {}
@@ -127,15 +138,15 @@ def score_corpus(preds, golds, opts=ScoreOptions()):
                 f"{pred.leaves()!r} vs {gold.leaves()!r}"
             )
         pred_spans = spans(pred, opts)
-        gold_spans = spans(gold, opts)
-        hit = pred_spans & gold_spans
+        gold_counted = spans(gold, opts) if gold_spans is None else gold_spans[index]
+        hit = pred_spans & gold_counted
         matched += sum(hit.values())
         predicted += sum(pred_spans.values())
-        gold_total += sum(gold_spans.values())
+        gold_total += sum(gold_counted.values())
         for (label, _, _), c in pred_spans.items():
             m, p, g = by_label.get(label, (0, 0, 0))
             by_label[label] = (m, p + c, g)
-        for (label, _, _), c in gold_spans.items():
+        for (label, _, _), c in gold_counted.items():
             m, p, g = by_label.get(label, (0, 0, 0))
             by_label[label] = (m, p, g + c)
         for (label, _, _), c in hit.items():

@@ -434,8 +434,11 @@ class ServiceGenerator:
     """Client for a generic text-completion HTTP endpoint.
 
     Request body: {"prompt", "max_tokens", "temperature", "seed"?}; reply
-    body: {"text": "..."}.  Bearer auth comes from ``token_env``.  A simple
-    client-side token bucket enforces ``requests_per_minute``.
+    body: {"text": "..."}, one sentence per line.  A line that cannot form a
+    Sentence (a token holding an ASCII parenthesis, say) is dropped; a reply
+    with no line left is an ``empty_generation`` error.  Bearer auth comes
+    from ``token_env``.  A simple client-side token bucket enforces
+    ``requests_per_minute``.
     """
 
     name = "service"
@@ -543,10 +546,14 @@ class ServiceGenerator:
         sentences = []
         for line in text.splitlines():
             tokens = self.tokenizer(line.strip())
-            if tokens:
+            if not tokens:
+                continue
+            try:
                 sentences.append(Sentence(tuple(tokens)))
+            except ValueError:
+                continue  # a token no tree could hold, e.g. one with "("
         if not sentences:
-            raise GenerationError("empty_generation: reply had no sentences")
+            raise GenerationError("empty_generation: reply had no usable sentences")
         return GenerationBatch(
             sentences=tuple(sentences),
             provenance={

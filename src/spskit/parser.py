@@ -10,6 +10,9 @@ the model invariant under count-proportional duplication of the treebank.
 Within each preterminal's family, tokens seen no more than ``unk_threshold``
 times fold into an UNK class, and every preterminal keeps an UNK slot, so a
 word frequent under one tag is still reachable under every other tag.
+Training folds trees into integer counts in one walk; ``PcfgBackend.train``
+keeps the counts of its last call and, given a list that extends that call's
+list, folds in only the new trees, estimating the same model as a fresh count.
 
 Parsing returns the Viterbi tree with a length-normalized confidence,
 ``exp(logprob / n_tokens)``, in (0, 1]; a sentence outside the grammar's
@@ -207,97 +210,129 @@ def _smooth(counts, alpha):
     return {item: (c / total + alpha) / denom for item, c in counts.items()}
 
 
+class _TrainCounts:
+    """The integer counts a model is estimated from, keys in first-seen order.
+
+    Folding trees in one call or over several in sequence gives the same
+    counts in the same order, so the estimated model is the same bit for bit.
+    """
+
+    def __init__(self):
+        self.roots = {}
+        self.rules = {}         # (parent, child labels) -> count
+        self.tags = {}          # preterminal label -> token -> count
+
+    def copy(self):
+        other = _TrainCounts()
+        other.roots = dict(self.roots)
+        other.rules = dict(self.rules)
+        other.tags = {label: dict(tokens) for label, tokens in self.tags.items()}
+        return other
+
+    def add(self, trees, inventory=None):
+        """Fold ``trees`` in.
+
+        Raises at the first tree the parser cannot train on (ValueError), or
+        that uses a label outside ``inventory`` (LabelError), leaving the
+        counts partly updated.
+        """
+        root_counts = self.roots
+        rule_counts = self.rules
+        tag_token_counts = self.tags
+
+        def walk(node):
+            """Check a node, then count its right-binarized productions in
+            preorder: A -> c1 c2 .. ck (k > 2) counts as A -> c1 A|<c2,..,ck>,
+            A|<c2,..,ck> -> c2 A|<c3,..,ck>, .., A|<c(k-1),ck> -> c(k-1) ck."""
+            label = node.label
+            children = node.children
+            if len(children) > 1 and any(isinstance(c, str) for c in children):
+                raise ValueError(
+                    f"node {label!r} mixes tokens and subtrees or holds several "
+                    "tokens; the parser requires one token per preterminal"
+                )
+            if any(marker in label for marker in RESERVED):
+                raise ValueError(
+                    f"label {label!r} uses a reserved character ({RESERVED})"
+                )
+            if isinstance(children[0], str):
+                counts = tag_token_counts.setdefault(label, {})
+                counts[children[0]] = counts.get(children[0], 0) + 1
+                return
+            labels = [c.label for c in children]
+            parent = label
+            for i in range(len(children) - 2):
+                tail = label + BIN_OPEN + ",".join(labels[i + 1:]) + BIN_CLOSE
+                key = (parent, (labels[i], tail))
+                rule_counts[key] = rule_counts.get(key, 0) + 1
+                walk(children[i])
+                parent = tail
+            key = (parent, tuple(labels[-2:]))
+            rule_counts[key] = rule_counts.get(key, 0) + 1
+            for child in children[-2:]:
+                walk(child)
+
+        for tree in trees:
+            walk(tree)
+            if inventory is not None:
+                validate_tree(tree, inventory)
+            root_counts[tree.label] = root_counts.get(tree.label, 0) + 1
+
+    def model(self, config):
+        """The smoothed PCFG of these counts."""
+        root_counts = self.roots
+        if not root_counts:
+            raise ValueError("cannot train on an empty treebank")
+
+        by_parent = {}
+        for (parent, children), n in self.rules.items():
+            by_parent.setdefault(parent, {})[SyntacticRule(parent, children)] = n
+        rules = {}
+        for counts in by_parent.values():
+            rules.update(_smooth(counts, config.alpha))
+
+        # Tokens rare under a tag fold into that tag's UNK class, and every tag
+        # keeps an UNK slot regardless, so no token is ever untaggable.
+        lexical = {}
+        fallback_pos = ""
+        best_pos_count = -1
+        for label, counts in self.tags.items():
+            total = sum(counts.values())
+            if (total, label) > (best_pos_count, fallback_pos):
+                best_pos_count, fallback_pos = total, label
+            folded = {UNK: 0}
+            for token, count in counts.items():
+                if count > config.unk_threshold:
+                    folded[token] = count
+                else:
+                    folded[UNK] += count
+            for cls, prob in _smooth(folded, config.alpha).items():
+                lexical[(label, cls)] = prob
+
+        roots = _smooth(root_counts, config.alpha)
+        fallback_root = max(root_counts, key=lambda lab: (root_counts[lab], lab))
+
+        model = ParserModel(
+            roots=roots,
+            rules=rules,
+            lexical=lexical,
+            unk_threshold=config.unk_threshold,
+            alpha=config.alpha,
+            fallback_root=fallback_root,
+            fallback_pos=fallback_pos,
+        )
+        model.validate()
+        return model
+
+
 def train(treebank, config=None, inventory=None):
     """Estimate a smoothed PCFG from trees; deterministic for a given input.
 
     ``inventory`` is optional; when given, trees are validated against it.
     """
-    config = config or TrainConfig()
-    treebank = list(treebank)
-    if not treebank:
-        raise ValueError("cannot train on an empty treebank")
-
-    root_counts = {}
-    rule_counts = {}            # (parent, child labels) -> count
-    tag_token_counts = {}
-
-    def walk(node):
-        """Check a node, then count its right-binarized productions in
-        preorder: A -> c1 c2 .. ck (k > 2) counts as A -> c1 A|<c2,..,ck>,
-        A|<c2,..,ck> -> c2 A|<c3,..,ck>, .., A|<c(k-1),ck> -> c(k-1) ck."""
-        label = node.label
-        children = node.children
-        if len(children) > 1 and any(isinstance(c, str) for c in children):
-            raise ValueError(
-                f"node {label!r} mixes tokens and subtrees or holds several "
-                "tokens; the parser requires one token per preterminal"
-            )
-        if any(marker in label for marker in RESERVED):
-            raise ValueError(
-                f"label {label!r} uses a reserved character ({RESERVED})"
-            )
-        if isinstance(children[0], str):
-            counts = tag_token_counts.setdefault(label, {})
-            counts[children[0]] = counts.get(children[0], 0) + 1
-            return
-        labels = [c.label for c in children]
-        parent = label
-        for i in range(len(children) - 2):
-            tail = label + BIN_OPEN + ",".join(labels[i + 1:]) + BIN_CLOSE
-            key = (parent, (labels[i], tail))
-            rule_counts[key] = rule_counts.get(key, 0) + 1
-            walk(children[i])
-            parent = tail
-        key = (parent, tuple(labels[-2:]))
-        rule_counts[key] = rule_counts.get(key, 0) + 1
-        for child in children[-2:]:
-            walk(child)
-
-    for tree in treebank:
-        walk(tree)
-        if inventory is not None:
-            validate_tree(tree, inventory)
-        root_counts[tree.label] = root_counts.get(tree.label, 0) + 1
-
-    by_parent = {}
-    for (parent, children), n in rule_counts.items():
-        by_parent.setdefault(parent, {})[SyntacticRule(parent, children)] = n
-    rules = {}
-    for counts in by_parent.values():
-        rules.update(_smooth(counts, config.alpha))
-
-    # Tokens rare under a tag fold into that tag's UNK class, and every tag
-    # keeps an UNK slot regardless, so no token is ever untaggable.
-    lexical = {}
-    fallback_pos = ""
-    best_pos_count = -1
-    for label, counts in tag_token_counts.items():
-        total = sum(counts.values())
-        if (total, label) > (best_pos_count, fallback_pos):
-            best_pos_count, fallback_pos = total, label
-        folded = {UNK: 0}
-        for token, count in counts.items():
-            if count > config.unk_threshold:
-                folded[token] = count
-            else:
-                folded[UNK] += count
-        for cls, prob in _smooth(folded, config.alpha).items():
-            lexical[(label, cls)] = prob
-
-    roots = _smooth(root_counts, config.alpha)
-    fallback_root = max(root_counts, key=lambda lab: (root_counts[lab], lab))
-
-    model = ParserModel(
-        roots=roots,
-        rules=rules,
-        lexical=lexical,
-        unk_threshold=config.unk_threshold,
-        alpha=config.alpha,
-        fallback_root=fallback_root,
-        fallback_pos=fallback_pos,
-    )
-    model.validate()
-    return model
+    counts = _TrainCounts()
+    counts.add(treebank, inventory)
+    return counts.model(config or TrainConfig())
 
 
 def _fallback_tree(model, sentence):
@@ -453,16 +488,38 @@ def parse_pool(model, sentences, jobs=1):
 
 
 class PcfgBackend:
-    """The pluggable parsing interface: train(trees) and parse(model, sentence)."""
+    """The pluggable parsing interface: train(trees) and parse(model, sentence).
+
+    ``train`` keeps the tree list and counts of its last call.  A list that
+    extends that one (the same tree objects first, under the same inventory)
+    folds in only its new trees, as the self-training loop's growing training
+    set does; any other list is counted from scratch.  Either way the model
+    equals a fresh ``train`` of the whole list.
+    """
 
     name = "pcfg"
 
     def __init__(self, config=None, inventory=None):
         self.config = config or TrainConfig()
         self.inventory = inventory
+        self._last = None       # (trees, inventory, counts) of the last train
 
     def train(self, treebank):
-        return train(treebank, config=self.config, inventory=self.inventory)
+        trees = list(treebank)
+        counts, new = _TrainCounts(), trees
+        if self._last is not None:
+            last_trees, last_inventory, last_counts = self._last
+            if (
+                last_inventory is self.inventory
+                and len(last_trees) <= len(trees)
+                and all(a is b for a, b in zip(last_trees, trees))
+            ):
+                # A copy, so a tree that fails to count leaves the cache intact.
+                counts, new = last_counts.copy(), trees[len(last_trees):]
+        counts.add(new, self.inventory)
+        model = counts.model(self.config)
+        self._last = (trees, self.inventory, counts)
+        return model
 
     def parse(self, model, sentence):
         return parse(model, sentence)

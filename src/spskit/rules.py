@@ -25,6 +25,7 @@ __all__ = [
     "extract_corpus_rules",
     "token_counts",
     "js_divergence",
+    "candidate_features",
     "instance_distance",
     "format_rule",
     "export_rules",

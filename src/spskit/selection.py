@@ -9,7 +9,9 @@ combined kinds (``srs_conf``, ``csrs_conf``) first keep the
 ``prefilter_multiplier * k`` best candidates by rule score, then pick the k
 most confident among them; a weighted-sum combination is available for
 ablations.  Candidates that received the parser's fallback tree (confidence
-0) carry no usable structure and are dropped before scoring.
+0) carry no usable structure and are dropped before scoring.  A candidate's
+distance depends only on the reference and its feature multiset, so ``score``
+computes it once per distinct multiset and reuses it for the rest.
 
 All orderings are total and deterministic: ties break by confidence (higher
 first), then the token sequence, then the serialized tree.
@@ -21,7 +23,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .rules import instance_distance
+from .rules import candidate_features, instance_distance
 from .treebank import serialize
 
 __all__ = ["CriterionConfig", "SelectionRefs", "score", "select_top_k", "select"]
@@ -99,15 +101,20 @@ def score(candidates, cfg, refs):
         return [(c, -c.confidence) for c in usable]
     reference = refs.get(cfg.reference_name)
     mode = "tokens" if cfg.kind == "token" else "rules"
-    return [
-        (
-            c,
-            instance_distance(
+    # The distance depends only on the reference and the candidate's feature
+    # multiset, so it is computed once per distinct multiset.
+    distances = {}
+    scored = []
+    for c in usable:
+        features = candidate_features(c, mode, exclude_labels=cfg.exclude_labels)
+        key = frozenset(features.items())
+        distance = distances.get(key)
+        if distance is None:
+            distance = distances[key] = instance_distance(
                 c, reference, mode=mode, exclude_labels=cfg.exclude_labels
-            ),
-        )
-        for c in usable
-    ]
+            )
+        scored.append((c, distance))
+    return scored
 
 
 def select_top_k(scored, cfg):

@@ -5,8 +5,10 @@ re-extracts syntactic rules from the current training set (source plus
 accepted pseudo-trees, so prompts drift toward the target domain), generates
 a fresh candidate pool, parses it with the current parser, selects the top K
 under the configured criterion, appends them to the pseudo-tree set, retrains
-from scratch, and evaluates on the held-out dev sets.  Accepted pseudo-trees
-persist for all later iterations.
+on the whole training set (the PCFG backend counts only the trees added since
+its last call, and gets the model a full recount would), and evaluates on the
+held-out dev sets, whose sentences and gold spans are built once per run.
+Accepted pseudo-trees persist for all later iterations.
 
 Dev and test sentences are barred from the prompt example pool and from the
 candidate pool by token-sequence hash, so they can never leak into training.
@@ -24,9 +26,10 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError, GenerationError
-from .evaluation import ScoreOptions, score_corpus
+from .evaluation import ScoreOptions, score_corpus, spans
 from .generator import PromptConfig, corpus_stats, sample_prompt
 from .rules import RuleDistribution, extract_corpus_rules, token_counts
 from .seeding import substream
@@ -202,21 +205,42 @@ def build_refs(cfg, source_trees=None, converted_target_trees=None, exclude_labe
     return refs
 
 
-def _record(experiment, model, **fields):
-    """An iteration's manifest record, with ``model``'s dev-set F1 scores."""
+class _DevSet(NamedTuple):
+    """A dev set's gold trees with their sentences and gold spans, built once
+    per run and scored every iteration."""
 
-    def dev_f1(golds):
-        if not golds:
+    golds: list
+    sentences: list
+    gold_spans: list
+
+
+def _dev_set(golds, opts):
+    """The ``_DevSet`` of ``golds``; None for a missing or empty set."""
+    if not golds:
+        return None
+    return _DevSet(golds, [g.sentence() for g in golds], [spans(g, opts) for g in golds])
+
+
+def _record(experiment, model, devs, **fields):
+    """An iteration's manifest record, with ``model``'s F1 on the source and
+    target dev sets ``devs`` (each from ``_dev_set``)."""
+
+    def dev_f1(dev):
+        if dev is None:
             return None
         backend = experiment.parser_backend
-        preds = [backend.parse(model, gold.sentence()).tree for gold in golds]
-        return round(score_corpus(preds, golds, experiment.score_options).f1, 4)
+        preds = [backend.parse(model, sentence).tree for sentence in dev.sentences]
+        report = score_corpus(
+            preds, dev.golds, experiment.score_options, gold_spans=dev.gold_spans
+        )
+        return round(report.f1, 4)
 
+    source, target = devs
     return IterationRecord(
         k=experiment.criterion.k,
         criterion=experiment.criterion.kind,
-        dev_f1_source=dev_f1(experiment.source_dev),
-        dev_f1_target=dev_f1(experiment.target_dev),
+        dev_f1_source=dev_f1(source),
+        dev_f1_target=dev_f1(target),
         seed=experiment.seed,
         **fields,
     )
@@ -304,7 +328,8 @@ def run(experiment, resume=False):
 
     With ``resume=True`` and a manifest already present in ``out_dir``, the
     completed iterations are replayed from their persisted artifacts and the
-    run continues where it stopped.
+    run continues where it stopped; a complete manifest is returned as it is,
+    without training the parser.
     """
     manifest = RunManifest(config=experiment.config_snapshot())
     train_set = list(experiment.source_trees)
@@ -323,15 +348,18 @@ def run(experiment, resume=False):
             manifest = RunManifest.load(manifest_path)
             if manifest.config != experiment.config_snapshot():
                 raise ConfigError("resume config does not match the stored manifest")
+            if manifest.status == "complete":
+                return manifest
             for record in manifest.records[1:]:
                 name = manifest.artifacts[f"selected_iter_{record.iteration}"]
                 train_set += read_treebank(os.path.join(out_dir, name))
             manifest.status = "running"
 
-    excluded = {
-        _sentence_key(t.sentence())
-        for t in (experiment.source_dev or []) + (experiment.target_dev or [])
-    }
+    devs = tuple(
+        _dev_set(golds, experiment.score_options)
+        for golds in (experiment.source_dev, experiment.target_dev)
+    )
+    excluded = {_sentence_key(s) for dev in devs if dev for s in dev.sentences}
     for sentence in experiment.exclude_sentences:
         excluded.add(_sentence_key(sentence))
     example_pool = [
@@ -356,6 +384,7 @@ def run(experiment, resume=False):
             _record(
                 experiment,
                 model,
+                devs,
                 iteration=0,
                 pool_size=0,
                 selected_ids=[],
@@ -396,6 +425,7 @@ def run(experiment, resume=False):
                 _record(
                     experiment,
                     model,
+                    devs,
                     iteration=iteration,
                     pool_size=len(pool),
                     selected_ids=[index[id(c)] for c in selected],

@@ -4,7 +4,8 @@ Trees are immutable: a ParseTree is a labeled node whose children are either
 ParseTree nodes or bare token strings (leaves).  The interchange format is
 Penn-style bracketing, one tree per line, UTF-8, single-space separated.
 Tokens must not contain whitespace or ASCII parentheses (CJK corpora use the
-full-width variants, so this costs nothing in practice).
+full-width variants, so this costs nothing in practice); ParseTree and
+Sentence reject such tokens, so every tree re-reads from its bracketing.
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ __all__ = [
 ]
 
 
+_TOKEN_RULE = "tokens must be non-empty, whitespace-free and hold no ASCII parenthesis"
+
+
+def _is_token(text):
+    """Whether ``text`` can be a leaf and still re-read from its bracketing."""
+    # str.split() splits at exactly the characters str.isspace() accepts.
+    return text.split() == [text] and "(" not in text and ")" not in text
+
+
 @dataclass(frozen=True)
 class ParseTree:
     """A labeled ordered tree node; the root node stands for the whole tree.
@@ -50,10 +60,9 @@ class ParseTree:
             raise TreeSyntaxError(f"node {self.label!r} has no children")
         for child in self.children:
             if isinstance(child, str):
-                if not child or any(c.isspace() for c in child):
+                if not _is_token(child):
                     raise TreeSyntaxError(
-                        f"bad token {child!r} under {self.label!r}: tokens must be "
-                        "non-empty and whitespace-free"
+                        f"bad token {child!r} under {self.label!r}: {_TOKEN_RULE}"
                     )
             elif not isinstance(child, ParseTree):
                 raise TreeSyntaxError(
@@ -99,8 +108,8 @@ class Sentence:
         if not self.tokens:
             raise ValueError("sentence must have at least one token")
         for tok in self.tokens:
-            if not tok or any(c.isspace() for c in tok):
-                raise ValueError(f"bad token {tok!r}")
+            if not _is_token(tok):
+                raise ValueError(f"bad token {tok!r}: {_TOKEN_RULE}")
 
     @classmethod
     def from_text(cls, text):

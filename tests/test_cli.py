@@ -252,6 +252,19 @@ class TestPipeline:
 
         assert main(["eval", "--pred", str(parsed), "--gold", str(parsed)]) == 0
 
+    def test_a_bracket_token_in_raw_input_names_its_line(self, tmp_path, capsys):
+        source = tmp_path / "source.txt"
+        write_treebank(sample_corpus(source_grammar(), 40, seed=1, name="cli-src"), source)
+        model = tmp_path / "model.json"
+        assert main(["train", "--input", str(source), "--output", str(model)]) == 0
+        raw = tmp_path / "raw.txt"
+        raw.write_text("na va\n\nna (va) nb\n", encoding="utf-8")
+        parsed = tmp_path / "parsed.txt"
+        code = main(["parse", "--model", str(model), "--input", str(raw), "--output", str(parsed)])
+        assert code == 1
+        assert f"{raw}:3: bad token '(va)'" in capsys.readouterr().err
+        assert not parsed.exists()
+
     def test_generate_with_mock_backend(self, tmp_path, capsys):
         stats_treebank = tmp_path / "stats.txt"
         write_treebank(sample_corpus(source_grammar(), 50, seed=3, name="cli-stats"), stats_treebank)

@@ -143,6 +143,33 @@ class TestScoreCorpus:
         extended = score_corpus([pred, gold], [gold, gold])
         assert extended.f1 >= base.f1
 
+    @pytest.mark.parametrize(
+        "opts",
+        [ScoreOptions(), ScoreOptions(include_root=True, include_pos=True, exclude_labels={"A"})],
+    )
+    def test_precomputed_gold_spans_give_the_same_report(self, opts):
+        rng = random.Random(8)
+        preds, golds = [], []
+        for _ in range(40):
+            tokens = ["t%d" % i for i in range(rng.randint(1, 7))]
+            preds.append(random_bracketing(tokens, rng))
+            golds.append(random_bracketing(tokens, rng))
+        gold_spans = [spans(g, opts) for g in golds]
+        kept = [dict(s) for s in gold_spans]
+        plain = score_corpus(preds, golds, opts)
+        for _ in range(2):
+            report = score_corpus(preds, golds, opts, gold_spans=gold_spans)
+            assert report.to_dict() == plain.to_dict()
+        assert [dict(s) for s in gold_spans] == kept
+
+    def test_precomputed_gold_spans_still_check_tokens_and_length(self):
+        gold = parse_bracketed("(s (n a))")
+        pred = parse_bracketed("(s (n b))")
+        with pytest.raises(TokenMismatchError):
+            score_corpus([pred], [gold], gold_spans=[spans(gold)])
+        with pytest.raises(ValueError):
+            score_corpus([gold], [gold], gold_spans=[])
+
     def test_report_serialization(self, tmp_path):
         gold = parse_bracketed("(s (subj (n a)) (pred (v b)))")
         report = score_corpus([gold], [gold])

@@ -389,6 +389,10 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
             return
         if mode == "empty":
             payload = json.dumps({"text": "   \n  "}).encode()
+        elif mode == "brackets":
+            payload = json.dumps({"text": "w1 (w2) w3\nw4 w5\nw6)"}).encode()
+        elif mode == "only-brackets":
+            payload = json.dumps({"text": "(w1 w2)\nw3 w4("}).encode()
         else:
             payload = json.dumps({"text": "w1 w2 w3\nw4 w5"}).encode()
         self.send_response(200)
@@ -473,6 +477,18 @@ class TestServiceGenerator:
         gen = ServiceGenerator(stub_server, requests_per_minute=0)
         with pytest.raises(GenerationError):
             gen.generate(_spec())
+
+    def test_lines_with_bracket_tokens_are_dropped(self, stub_server):
+        _StubHandler.behavior = ["brackets"]
+        gen = ServiceGenerator(stub_server, requests_per_minute=0)
+        assert gen.generate(_spec()).sentences == (Sentence(("w4", "w5")),)
+
+    def test_a_reply_of_bracket_lines_only_is_empty_generation(self, stub_server):
+        _StubHandler.behavior = ["only-brackets"]
+        gen = ServiceGenerator(stub_server, requests_per_minute=0)
+        with pytest.raises(GenerationError) as err:
+            gen.generate(_spec())
+        assert "empty_generation" in str(err.value)
 
     def test_rate_limiter_spaces_requests(self, stub_server):
         sleeps = []

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from spskit.errors import ModelFormatError
+from spskit import parser as parser_module
+from spskit.errors import LabelError, ModelFormatError
 from spskit.evaluation import score_corpus
 from spskit.generator import Pcfg
 from spskit.parser import (
@@ -745,3 +746,86 @@ class TestLexicalCellCache:
             assert len(model._lex_cells) <= bound
         classes = {t if t in model._exact else UNK for s in sentences for t in s.tokens}
         assert len(model._lex_cells) == len(classes)
+
+
+class TestIncrementalTraining:
+    """``PcfgBackend.train`` folds only a grown list's new trees into the
+    counts of its last call, and gets the model of a fresh ``train``."""
+
+    CONFIG = TrainConfig(alpha=0.3, unk_threshold=2)
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """How many trees each count walk took, in call order."""
+        sizes = []
+        add = parser_module._TrainCounts.add
+
+        def counting(self, trees, inventory=None):
+            trees = list(trees)
+            sizes.append(len(trees))
+            return add(self, trees, inventory)
+
+        monkeypatch.setattr(parser_module._TrainCounts, "add", counting)
+        return sizes
+
+    @staticmethod
+    def trees():
+        return sample_corpus(source_grammar(), 60, seed=41, name="grow-src") + sample_corpus(
+            target_grammar(), 60, seed=41, name="grow-tgt"
+        )
+
+    def assert_fresh(self, model, trees, inventory, tmp_path):
+        fresh = train(trees, self.CONFIG, inventory=inventory)
+        model.save(tmp_path / "folded.json")
+        fresh.save(tmp_path / "fresh.json")
+        assert (tmp_path / "folded.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+        for table in ("roots", "rules", "lexical"):
+            assert list(getattr(model, table).items()) == list(getattr(fresh, table).items())
+
+    def test_a_growing_list_folds_in_only_its_new_trees(self, tmp_path, counted):
+        trees = self.trees()
+        backend = PcfgBackend(self.CONFIG, inventory=demo_inventory())
+        ends = (30, 31, 75, 75, 120)
+        models = [backend.train(trees[:end]) for end in ends]
+        assert counted == [30, 1, 44, 0, 45]
+        for model, end in zip(models, ends):
+            self.assert_fresh(model, trees[:end], demo_inventory(), tmp_path)
+
+    @pytest.mark.parametrize(
+        "change", ["shorter", "same-length-other-trees", "other-run", "other-inventory"]
+    )
+    def test_other_lists_are_counted_from_scratch(self, tmp_path, counted, change):
+        trees = self.trees()
+        backend = PcfgBackend(self.CONFIG, inventory=demo_inventory())
+        backend.train(trees[:60])
+        if change == "shorter":
+            second = trees[:50]
+        elif change == "same-length-other-trees":
+            second = trees[60:]
+        elif change == "other-run":
+            second = self.trees()[:90]      # equal trees, other objects
+            assert second[:60] == trees[:60]
+        else:
+            backend.inventory = demo_inventory()
+            second = trees[:90]
+        model = backend.train(second)
+        assert counted == [60, len(second)]
+        self.assert_fresh(model, second, demo_inventory(), tmp_path)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (ParseTree("s", (ParseTree("n", ("a", "b")),)), ValueError),
+            (ParseTree("zz", (ParseTree("n", ("a",)),)), LabelError),
+        ],
+        ids=["several-tokens", "unknown-label"],
+    )
+    def test_a_failing_tail_leaves_the_last_counts(self, tmp_path, counted, bad, error):
+        trees = self.trees()
+        backend = PcfgBackend(self.CONFIG, inventory=demo_inventory())
+        backend.train(trees[:40])
+        with pytest.raises(error):
+            backend.train(trees[:50] + [bad] + trees[50:60])
+        model = backend.train(trees[:70])
+        assert counted == [40, 21, 30]
+        self.assert_fresh(model, trees[:70], demo_inventory(), tmp_path)

@@ -4,12 +4,15 @@ from collections import Counter
 
 import pytest
 
-from spskit.errors import ConfigError
+from spskit import selection
+from spskit.errors import ConfigError, EmptyFeaturesError
 from spskit.parser import PseudoTree
 from spskit.rules import (
     RuleDistribution,
+    candidate_features,
     extract_corpus_rules,
     extract_rules,
+    instance_distance,
     token_counts,
 )
 from spskit.selection import CriterionConfig, SelectionRefs, score, select, select_top_k
@@ -158,6 +161,50 @@ class TestScore:
         csrs_cfg = CriterionConfig(kind="csrs", k=1)
         csrs_scores = dict(score([flat, nested], csrs_cfg, refs))
         assert csrs_scores[flat] != csrs_scores[nested]
+
+
+class TestDistanceReuse:
+    """``score`` computes one distance per distinct feature multiset."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(candidate, reference, **kwargs):
+            calls.append(candidate)
+            return instance_distance(candidate, reference, **kwargs)
+
+        monkeypatch.setattr(selection, "instance_distance", counting)
+        return calls
+
+    @pytest.mark.parametrize("exclude_labels", [(), ("att", "adv")])
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k != "conf"])
+    def test_equals_a_distance_per_candidate(self, refs, counted, kind, exclude_labels):
+        # The last four pair up equal feature sets with different counts.
+        pool = random_pool(random.Random(7), 80) + [
+            pseudo(text, 0.5)
+            for text in ("(x (x (y a)))", "(x (x (x (y a))))", "(s (n a) (n a))", "(s (n a))")
+        ]
+        cfg = CriterionConfig(kind=kind, k=5, exclude_labels=exclude_labels)
+        mode = "tokens" if kind == "token" else "rules"
+        reference = refs.get(cfg.reference_name)
+        usable = [c for c in pool if c.confidence > 0.0]
+        expected = [
+            (id(c), instance_distance(c, reference, mode=mode, exclude_labels=exclude_labels).hex())
+            for c in usable
+        ]
+        got = score(pool, cfg, refs)
+        assert [(id(c), s.hex()) for c, s in got] == expected
+        distinct = {
+            frozenset(candidate_features(c, mode, exclude_labels).items()) for c in usable
+        }
+        assert len(counted) == len(distinct) < len(usable)
+
+    def test_empty_features_still_raise(self, refs):
+        cfg = CriterionConfig(kind="srs", k=1, exclude_labels=("w",))
+        empty = [pseudo("(s (w a) (w b))", 0.5) for _ in range(2)]
+        with pytest.raises(EmptyFeaturesError):
+            score(empty, cfg, refs)
 
 
 class TestSelectTopK:

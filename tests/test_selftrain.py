@@ -365,6 +365,29 @@ class TestPersistenceAndResume:
             manifest = (resumable_dir / "manifest.json").read_bytes()
             assert manifest == files["manifest.json"]
 
+    def test_resuming_a_complete_run_does_not_train(self, tmp_path):
+        exp = small_experiment(seed=3, iterations=1, out_dir=str(tmp_path))
+        finished = run(exp)
+
+        class CountingParser:
+            name = "pcfg"
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.trains = 0
+
+            def train(self, trees):
+                self.trains += 1
+                return self.inner.train(trees)
+
+            def parse(self, model, sentence):
+                return self.inner.parse(model, sentence)
+
+        counting = CountingParser(exp.parser_backend)
+        resumed = run(dataclasses.replace(exp, parser_backend=counting), resume=True)
+        assert counting.trains == 0
+        assert resumed.to_dict() == finished.to_dict()
+
     def test_resume_with_mismatched_config_is_rejected(self, tmp_path):
         exp = small_experiment(seed=1, iterations=1, out_dir=str(tmp_path))
         run(exp)

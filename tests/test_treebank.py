@@ -218,6 +218,18 @@ class TestDomainTypes:
         assert Sentence.from_text("a b").text() == "a b"
         assert len(Sentence(("a", "b"))) == 2
 
+    @given(st.text(alphabet="a(天)", min_size=1, max_size=4), labels)
+    def test_a_token_is_rejected_or_re_reads(self, token, label):
+        if "(" in token or ")" in token:
+            with pytest.raises(TreeSyntaxError):
+                ParseTree(label, (token,))
+            with pytest.raises(ValueError):
+                Sentence(("x", token))
+            return
+        tree = ParseTree(label, (token,))
+        assert parse_bracketed(serialize(tree)) == tree
+        assert Sentence((token,)).tokens == (token,)
+
     def test_node_invariants(self):
         with pytest.raises(TreeSyntaxError):
             ParseTree("a", ())
