@@ -3,8 +3,8 @@
 Each generation request packs three constraints into the prompt: syntactic
 rules (sampled by corpus frequency), target-domain example sentences, and a
 Gaussian-sampled target length.  The mock backend ancestrally samples a
-PCFG under those constraints and can record which rules each derivation
-used, so instruction adherence is measurable.
+PCFG under those constraints and returns the rules each derivation used, so
+instruction adherence is measurable.
 """
 
 from spskit import MockPcfgGenerator, PromptConfig, corpus_stats, render_prompt, sample_prompt
@@ -20,9 +20,7 @@ spec = sample_prompt(stats, examples, rng, PromptConfig(min_length=4))
 print(render_prompt(spec))
 print("-" * 60)
 
-generator = MockPcfgGenerator(
-    target_grammar(), seed=7, batch_size=12, record_derivations=True
-)
+generator = MockPcfgGenerator(target_grammar(), seed=7, batch_size=12)
 batch = generator.generate(spec)
 print("prompt sha:", batch.provenance["prompt_sha256"][:12], "...")
 

@@ -220,7 +220,7 @@ def cmd_parse(args):
     _check_inputs(args.model, args.input)
     model = ParserModel.load(args.model)
     sentences = _read_sentences(args.input)
-    results = parse_pool(model, sentences, jobs=args.jobs)
+    results = parse_pool(model, sentences)
     write_treebank([r.tree for r in results], args.output)
     if args.confidences:
         write_text_atomic(
@@ -376,7 +376,7 @@ def _build_generator(config, seed):
     return MockPcfgGenerator(grammar, template=template, **{"seed": seed, **options})
 
 
-def _build_experiment(config, seed_override=None, out_dir_override=None, jobs=1):
+def _build_experiment(config, seed_override=None, out_dir_override=None):
     _check_keys(config, "the run config", _RUN_KEYS)
     for key in ("source_treebank", "target_examples", "criterion"):
         if key not in config:
@@ -425,7 +425,6 @@ def _build_experiment(config, seed_override=None, out_dir_override=None, jobs=1)
         exclude_sentences=tuple(exclude),
         prompt_config=prompt_config,
         score_options=score_options,
-        jobs=jobs,
         out_dir=out_dir_override or config.get("out_dir"),
         **options,
     )
@@ -441,10 +440,7 @@ def cmd_self_train(args):
         seeds = None  # an explicit seed runs exactly one run
 
     experiment = _build_experiment(
-        config,
-        seed_override=args.seed,
-        out_dir_override=args.out_dir,
-        jobs=args.jobs,
+        config, seed_override=args.seed, out_dir_override=args.out_dir
     )
 
     if seeds:
@@ -506,24 +502,18 @@ def build_parser():
         "--seed", type=int, default=None, help="base random seed (default 0)"
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker cap for parallel stages"
-    )
-    parser.add_argument(
         "-v", "--verbose", action="store_true", help="log progress to stderr"
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
     class _Sub:
-        """Registers --seed/--jobs on every subcommand too, so they may be
-        given after the subcommand name without clobbering the globals."""
+        """Registers --seed on every subcommand too, so it may be given after
+        the subcommand name without clobbering the global."""
 
         def add_parser(self, *args, **kwargs):
             p = subparsers.add_parser(*args, **kwargs)
             p.add_argument(
                 "--seed", type=int, default=argparse.SUPPRESS, help="base random seed"
-            )
-            p.add_argument(
-                "--jobs", type=int, default=argparse.SUPPRESS, help="worker cap"
             )
             return p
 

@@ -5,7 +5,7 @@ corpus frequency, target-domain example sentences, and a Gaussian-sampled
 length and rule count) and asks a backend for sentences.  Two backends ship:
 
 * ``MockPcfgGenerator`` ancestrally samples a supplied PCFG, optionally
-  steering derivations toward the prompted rules and recording the rules each
+  steering derivations toward the prompted rules, and returns the rules each
   derivation used.  It is stateless and bit-reproducible: the RNG for a call
   is derived from (backend seed, prompt hash), so repeated calls with the
   same prompt give identical batches and concurrent calls cannot interfere.
@@ -30,7 +30,7 @@ from importlib import resources
 
 import requests
 
-from .errors import GenerationError
+from .errors import ConfigError, GenerationError
 from .rules import SyntacticRule, extract_corpus_rules, format_rule
 from .seeding import substream
 from .treebank import ParseTree, Sentence
@@ -317,7 +317,6 @@ class MockPcfgGenerator:
         length_tolerance=0.2,
         max_attempts=200,
         max_depth=40,
-        record_derivations=False,
         template=None,
     ):
         self.grammar = grammar
@@ -327,7 +326,6 @@ class MockPcfgGenerator:
         self.length_tolerance = length_tolerance
         self.max_attempts = max_attempts
         self.max_depth = max_depth
-        self.record_derivations = record_derivations
         self.template = template
         self._grammar_rules = grammar.rule_set()
 
@@ -422,7 +420,7 @@ class MockPcfgGenerator:
                 "backend": self.name,
                 "seed": self.seed,
             },
-            derivations=tuple(derivations) if self.record_derivations else None,
+            derivations=tuple(derivations),
         )
 
 
@@ -458,6 +456,10 @@ class ServiceGenerator:
         session=None,
         sleep=time.sleep,
     ):
+        if not isinstance(max_attempts, int) or max_attempts < 1:
+            raise ConfigError(
+                f"'max_attempts' must be an integer >= 1, got {max_attempts!r}"
+            )
         self.endpoint = endpoint
         self.token_env = token_env
         self.template = template
@@ -502,7 +504,6 @@ class ServiceGenerator:
         if self.seed is not None:
             body["seed"] = self.seed
 
-        reply = None
         for attempt in range(1, self.max_attempts + 1):
             self._throttle()
             try:
@@ -539,10 +540,10 @@ class ServiceGenerator:
 
         try:
             text = reply.json()["text"]
-        except (ValueError, KeyError, TypeError) as e:
-            raise GenerationError(
-                "empty_generation: reply is not {'text': ...}", attempts=1
-            ) from e
+        except (ValueError, KeyError, TypeError):
+            text = None
+        if not isinstance(text, str):
+            raise GenerationError("empty_generation: reply is not {'text': str}")
         sentences = []
         for line in text.splitlines():
             tokens = self.tokenizer(line.strip())

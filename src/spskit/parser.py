@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import ModelFormatError
@@ -463,32 +462,16 @@ def parse(model, sentence):
     return PseudoTree(sentence, tree, confidence)
 
 
-_WORKER_MODEL = None
-
-
-def _init_worker(model):
-    global _WORKER_MODEL
-    _WORKER_MODEL = model
-
-
-def _parse_in_worker(sentence):
-    return parse(_WORKER_MODEL, sentence)
-
-
-def parse_pool(model, sentences, jobs=1):
-    """Parse many sentences; order-preserving, optionally multi-process."""
-    sentences = list(sentences)
-    if jobs <= 1 or len(sentences) < 2:
-        return [parse(model, s) for s in sentences]
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(model,)
-    ) as pool:
-        chunk = max(1, len(sentences) // (jobs * 4))
-        return list(pool.map(_parse_in_worker, sentences, chunksize=chunk))
+def parse_pool(model, sentences):
+    """Parse many sentences in one process, in order."""
+    return [parse(model, s) for s in sentences]
 
 
 class PcfgBackend:
     """The pluggable parsing interface: train(trees) and parse(model, sentence).
+
+    These two are all a self-training backend needs; parsing runs in one
+    process, one sentence at a time.
 
     ``train`` keeps the tree list and counts of its last call.  A list that
     extends that one (the same tree objects first, under the same inventory)
@@ -525,4 +508,9 @@ class PcfgBackend:
         return parse(model, sentence)
 
     def parse_pool(self, model, sentences, jobs=1):
-        return parse_pool(model, sentences, jobs=jobs)
+        """``parse_pool``; ``jobs`` stays for existing callers and must be 1."""
+        if jobs != 1:
+            raise ValueError(
+                f"jobs must be 1 (parsing runs in one process), got {jobs!r}"
+            )
+        return parse_pool(model, sentences)

@@ -8,7 +8,9 @@ under the configured criterion, appends them to the pseudo-tree set, retrains
 on the whole training set (the PCFG backend counts only the trees added since
 its last call, and gets the model a full recount would), and evaluates on the
 held-out dev sets, whose sentences and gold spans are built once per run.
-Accepted pseudo-trees persist for all later iterations.
+Accepted pseudo-trees persist for all later iterations.  The parser backend
+needs only ``train(trees)`` and ``parse(model, sentence)``: the pool and the
+dev sets are parsed one sentence at a time, in this process.
 
 Dev and test sentences are barred from the prompt example pool and from the
 candidate pool by token-sequence hash, so they can never leak into training.
@@ -67,7 +69,6 @@ class Experiment:
     score_options: ScoreOptions = field(default_factory=ScoreOptions)
     rule_exclude_labels: tuple = ()
     update_reference: bool = False
-    jobs: int = 1
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -286,14 +287,6 @@ def build_pool(generator, stats, examples, size, rng, prompt_config, excluded):
     return pool, provenance
 
 
-def _parse_pool(experiment, model, sentences):
-    backend = experiment.parser_backend
-    pool_fn = getattr(backend, "parse_pool", None)
-    if pool_fn is not None:
-        return pool_fn(model, sentences, jobs=experiment.jobs)
-    return [backend.parse(model, s) for s in sentences]
-
-
 def _persist_iteration(experiment, manifest, iteration, selected, scored, index):
     """Write an iteration's selected trees and its scores sidecar into out_dir."""
     tree_name = f"selected_iter_{iteration}.txt"
@@ -411,7 +404,7 @@ def run(experiment, resume=False):
                 experiment.prompt_config,
                 excluded,
             )
-            candidates = _parse_pool(experiment, model, pool)
+            candidates = [experiment.parser_backend.parse(model, s) for s in pool]
             scored = score(candidates, experiment.criterion, refs)
             selected = select_top_k(scored, experiment.criterion)
             index = {id(c): i for i, c in enumerate(candidates)}

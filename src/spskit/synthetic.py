@@ -167,7 +167,13 @@ def cross_domain_experiment(
     Candidate pools are held at the source mean length (prompt sigma 0, exact
     mock length matching): the corpus-extension distance otherwise favors the
     shortest candidates, which starves the selection of structural variety.
+    ``jobs`` stays for existing callers; parsing runs in one process, so it
+    must be 1.
     """
+    if jobs != 1:
+        raise ValueError(
+            f"jobs must be 1 (parsing runs in one process), got {jobs!r}"
+        )
     from .generator import MockPcfgGenerator, PromptConfig
     from .parser import PcfgBackend, TrainConfig
     from .selection import CriterionConfig
@@ -189,6 +195,5 @@ def cross_domain_experiment(
         source_dev=src_dev,
         target_dev=tgt_dev,
         prompt_config=PromptConfig(length_sigma=0.0),
-        jobs=jobs,
         out_dir=out_dir,
     )

@@ -208,9 +208,7 @@ def test_criterion_8_mock_generator_adherence():
     corpus = sample_corpus(target_grammar(), 150, corpus_seed, "adherence")
     stats = corpus_stats(corpus)
     examples = [t.sentence() for t in corpus[:25]]
-    generator = MockPcfgGenerator(
-        target_grammar(), seed=5, batch_size=25, record_derivations=True
-    )
+    generator = MockPcfgGenerator(target_grammar(), seed=5, batch_size=25)
     rng = substream(6, "acceptance-adherence")
     config = PromptConfig(length_sigma=0.0, min_length=4)
     hits = total = 0

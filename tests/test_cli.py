@@ -80,6 +80,12 @@ class TestUsageAndHelp:
             main(["eval", "--pred", "x.txt"])
         assert exit_info.value.code == 2
 
+    def test_jobs_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--jobs", "2", "parse", "--model", "m.json", "--input", "in.txt",
+                  "--output", "out.txt"])
+        assert exit_info.value.code == 2
+
     def test_missing_input_file_is_a_data_error(self, tmp_path, capsys):
         code = main(
             ["eval", "--pred", str(tmp_path / "nope.txt"), "--gold", str(tmp_path / "nope.txt")]
@@ -408,6 +414,8 @@ class TestSelfTrainCommand:
             (None, "no", "update_reference"),
             (None, 5, "rule_exclude_labels"),
             (None, 3, "exclude"),
+            ("generator", {"backend": "service", "endpoint": "http://localhost:1",
+                           "max_attempts": 0}, "max_attempts"),
         ],
         ids=[
             "top-level-typo",
@@ -423,6 +431,7 @@ class TestSelfTrainCommand:
             "update-reference-a-string",
             "rule-exclude-labels-not-a-list",
             "exclude-not-a-list",
+            "service-max-attempts-zero",
         ],
     )
     def test_bad_run_config_is_a_data_error(
@@ -432,8 +441,8 @@ class TestSelfTrainCommand:
         config = json.loads(path.read_text(encoding="utf-8"))
         if section is None:
             config[named] = value
-        elif section == "generator":
-            config[section].update(value)
+        elif section == "generator" and "backend" not in value:
+            config[section].update(value)  # extra keys for the mock backend
         else:
             config[section] = value
         path.write_text(json.dumps(config), encoding="utf-8")

@@ -235,9 +235,7 @@ class TestMockGenerator:
         corpus = sample_corpus(target_grammar(), 120, seed=6, name="adh")
         stats = corpus_stats(corpus)
         examples = [t.sentence() for t in corpus[:20]]
-        gen = MockPcfgGenerator(
-            target_grammar(), seed=7, batch_size=25, record_derivations=True
-        )
+        gen = MockPcfgGenerator(target_grammar(), seed=7, batch_size=25)
         rng = substream(8, "adh")
         config = PromptConfig(length_sigma=0.0, min_length=4)
         hits = total = 0
@@ -351,7 +349,7 @@ class TestMockReferenceParity:
         rng = substream(32, "mock-parity")
         produced = 0
         for seed in (0, 7):
-            gen = MockPcfgGenerator(grammar, seed=seed, record_derivations=True, **settings)
+            gen = MockPcfgGenerator(grammar, seed=seed, **settings)
             for length in (2, 3, 4, 6, 9):
                 config = PromptConfig(length_sigma=1.0, min_length=length)
                 spec = sample_prompt(stats, examples, rng, config)
@@ -468,6 +466,23 @@ class TestServiceGenerator:
     def test_garbled_reply_is_empty_generation(self, stub_server):
         _StubHandler.behavior = ["garbled"]
         gen = ServiceGenerator(stub_server, requests_per_minute=0)
+        with pytest.raises(GenerationError) as err:
+            gen.generate(_spec())
+        assert "empty_generation" in str(err.value)
+
+    @pytest.mark.parametrize("text", [42, None, ["w1 w2"]])
+    def test_a_reply_text_that_is_not_a_string_is_empty_generation(self, text):
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                return {"text": text}
+
+        class Session:
+            def post(self, *args, **kwargs):
+                return Reply()
+
+        gen = ServiceGenerator("http://stub/complete", session=Session(), requests_per_minute=0)
         with pytest.raises(GenerationError) as err:
             gen.generate(_spec())
         assert "empty_generation" in str(err.value)

@@ -526,11 +526,16 @@ class TestPseudoTree:
 
 
 class TestBackend:
-    def test_parse_pool_parallel_matches_serial(self):
+    def test_parse_pool_is_parse_per_sentence(self):
         trees = sample_corpus(source_grammar(), 40, seed=4, name="pool")
         model = train(trees)
-        sentences = [t.sentence() for t in sample_corpus(source_grammar(), 12, seed=5, name="pool-dev")]
-        assert parse_pool(model, sentences, jobs=2) == parse_pool(model, sentences, jobs=1)
+        sentences = [t.sentence() for t in sample_corpus(target_grammar(), 12, seed=5, name="pool-dev")]
+        expected = [parse(model, s) for s in sentences]
+        for results in (parse_pool(model, sentences), PcfgBackend().parse_pool(model, sentences)):
+            assert [r.tree for r in results] == [r.tree for r in expected]
+            assert [r.confidence.hex() for r in results] == [r.confidence.hex() for r in expected]
+        with pytest.raises(ValueError, match="jobs"):
+            PcfgBackend().parse_pool(model, sentences, jobs=2)
 
     def test_backend_protocol(self):
         backend = PcfgBackend(TrainConfig(), inventory=demo_inventory())
