@@ -626,10 +626,7 @@ def main(argv=None):
     )
     try:
         return args.func(args)
-    except SpsError as e:
-        print(f"spskit: error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError, RuntimeError, json.JSONDecodeError) as e:
+    except (SpsError, OSError, ValueError, KeyError, RuntimeError) as e:
         print(f"spskit: error: {e}", file=sys.stderr)
         return 1
 

@@ -5,15 +5,16 @@ corpus frequency, target-domain example sentences, and a Gaussian-sampled
 length and rule count) and asks a backend for sentences.  Two backends ship:
 
 * ``MockPcfgGenerator`` ancestrally samples a supplied PCFG, optionally
-  steering derivations toward the prompted rules, and returns the rules each
-  derivation used.  It is stateless and bit-reproducible: the RNG for a call
-  is derived from (backend seed, prompt hash), so repeated calls with the
-  same prompt give identical batches and concurrent calls cannot interfere.
+  steering derivations toward the prompted rules through a guide table built
+  once per call, and returns the rules each derivation used.  It is
+  stateless and bit-reproducible: the RNG for a call is derived from
+  (backend seed, prompt hash), so repeated calls with the same prompt give
+  identical batches and concurrent calls cannot interfere.
 * ``ServiceGenerator`` POSTs a rendered prompt to a text-completion endpoint
-  and tokenizes the reply.  Timeouts and 5xx replies retry up to a cap and
-  then surface as retriable errors; an empty or garbled reply is an
-  ``empty_generation`` error.  Callers treat both as a smaller pool, never a
-  crashed run.
+  and splits the reply into sentences at whitespace.  Timeouts, connection
+  errors and 5xx replies retry up to a cap and then surface, at one place, as
+  a retriable error; an empty or garbled reply is an ``empty_generation``
+  error.  Callers treat both as a smaller pool, never a crashed run.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 import statistics
 import string
 import time
@@ -33,7 +35,7 @@ import requests
 from .errors import ConfigError, GenerationError
 from .rules import SyntacticRule, extract_corpus_rules, format_rule
 from .seeding import substream
-from .treebank import ParseTree, Sentence
+from .treebank import Sentence
 
 __all__ = [
     "SourceStats",
@@ -96,7 +98,6 @@ class PromptSpec:
     examples: tuple
     target_length: int
     rule_count: int
-    template_id: str = "default"
 
     def __post_init__(self):
         if len(self.rules) < 1:
@@ -176,7 +177,6 @@ def sample_prompt(source_stats, target_examples, rng, config=None):
         examples=tuple(examples),
         target_length=target_length,
         rule_count=len(rules),
-        template_id=config.template_id,
     )
 
 
@@ -210,7 +210,7 @@ class Pcfg:
 
     ``rules`` maps a nonterminal to [(tuple of child symbols, probability)];
     ``lexicon`` maps a preterminal to [(token, probability)].  A symbol must
-    not appear in both tables.
+    not appear in both tables, and every child symbol must have productions.
     """
 
     def __init__(self, start, rules, lexicon):
@@ -228,6 +228,10 @@ class Pcfg:
             raise ValueError(f"symbols in both tables: {sorted(overlap)}")
         if start not in self.rules and start not in self.lexicon:
             raise ValueError(f"start symbol {start!r} has no productions")
+        used = {s for options in self.rules.values() for rhs, _ in options for s in rhs}
+        missing = used - self.rules.keys() - self.lexicon.keys()
+        if missing:
+            raise ValueError(f"child symbols without productions: {sorted(missing)}")
         for lhs, options in list(self.rules.items()) + list(self.lexicon.items()):
             total = sum(p for _, p in options)
             if abs(total - 1.0) > 1e-9:
@@ -245,29 +249,26 @@ def pcfg_from_treebank(trees, start="<s>"):
     """Maximum-likelihood Pcfg from trees, for offline mock generation.
 
     Root labels hang under a virtual start symbol so corpora with several
-    root labels stay samplable.  Trees must be in standard form (one token
-    per preterminal).
+    root labels stay samplable.  Trees must be in standard form: one token
+    per preterminal, and no token beside a subtree.
     """
     trees = list(trees)
     if not trees:
         raise ValueError("cannot estimate a grammar from an empty treebank")
-    rule_counts = {}
     lex_counts = {}
     root_counts = Counter(t.label for t in trees)
     for tree in trees:
         for node in tree.subtrees():
-            if node.is_preterminal:
-                if len(node.children) != 1:
-                    raise ValueError(
-                        f"node {node.label!r} holds several tokens; one token "
-                        "per preterminal is required"
-                    )
+            if node.is_preterminal and len(node.children) == 1:
                 lex_counts.setdefault(node.label, Counter())[node.children[0]] += 1
-            else:
-                rhs = tuple(
-                    c.label if isinstance(c, ParseTree) else c for c in node.children
+            elif any(isinstance(c, str) for c in node.children):
+                raise ValueError(
+                    f"node {node.label!r} holds several tokens or a token beside "
+                    "a subtree; one token per preterminal is required"
                 )
-                rule_counts.setdefault(node.label, Counter())[rhs] += 1
+    rule_counts = {}
+    for rule, count in extract_corpus_rules(trees).items():
+        rule_counts.setdefault(rule.parent, Counter())[rule.children] = count
 
     def normalized(counter):
         total = sum(counter.values())
@@ -291,8 +292,10 @@ def _choose(rng, options):
     return options[-1][0]
 
 
-class _DepthExceeded(Exception):
-    pass
+def _positive_int(key, value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key!r} must be an integer >= 1, got {value!r}")
+    return value
 
 
 class MockPcfgGenerator:
@@ -319,12 +322,17 @@ class MockPcfgGenerator:
         max_depth=40,
         template=None,
     ):
+        p = guide_probability
+        if not isinstance(p, (int, float)) or not 0 <= p <= 1:
+            raise ConfigError(
+                f"'guide_probability' must be in [0, 1], got {guide_probability!r}"
+            )
         self.grammar = grammar
         self.seed = seed
-        self.batch_size = batch_size
+        self.batch_size = _positive_int("batch_size", batch_size)
         self.guide_probability = guide_probability
         self.length_tolerance = length_tolerance
-        self.max_attempts = max_attempts
+        self.max_attempts = _positive_int("max_attempts", max_attempts)
         self.max_depth = max_depth
         self.template = template
         self._grammar_rules = grammar.rule_set()
@@ -334,14 +342,14 @@ class MockPcfgGenerator:
         hi = math.ceil(target * (1 + self.length_tolerance))
         return lo, hi
 
-    def _sample(self, rng, guided, prompted_by_parent):
+    def _sample(self, rng, guide):
         """One ancestral derivation: its tokens and the rules it used.
 
-        Raises _DepthExceeded past ``max_depth`` or 10,000 nodes.
+        The first symbol found in ``guide`` expands by its guide row, then the
+        guide is dropped.  None past ``max_depth`` or 10,000 nodes.
         """
         tokens = []
         used = set()
-        adhered = False
         nodes = 0
         lexicon = self.grammar.lexicon
         rules = self.grammar.rules
@@ -350,23 +358,15 @@ class MockPcfgGenerator:
             symbol, depth = stack.pop()
             nodes += 1
             if depth > self.max_depth or nodes > 10_000:
-                raise _DepthExceeded
+                return None
             if symbol in lexicon:
                 tokens.append(_choose(rng, lexicon[symbol]))
                 continue
-            options = rules[symbol]
-            if guided and not adhered and symbol in prompted_by_parent:
-                prompted = prompted_by_parent[symbol]
-                subset = [(rhs, p) for rhs, p in options if rhs in prompted]
-                if subset:
-                    total = sum(p for _, p in subset)
-                    subset = [(rhs, p / total) for rhs, p in subset]
-                    rhs = _choose(rng, subset)
-                    adhered = True
-                else:
-                    rhs = _choose(rng, options)
+            if guide and symbol in guide:
+                rhs = _choose(rng, guide[symbol])
+                guide = None
             else:
-                rhs = _choose(rng, options)
+                rhs = _choose(rng, rules[symbol])
             used.add((symbol, rhs))
             stack.extend((child, depth + 1) for child in reversed(rhs))
         return tokens, used
@@ -374,39 +374,37 @@ class MockPcfgGenerator:
     def generate(self, spec):
         digest = prompt_hash(spec, self.template)
         rng = substream(self.seed, "mock", digest)
-        prompted_in_grammar = set(spec.rules) & self._grammar_rules
-        prompted_by_parent = {}
-        for rule in prompted_in_grammar:
-            prompted_by_parent.setdefault(rule.parent, set()).add(rule.children)
+        prompted = set(spec.rules) & self._grammar_rules
+        guide = {}
+        for parent in {rule.parent for rule in prompted}:
+            options = [
+                (rhs, p)
+                for rhs, p in self.grammar.rules[parent]
+                if SyntacticRule(parent, rhs) in prompted
+            ]
+            total = sum(p for _, p in options)
+            guide[parent] = [(rhs, p / total) for rhs, p in options]
 
         lo, hi = self.length_bounds(spec.target_length)
         sentences = []
         derivations = []
         for _ in range(self.batch_size):
-            guided = rng.random() < self.guide_probability and bool(
-                prompted_by_parent
-            )
-            accepted = None
+            guided = rng.random() < self.guide_probability and bool(guide)
             for attempt in range(self.max_attempts):
                 # A prompted rule can be incompatible with the length bound
                 # (e.g. it forces a very short derivation); after burning half
                 # the attempts, this slot falls back to unguided sampling,
                 # like a generator ignoring part of its instructions.
                 use_guide = guided and attempt < self.max_attempts // 2
-                try:
-                    tokens, used = self._sample(rng, use_guide, prompted_by_parent)
-                except _DepthExceeded:
-                    continue
-                if lo <= len(tokens) <= hi:
-                    accepted = (tokens, used)
+                sample = self._sample(rng, guide if use_guide else None)
+                if sample is not None and lo <= len(sample[0]) <= hi:
+                    tokens, used = sample
+                    sentences.append(Sentence(tuple(tokens)))
+                    derivations.append(
+                        frozenset(SyntacticRule(symbol, rhs) for symbol, rhs in used)
+                    )
                     break
-            if accepted is None:
-                continue  # this slot degrades; the pool just ends up smaller
-            tokens, used = accepted
-            sentences.append(Sentence(tuple(tokens)))
-            derivations.append(
-                frozenset(SyntacticRule(symbol, rhs) for symbol, rhs in used)
-            )
+            # A slot with no accepted derivation degrades: the pool is smaller.
         if not sentences:
             raise GenerationError(
                 f"no derivation of length {lo}..{hi} found in "
@@ -422,10 +420,6 @@ class MockPcfgGenerator:
             },
             derivations=tuple(derivations),
         )
-
-
-def _whitespace_tokenizer(line):
-    return line.split()
 
 
 class ServiceGenerator:
@@ -452,14 +446,9 @@ class ServiceGenerator:
         timeout=30.0,
         max_attempts=3,
         requests_per_minute=60,
-        tokenizer=_whitespace_tokenizer,
         session=None,
         sleep=time.sleep,
     ):
-        if not isinstance(max_attempts, int) or max_attempts < 1:
-            raise ConfigError(
-                f"'max_attempts' must be an integer >= 1, got {max_attempts!r}"
-            )
         self.endpoint = endpoint
         self.token_env = token_env
         self.template = template
@@ -467,9 +456,8 @@ class ServiceGenerator:
         self.temperature = temperature
         self.seed = seed
         self.timeout = timeout
-        self.max_attempts = max_attempts
+        self.max_attempts = _positive_int("max_attempts", max_attempts)
         self.requests_per_minute = requests_per_minute
-        self.tokenizer = tokenizer
         self.session = session or requests.Session()
         self._sleep = sleep
         self._interval = 60.0 / requests_per_minute if requests_per_minute else 0.0
@@ -486,8 +474,6 @@ class ServiceGenerator:
         self._last_request = time.monotonic()
 
     def _headers(self):
-        import os
-
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.token_env)
         if token:
@@ -514,45 +500,34 @@ class ServiceGenerator:
                     timeout=self.timeout,
                 )
             except (requests.Timeout, requests.ConnectionError) as e:
-                if attempt == self.max_attempts:
-                    raise GenerationError(
-                        f"service unreachable after {attempt} attempts: {e}",
-                        attempts=attempt,
-                        retriable=True,
-                    ) from e
+                failure = f"service unreachable after {attempt} attempts: {e}"
+                cause = e
                 continue
             if response.status_code >= 500:
-                if attempt == self.max_attempts:
-                    raise GenerationError(
-                        f"service error {response.status_code} after "
-                        f"{attempt} attempts",
-                        attempts=attempt,
-                        retriable=True,
-                    )
+                failure = f"service error {response.status_code} after {attempt} attempts"
+                cause = None
                 continue
             if response.status_code != 200:
                 raise GenerationError(
                     f"service refused the request: {response.status_code}",
                     attempts=attempt,
                 )
-            reply = response
             break
+        else:
+            raise GenerationError(failure, attempts=attempt, retriable=True) from cause
 
         try:
-            text = reply.json()["text"]
+            text = response.json()["text"]
         except (ValueError, KeyError, TypeError):
             text = None
         if not isinstance(text, str):
             raise GenerationError("empty_generation: reply is not {'text': str}")
         sentences = []
         for line in text.splitlines():
-            tokens = self.tokenizer(line.strip())
-            if not tokens:
-                continue
             try:
-                sentences.append(Sentence(tuple(tokens)))
+                sentences.append(Sentence.from_text(line))
             except ValueError:
-                continue  # a token no tree could hold, e.g. one with "("
+                continue  # a blank line, or a token no tree could hold ("(", say)
         if not sentences:
             raise GenerationError("empty_generation: reply had no usable sentences")
         return GenerationBatch(

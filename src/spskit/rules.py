@@ -119,9 +119,6 @@ class RuleDistribution:
     def probability(self, item):
         return self._counts.get(item, 0) / self.total_count
 
-    def items(self):
-        return self._counts.keys()
-
     def extended(self, extra_counts):
         """A new distribution with ``extra_counts`` folded into this one."""
         merged = Counter(self._counts)

@@ -301,6 +301,24 @@ class TestPipeline:
         )
         assert out.read_text() == out2.read_text()
 
+    def test_generate_with_batch_size_zero_is_a_data_error(self, tmp_path, capsys):
+        stats_treebank = tmp_path / "stats.txt"
+        write_treebank(sample_corpus(source_grammar(), 50, seed=3, name="cli-stats"), stats_treebank)
+        grammar_treebank = tmp_path / "grammar.txt"
+        write_treebank(sample_corpus(target_grammar(), 80, seed=3, name="cli-gram"), grammar_treebank)
+        examples = tmp_path / "examples.txt"
+        examples.write_text("na va\nnb vb nc\n", encoding="utf-8")
+        out = tmp_path / "sentences.txt"
+        code = main(
+            ["generate", "--stats-from", str(stats_treebank),
+             "--examples", str(examples), "--count", "25", "--batch-size", "0",
+             "--backend", "mock", "--mock-treebank", str(grammar_treebank),
+             "--output", str(out)]
+        )
+        assert code == 1
+        assert "'batch_size'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generate_writes_no_duplicate_sentence(self, tmp_path, capsys):
         stats_treebank = tmp_path / "stats.txt"
         write_treebank(sample_corpus(source_grammar(), 50, seed=3, name="cli-stats"), stats_treebank)
@@ -416,6 +434,8 @@ class TestSelfTrainCommand:
             (None, 3, "exclude"),
             ("generator", {"backend": "service", "endpoint": "http://localhost:1",
                            "max_attempts": 0}, "max_attempts"),
+            ("generator", {"batch_size": 0}, "batch_size"),
+            ("generator", {"guide_probability": 5}, "guide_probability"),
         ],
         ids=[
             "top-level-typo",
@@ -432,6 +452,8 @@ class TestSelfTrainCommand:
             "rule-exclude-labels-not-a-list",
             "exclude-not-a-list",
             "service-max-attempts-zero",
+            "mock-batch-size-zero",
+            "mock-guide-probability-five",
         ],
     )
     def test_bad_run_config_is_a_data_error(

@@ -2,10 +2,12 @@ import http.server
 import json
 import statistics
 import threading
+from collections import Counter
 
 import pytest
+import requests
 
-from spskit.errors import GenerationError
+from spskit.errors import ConfigError, GenerationError
 from spskit.generator import (
     MockPcfgGenerator,
     Pcfg,
@@ -164,6 +166,14 @@ class TestPcfg:
         assert dict(grammar.rules["<s>"]) == {("q",): pytest.approx(1 / 3), ("s",): pytest.approx(2 / 3)}
         assert grammar.lexicon["x"] == [("a", 1.0)]
 
+    def test_a_child_symbol_without_productions_is_rejected(self):
+        with pytest.raises(ValueError, match="'y'"):
+            Pcfg("s", {"s": [(("x", "y"), 1.0)]}, {"x": [("a", 1.0)]})
+
+    def test_a_token_beside_a_subtree_is_rejected(self):
+        with pytest.raises(ValueError, match="node 's'"):
+            pcfg_from_treebank([parse_bracketed("(s (n a) b)")])
+
 
 class TestMockGenerator:
     def make_spec(self, stats, examples, seed=0, length=4):
@@ -230,6 +240,22 @@ class TestMockGenerator:
         )
         with pytest.raises(GenerationError):
             gen.generate(spec)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("batch_size", 0),
+            ("batch_size", True),
+            ("batch_size", 2.0),
+            ("guide_probability", 5),
+            ("guide_probability", -0.1),
+            ("guide_probability", "0.5"),
+            ("max_attempts", 0),
+        ],
+    )
+    def test_bad_settings_are_config_errors(self, key, value):
+        with pytest.raises(ConfigError, match=repr(key)):
+            MockPcfgGenerator(target_grammar(), **{key: value})
 
     def test_adherence_with_derivation_bookkeeping(self):
         corpus = sample_corpus(target_grammar(), 120, seed=6, name="adh")
@@ -364,6 +390,51 @@ class TestMockReferenceParity:
         assert produced >= 50
 
 
+# Reference: the grammar estimator as one walk over every node, counting
+# rules and tokens itself.  pcfg_from_treebank must build the same tables,
+# in the same order and with the same floats.
+
+
+def ref_pcfg_from_treebank(trees, start="<s>"):
+    rule_counts = {}
+    lex_counts = {}
+    root_counts = Counter(t.label for t in trees)
+    for tree in trees:
+        for node in tree.subtrees():
+            if node.is_preterminal:
+                lex_counts.setdefault(node.label, Counter())[node.children[0]] += 1
+            else:
+                rhs = tuple(
+                    c.label if isinstance(c, ParseTree) else c for c in node.children
+                )
+                rule_counts.setdefault(node.label, Counter())[rhs] += 1
+
+    def normalized(counter):
+        total = sum(counter.values())
+        return [(item, c / total) for item, c in sorted(counter.items())]
+
+    rules = {lhs: normalized(c) for lhs, c in rule_counts.items()}
+    rules[start] = [
+        ((label,), c / len(trees)) for label, c in sorted(root_counts.items())
+    ]
+    lexicon = {pos: normalized(c) for pos, c in lex_counts.items()}
+    return Pcfg(start, rules, lexicon)
+
+
+class TestPcfgReferenceParity:
+    @pytest.mark.parametrize(
+        "grammar", [source_grammar(), target_grammar(), RECURSIVE_GRAMMAR]
+    )
+    @pytest.mark.parametrize("size", [1, 40, 300])
+    def test_tables_match_reference(self, grammar, size):
+        corpus = sample_corpus(grammar, size, seed=size, name="pcfg-parity")
+        got = pcfg_from_treebank(corpus)
+        want = ref_pcfg_from_treebank(corpus)
+        assert got.start == want.start
+        assert list(got.rules.items()) == list(want.rules.items())
+        assert list(got.lexicon.items()) == list(want.lexicon.items())
+
+
 class _StubHandler(http.server.BaseHTTPRequestHandler):
     behavior = ["ok"]
     requests = []
@@ -374,8 +445,8 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
             {"body": body, "auth": self.headers.get("Authorization")}
         )
         mode = type(self).behavior.pop(0) if type(self).behavior else "ok"
-        if mode == "500":
-            self.send_response(500)
+        if mode in ("500", "429"):
+            self.send_response(int(mode))
             self.end_headers()
             return
         if mode == "garbled":
@@ -451,6 +522,35 @@ class TestServiceGenerator:
         gen = ServiceGenerator(stub_server, max_attempts=2, requests_per_minute=0)
         with pytest.raises(GenerationError) as err:
             gen.generate(_spec())
+        assert err.value.retriable
+        assert err.value.attempts == 2
+
+    def test_a_refusal_fails_at_once(self, stub_server):
+        _StubHandler.behavior = ["429", "ok"]
+        gen = ServiceGenerator(stub_server, max_attempts=3, requests_per_minute=0)
+        with pytest.raises(GenerationError) as err:
+            gen.generate(_spec())
+        assert "429" in str(err.value)
+        assert not err.value.retriable
+        assert err.value.attempts == 1
+        assert len(_StubHandler.requests) == 1
+
+    def test_the_last_timeout_is_the_cause(self):
+        raised = []
+
+        class Session:
+            def post(self, *args, **kwargs):
+                raised.append(requests.Timeout(f"slow {len(raised)}"))
+                raise raised[-1]
+
+        gen = ServiceGenerator(
+            "http://stub/complete", max_attempts=2, session=Session(),
+            requests_per_minute=0,
+        )
+        with pytest.raises(GenerationError) as err:
+            gen.generate(_spec())
+        assert str(err.value) == "service unreachable after 2 attempts: slow 1"
+        assert err.value.__cause__ is raised[-1]
         assert err.value.retriable
         assert err.value.attempts == 2
 
