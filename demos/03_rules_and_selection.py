@@ -2,9 +2,11 @@
 
 A candidate pseudo-tree is worth training on when folding it into the
 reference corpus barely disturbs the corpus's rule distribution.  That is
-the instance distance D(c, S) = JS(S, S + {c}); the six selection criteria
-combine it (over rules or tokens, against the source or the converted
-target treebank) with parser confidence.
+the instance distance D(c, S) = JS(S, S + {c}).  A criterion is its kind:
+``token`` measures it over tokens against the source treebank, ``srs`` over
+rules against the source, ``csrs`` over rules against the converted target
+treebank; ``conf`` ranks by parser confidence alone, and ``srs_conf`` and
+``csrs_conf`` keep the rule-closest shortlist, then its most confident.
 """
 
 from spskit import (

@@ -31,7 +31,7 @@ from .parser import ParserModel, PcfgBackend, PseudoTree, TrainConfig, parse_poo
 from .rules import export_rules, extract_corpus_rules
 from .seeding import substream
 from .segmentation import Lexicon, SplitTable, transfer_corpus
-from .selection import CriterionConfig, score, select_top_k
+from .selection import KINDS, CriterionConfig, score, select_top_k
 from .selftrain import Experiment, _write_json
 from .treebank import (
     LabelInventory,
@@ -243,14 +243,15 @@ def cmd_select(args):
     )
     trees = read_treebank(args.candidates)
     with open(args.confidences, encoding="utf-8") as f:
-        confidences = [float(line.strip()) for line in f if line.strip()]
-    if len(confidences) != len(trees):
-        raise SpsError(
-            f"{len(trees)} candidate trees but {len(confidences)} confidences"
-        )
-    candidates = [
-        PseudoTree(t.sentence(), t, c) for t, c in zip(trees, confidences)
-    ]
+        lines = [(n, text.strip()) for n, text in enumerate(f, 1) if text.strip()]
+    if len(lines) != len(trees):
+        raise SpsError(f"{len(trees)} candidate trees but {len(lines)} confidences")
+    candidates = []
+    for (lineno, line), tree in zip(lines, trees):
+        try:
+            candidates.append(PseudoTree(tree.sentence(), tree, float(line)))
+        except ValueError as e:
+            raise SpsError(f"{args.confidences}:{lineno}: {e}") from e
 
     cfg = CriterionConfig(
         kind=args.criterion,
@@ -324,7 +325,7 @@ def cmd_eval(args):
 _RUN_KEYS = frozenset({
     "source_treebank", "target_examples", "converted_target_treebank",
     "source_dev", "target_dev", "exclude", "seed", "seeds", "out_dir",
-    "iterations", "pool_size", "rule_exclude_labels", "update_reference",
+    "iterations", "pool_size", "update_reference",
     "criterion", "parser", "generator", "prompt", "score",
 })
 _GENERATOR_KEYS = {
@@ -381,9 +382,8 @@ def _build_experiment(config, seed_override=None, out_dir_override=None):
     for key in ("source_treebank", "target_examples", "criterion"):
         if key not in config:
             raise SpsError(f"run config is missing {key!r}")
-    for key in ("rule_exclude_labels", "exclude"):
-        if not isinstance(config.get(key, []), list):
-            raise ConfigError(f"{key!r} must be a list, got {config[key]!r}")
+    if not isinstance(config.get("exclude", []), list):
+        raise ConfigError(f"'exclude' must be a list, got {config['exclude']!r}")
     criterion = _from_section(CriterionConfig, config, "criterion")
     train_config = _from_section(TrainConfig, config, "parser")
     prompt_config = _from_section(PromptConfig, config, "prompt")
@@ -410,8 +410,6 @@ def _build_experiment(config, seed_override=None, out_dir_override=None):
         for key in ("iterations", "pool_size", "update_reference")
         if key in config
     }
-    if "rule_exclude_labels" in config:
-        options["rule_exclude_labels"] = tuple(config["rule_exclude_labels"])
     return Experiment(
         source_trees=read_treebank(config["source_treebank"]),
         target_examples=_read_sentences(config["target_examples"]),
@@ -584,7 +582,7 @@ def build_parser():
     p.add_argument(
         "--criterion",
         required=True,
-        choices=["token", "conf", "srs", "srs_conf", "csrs", "csrs_conf"],
+        choices=list(KINDS),
     )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--prefilter-multiplier", type=int, default=2)

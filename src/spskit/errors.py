@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the settings check they share."""
 
 
 class SpsError(Exception):
@@ -60,3 +60,10 @@ class ModelFormatError(SpsError):
 
 class ConfigError(SpsError):
     """A run or criterion configuration violates its invariants."""
+
+
+def positive_int(key, value):
+    """``value`` if an int >= 1 and not a bool, else a ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key!r} must be an integer >= 1, got {value!r}")
+    return value

@@ -32,7 +32,7 @@ from importlib import resources
 
 import requests
 
-from .errors import ConfigError, GenerationError
+from .errors import ConfigError, GenerationError, positive_int
 from .rules import SyntacticRule, extract_corpus_rules, format_rule
 from .seeding import substream
 from .treebank import Sentence
@@ -89,7 +89,6 @@ class PromptConfig:
     max_rules: int = 8
     rule_count_mean: float | None = None   # None -> max_rules / 2
     example_count: int = 3
-    template_id: str = "default"
 
 
 @dataclass(frozen=True)
@@ -292,12 +291,6 @@ def _choose(rng, options):
     return options[-1][0]
 
 
-def _positive_int(key, value):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key!r} must be an integer >= 1, got {value!r}")
-    return value
-
-
 class MockPcfgGenerator:
     """Offline generator: seeded ancestral sampling from a PCFG.
 
@@ -329,10 +322,10 @@ class MockPcfgGenerator:
             )
         self.grammar = grammar
         self.seed = seed
-        self.batch_size = _positive_int("batch_size", batch_size)
+        self.batch_size = positive_int("batch_size", batch_size)
         self.guide_probability = guide_probability
         self.length_tolerance = length_tolerance
-        self.max_attempts = _positive_int("max_attempts", max_attempts)
+        self.max_attempts = positive_int("max_attempts", max_attempts)
         self.max_depth = max_depth
         self.template = template
         self._grammar_rules = grammar.rule_set()
@@ -430,7 +423,7 @@ class ServiceGenerator:
     Sentence (a token holding an ASCII parenthesis, say) is dropped; a reply
     with no line left is an ``empty_generation`` error.  Bearer auth comes
     from ``token_env``.  A simple client-side token bucket enforces
-    ``requests_per_minute``.
+    ``requests_per_minute`` (0 means no limit).
     """
 
     name = "service"
@@ -456,7 +449,13 @@ class ServiceGenerator:
         self.temperature = temperature
         self.seed = seed
         self.timeout = timeout
-        self.max_attempts = _positive_int("max_attempts", max_attempts)
+        self.max_attempts = positive_int("max_attempts", max_attempts)
+        rate = requests_per_minute
+        number = isinstance(rate, (int, float)) and not isinstance(rate, bool)
+        if not number or not rate >= 0:  # NaN fails ``>=`` too
+            raise ConfigError(
+                f"'requests_per_minute' must be a number >= 0, got {rate!r}"
+            )
         self.requests_per_minute = requests_per_minute
         self.session = session or requests.Session()
         self._sleep = sleep

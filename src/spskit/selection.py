@@ -3,15 +3,16 @@
 Three signal levels: token distribution, parser confidence, and syntactic
 rules.  Distribution-based kinds score a candidate as its instance distance
 D(c, S) = JS(S, S + {c}) to a reference corpus: the source treebank for
-``token`` and ``srs``, the rule-converted target treebank for ``csrs``.
+``token`` and ``srs``, the rule-converted target treebank for ``csrs``.  The
+kind alone fixes the reference and how a candidate is featurized (``KINDS``).
 ``conf`` scores negated confidence so that lower is always better.  The
 combined kinds (``srs_conf``, ``csrs_conf``) first keep the
 ``prefilter_multiplier * k`` best candidates by rule score, then pick the k
-most confident among them; a weighted-sum combination is available for
-ablations.  Candidates that received the parser's fallback tree (confidence
-0) carry no usable structure and are dropped before scoring.  A candidate's
-distance depends only on the reference and its feature multiset, so ``score``
-computes it once per distinct multiset and reuses it for the rest.
+most confident among them.  Candidates that received the parser's fallback
+tree (confidence 0) carry no usable structure and are dropped before scoring.
+A candidate's distance depends only on the reference and its feature
+multiset, so ``score`` computes it once per distinct multiset and reuses it
+for the rest.
 
 All orderings are total and deterministic: ties break by confidence (higher
 first), then the token sequence, then the serialized tree.
@@ -22,7 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, positive_int
 from .rules import candidate_features, instance_distance
 from .treebank import serialize
 
@@ -30,13 +31,15 @@ __all__ = ["CriterionConfig", "SelectionRefs", "score", "select_top_k", "select"
 
 log = logging.getLogger(__name__)
 
-KINDS = ("token", "conf", "srs", "srs_conf", "csrs", "csrs_conf")
-RULE_KIND_REFERENCE = {
-    "token": "source_tokens",
-    "srs": "source_rules",
-    "srs_conf": "source_rules",
-    "csrs": "converted_target_rules",
-    "csrs_conf": "converted_target_rules",
+# Each kind's reference (a ``SelectionRefs`` field) and the featurization its
+# candidates and that reference share; ``conf`` reads neither.
+KINDS = {
+    "token": ("source_tokens", "tokens"),
+    "conf": (None, None),
+    "srs": ("source_rules", "rules"),
+    "srs_conf": ("source_rules", "rules"),
+    "csrs": ("converted_target_rules", "rules"),
+    "csrs_conf": ("converted_target_rules", "rules"),
 }
 
 
@@ -45,29 +48,31 @@ class CriterionConfig:
     kind: str
     k: int = 2000
     prefilter_multiplier: int = 2
-    reference: str | None = None   # override the kind's default reference
-    combine: str = "prefilter"     # or "weighted", for the combined kinds
-    conf_weight: float = 0.5
-    exclude_labels: tuple = ()
+    exclude_labels: tuple = ()  # rule child labels the whole run leaves out
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown criterion kind {self.kind!r}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.prefilter_multiplier < 1:
-            raise ConfigError("prefilter_multiplier must be >= 1")
-        if self.combine not in ("prefilter", "weighted"):
-            raise ConfigError(f"unknown combine mode {self.combine!r}")
-        if not 0.0 <= self.conf_weight <= 1.0:
-            raise ConfigError("conf_weight must be in [0, 1]")
+        positive_int("k", self.k)
+        positive_int("prefilter_multiplier", self.prefilter_multiplier)
+        labels = self.exclude_labels
+        if not isinstance(labels, (list, tuple)) or not all(
+            isinstance(label, str) for label in labels
+        ):
+            raise ConfigError(
+                f"'exclude_labels' must be a list of strings, got {labels!r}"
+            )
+        object.__setattr__(self, "exclude_labels", tuple(labels))
 
     @property
     def reference_name(self):
         """The ``SelectionRefs`` field this criterion scores against; None for conf."""
-        if self.kind == "conf":
-            return None
-        return self.reference or RULE_KIND_REFERENCE[self.kind]
+        return KINDS[self.kind][0]
+
+    @property
+    def mode(self):
+        """How a candidate is featurized: "tokens" or "rules"; None for conf."""
+        return KINDS[self.kind][1]
 
 
 @dataclass
@@ -79,7 +84,7 @@ class SelectionRefs:
     converted_target_rules: object = None
 
     def get(self, name):
-        value = getattr(self, name, None)
+        value = getattr(self, name)
         if value is None:
             raise ConfigError(f"missing reference distribution {name!r}")
         return value
@@ -97,10 +102,10 @@ def score(candidates, cfg, refs):
     selection.
     """
     usable = [c for c in candidates if c.confidence > 0.0]
-    if cfg.kind == "conf":
+    mode = cfg.mode
+    if mode is None:
         return [(c, -c.confidence) for c in usable]
     reference = refs.get(cfg.reference_name)
-    mode = "tokens" if cfg.kind == "token" else "rules"
     # The distance depends only on the reference and the candidate's feature
     # multiset, so it is computed once per distinct multiset.
     distances = {}
@@ -120,30 +125,21 @@ def score(candidates, cfg, refs):
 def select_top_k(scored, cfg):
     """Top-K per the criterion; deterministic and permutation-invariant.
 
-    Plain kinds take the k lowest scores.  Combined kinds with the default
-    prefilter keep ``prefilter_multiplier * k`` candidates by rule score and
-    then the k highest confidences among them; in weighted mode the two
-    signals are mixed into one score first.  Asking for more than is
-    available returns everything, with a warning.
+    Plain kinds take the k lowest scores.  Combined kinds keep
+    ``prefilter_multiplier * k`` candidates by rule score and then the k
+    highest confidences among them.  Asking for more than is available
+    returns everything, with a warning.
     """
     scored = list(scored)
     if not scored:
         return []
-
-    combined = cfg.kind in ("srs_conf", "csrs_conf")
-    if combined and cfg.combine == "weighted":
-        scored = [
-            (c, (1.0 - cfg.conf_weight) * s + cfg.conf_weight * (1.0 - c.confidence))
-            for c, s in scored
-        ]
-        combined = False
 
     by_score = sorted(scored, key=lambda pair: (pair[1],) + _candidate_key(pair[0]))
     if len(scored) < cfg.k:
         log.warning(
             "requested top %d but only %d candidates are scorable", cfg.k, len(scored)
         )
-    if not combined:
+    if not cfg.kind.endswith("_conf"):
         return [c for c, _ in by_score[: cfg.k]]
 
     shortlist = by_score[: cfg.prefilter_multiplier * cfg.k]

@@ -67,7 +67,6 @@ class Experiment:
     exclude_sentences: tuple = ()  # e.g. test sets, barred like the dev sets
     prompt_config: PromptConfig = field(default_factory=PromptConfig)
     score_options: ScoreOptions = field(default_factory=ScoreOptions)
-    rule_exclude_labels: tuple = ()
     update_reference: bool = False
     out_dir: str | None = None
 
@@ -85,7 +84,10 @@ class Experiment:
             raise ConfigError("pool_size must be >= 1")
         if not self.source_trees:
             raise ConfigError("source treebank is empty")
-        if self.criterion.kind.startswith("csrs") and not self.converted_target_trees:
+        if (
+            self.criterion.reference_name == "converted_target_rules"
+            and not self.converted_target_trees
+        ):
             raise ConfigError(
                 f"criterion {self.criterion.kind!r} needs converted_target_trees"
             )
@@ -106,7 +108,6 @@ class Experiment:
                 "include_pos": self.score_options.include_pos,
                 "exclude_labels": sorted(self.score_options.exclude_labels),
             },
-            "rule_exclude_labels": sorted(self.rule_exclude_labels),
             "update_reference": self.update_reference,
             "parser_backend": getattr(self.parser_backend, "name", "custom"),
             "generator_backend": getattr(self.generator_backend, "name", "custom"),
@@ -182,26 +183,25 @@ def _sentence_key(sentence):
     return tuple(sentence.tokens)
 
 
-def build_refs(cfg, source_trees=None, converted_target_trees=None, exclude_labels=()):
+def build_refs(cfg, source_trees=None, converted_target_trees=None):
     """The reference distribution the criterion ``cfg`` draws on.
 
-    Only that one reference is built: the token or rule distribution of
-    ``source_trees``, or the rule distribution of ``converted_target_trees``
-    (none for ``conf``).  When its corpus is not given it stays None, so
-    scoring fails with a ConfigError naming it.
+    Only that one reference is built, featurized as ``cfg`` featurizes its
+    candidates: the token or rule distribution of ``source_trees``, or the
+    rule distribution of ``converted_target_trees`` (none for ``conf``).
+    Rules leave out ``cfg.exclude_labels``.  When the corpus is not given the
+    reference stays None, so scoring fails with a ConfigError naming it.
     """
     refs = SelectionRefs()
     name = cfg.reference_name
-    corpus = {
-        "source_tokens": source_trees,
-        "source_rules": source_trees,
-        "converted_target_rules": converted_target_trees,
-    }.get(name)
-    if corpus:
-        if name == "source_tokens":
+    corpus = source_trees
+    if name == "converted_target_rules":
+        corpus = converted_target_trees
+    if name and corpus:
+        if cfg.mode == "tokens":
             counts = token_counts(corpus)
         else:
-            counts = extract_corpus_rules(corpus, exclude_labels=exclude_labels)
+            counts = extract_corpus_rules(corpus, exclude_labels=cfg.exclude_labels)
         setattr(refs, name, RuleDistribution(counts))
     return refs
 
@@ -366,7 +366,6 @@ def run(experiment, resume=False):
             experiment.criterion,
             train_set if experiment.update_reference else experiment.source_trees,
             experiment.converted_target_trees,
-            experiment.rule_exclude_labels,
         )
 
     refs = current_refs()
@@ -392,7 +391,7 @@ def run(experiment, resume=False):
             folded = len(stats.lengths) if stats else 0
             stats = corpus_stats(
                 train_set[folded:],
-                exclude_labels=experiment.rule_exclude_labels,
+                exclude_labels=experiment.criterion.exclude_labels,
                 base=stats,
             )
             pool, _ = build_pool(

@@ -1,9 +1,17 @@
+import dataclasses
 import hashlib
 import json
+import pathlib
+import re
 
 import pytest
 
+from spskit import cli
 from spskit.cli import build_parser, main
+from spskit.evaluation import ScoreOptions
+from spskit.generator import PromptConfig
+from spskit.parser import TrainConfig
+from spskit.selection import CriterionConfig
 from spskit.synthetic import sample_corpus, source_grammar, target_grammar
 from spskit.treebank import read_treebank, write_treebank
 
@@ -357,6 +365,24 @@ class TestPipeline:
         assert "missing reference distribution" in capsys.readouterr().err
         assert not (tmp_path / "selected.txt").exists()
 
+    @pytest.mark.parametrize("bad", ["x", "nan", "1.5"])
+    def test_select_names_the_line_of_a_bad_confidence(self, tmp_path, capsys, bad):
+        candidates = tmp_path / "candidates.txt"
+        candidates.write_text(
+            "(s (subj (n a)) (pred (v b)))\n(s (subj (n c)) (pred (v d)))\n",
+            encoding="utf-8",
+        )
+        confidences = tmp_path / "conf.txt"
+        confidences.write_text(f"0.5\n\n{bad}\n", encoding="utf-8")
+        code = main(
+            ["select", "--candidates", str(candidates),
+             "--confidences", str(confidences), "--criterion", "conf", "--k", "1",
+             "--output", str(tmp_path / "selected.txt")]
+        )
+        assert code == 1
+        assert f"spskit: error: {confidences}:3: " in capsys.readouterr().err
+        assert not (tmp_path / "selected.txt").exists()
+
 
 class TestSelfTrainCommand:
     def make_config(self, tmp_path, seeds=None):
@@ -430,12 +456,24 @@ class TestSelfTrainCommand:
             (None, 4.5, "iterations"),
             (None, None, "pool_size"),
             (None, "no", "update_reference"),
-            (None, 5, "rule_exclude_labels"),
+            ("criterion", {"kind": "csrs", "exclude_labels": "adv"}, "exclude_labels"),
+            ("criterion", {"kind": "csrs", "k": 2.5}, "k"),
             (None, 3, "exclude"),
             ("generator", {"backend": "service", "endpoint": "http://localhost:1",
                            "max_attempts": 0}, "max_attempts"),
+            ("generator", {"backend": "service", "endpoint": "http://localhost:1",
+                           "requests_per_minute": "60"}, "requests_per_minute"),
             ("generator", {"batch_size": 0}, "batch_size"),
             ("generator", {"guide_probability": 5}, "guide_probability"),
+            # not settings: the kind alone fixes the reference and how the
+            # combined kinds combine, and the criterion's exclude_labels is the
+            # run's one exclude-label list
+            ("criterion", {"kind": "srs", "reference": "converted_target_rules"},
+             "reference"),
+            ("criterion", {"kind": "csrs_conf", "combine": "weighted"}, "combine"),
+            ("criterion", {"kind": "csrs_conf", "conf_weight": 0.5}, "conf_weight"),
+            (None, ["adv"], "rule_exclude_labels"),
+            ("prompt", {"template_id": "default"}, "template_id"),
         ],
         ids=[
             "top-level-typo",
@@ -449,11 +487,18 @@ class TestSelfTrainCommand:
             "iterations-a-float",
             "pool-size-null",
             "update-reference-a-string",
-            "rule-exclude-labels-not-a-list",
+            "criterion-labels-a-string",
+            "criterion-k-a-float",
             "exclude-not-a-list",
             "service-max-attempts-zero",
+            "service-requests-per-minute-string",
             "mock-batch-size-zero",
             "mock-guide-probability-five",
+            "criterion-reference-removed",
+            "criterion-combine-removed",
+            "criterion-conf-weight-removed",
+            "rule-exclude-labels-removed",
+            "prompt-template-id-removed",
         ],
     )
     def test_bad_run_config_is_a_data_error(
@@ -484,3 +529,30 @@ class TestSelfTrainCommand:
         text = capsys.readouterr().out
         assert "tgt F1" in text
         assert "spskit:summary" in text
+
+
+def test_readme_run_config_table_matches_the_code():
+    # The README's run-config table lists exactly the top-level keys the CLI
+    # accepts and exactly the fields of each section's class.
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("Run-config keys.", 1)[1].split("\n\n")[1]
+    classes = {
+        "criterion": CriterionConfig,
+        "parser": TrainConfig,
+        "prompt": PromptConfig,
+        "score": ScoreOptions,
+    }
+    top, sections = set(), {}
+    for row in table.splitlines()[2:]:
+        cell = row.split("|")[1]
+        if " keys for " in cell:
+            continue  # a generator backend's keys
+        head, is_section, fields = cell.partition(" section:")
+        names = re.findall(r"`(\w+)`", head)
+        top.update(names)
+        if is_section:
+            sections[names[0]] = set(re.findall(r"`(\w+)`", fields))
+    assert top == cli._RUN_KEYS
+    for name, cls in classes.items():
+        assert sections[name] == {f.name for f in dataclasses.fields(cls)}, name

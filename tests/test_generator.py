@@ -605,6 +605,11 @@ class TestServiceGenerator:
             gen.generate(_spec())
         assert "empty_generation" in str(err.value)
 
+    @pytest.mark.parametrize("rate", [-1, "60", True, float("nan")])
+    def test_a_bad_rate_limit_is_a_config_error(self, rate):
+        with pytest.raises(ConfigError, match="'requests_per_minute'"):
+            ServiceGenerator("http://stub/complete", requests_per_minute=rate)
+
     def test_rate_limiter_spaces_requests(self, stub_server):
         sleeps = []
         gen = ServiceGenerator(

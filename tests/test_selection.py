@@ -222,6 +222,28 @@ class TestSelectTopK:
         with pytest.raises(ConfigError):
             CriterionConfig(kind="conf", k=0)
 
+    @pytest.mark.parametrize(
+        "settings, named",
+        [
+            ({"k": 2.5}, "k"),
+            ({"k": True}, "k"),
+            ({"k": "3"}, "k"),
+            ({"prefilter_multiplier": 0}, "prefilter_multiplier"),
+            ({"prefilter_multiplier": 1.0}, "prefilter_multiplier"),
+            ({"exclude_labels": "adv"}, "exclude_labels"),
+            ({"exclude_labels": ["adv", 3]}, "exclude_labels"),
+            ({"kind": "weighted"}, "weighted"),
+        ],
+    )
+    def test_bad_settings_rejected_at_construction(self, settings, named):
+        with pytest.raises(ConfigError, match=repr(named)):
+            CriterionConfig(**{"kind": "srs", **settings})
+
+    def test_exclude_labels_stored_as_a_tuple(self):
+        cfg = CriterionConfig(kind="srs", exclude_labels=["adv", "w"])
+        assert cfg.exclude_labels == ("adv", "w")
+        assert hash(cfg) == hash(CriterionConfig(kind="srs", exclude_labels=("adv", "w")))
+
     def test_short_pool_returns_all_with_warning(self, refs, caplog):
         pool = [pseudo("(s (subj (n a)) (pred (v b)))", 0.4)]
         cfg = CriterionConfig(kind="conf", k=10)
@@ -270,16 +292,6 @@ class TestSelectTopK:
             [low_dist_low_conf, low_dist_high_conf, high_dist_high_conf], cfg, refs
         )
         assert chosen == [low_dist_high_conf]
-
-    def test_weighted_combine_mode(self, refs):
-        pool = [
-            pseudo("(s (subj (n a)) (pred (v b)))", 0.1),
-            pseudo("(s (zz (n a)) (yy (v b)))", 0.99),
-        ]
-        axis = CriterionConfig(kind="csrs_conf", k=1, combine="weighted", conf_weight=1.0)
-        assert select(pool, axis, refs)[0].confidence == 0.99
-        axis = CriterionConfig(kind="csrs_conf", k=1, combine="weighted", conf_weight=0.0)
-        assert select(pool, axis, refs)[0].confidence == 0.1
 
     def test_scale_invariance_of_selected_set(self, refs):
         # Exact scale invariance only holds asymptotically (finite-size

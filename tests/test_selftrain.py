@@ -179,21 +179,20 @@ class TestLeakageExclusion:
 
 class TestBuildRefs:
     @pytest.mark.parametrize(
-        "criterion, built",
+        "kind, built",
         [
-            (CriterionConfig(kind="token"), "source_tokens"),
-            (CriterionConfig(kind="srs_conf"), "source_rules"),
-            (CriterionConfig(kind="csrs"), "converted_target_rules"),
-            (CriterionConfig(kind="srs", reference="converted_target_rules"),
-             "converted_target_rules"),
-            (CriterionConfig(kind="conf"), None),
+            ("token", "source_tokens"),
+            ("srs_conf", "source_rules"),
+            ("csrs", "converted_target_rules"),
+            ("conf", None),
         ],
-        ids=["token", "srs_conf", "csrs", "srs-reference-override", "conf"],
+        ids=["token", "srs_conf", "csrs", "conf"],
     )
-    def test_only_the_reference_the_criterion_reads_is_built(self, criterion, built):
+    def test_only_the_reference_the_criterion_reads_is_built(self, kind, built):
         exp = small_experiment()
+        criterion = CriterionConfig(kind=kind, exclude_labels=("adv",))
         refs = selftrain.build_refs(
-            criterion, exp.source_trees, exp.converted_target_trees, ("adv",)
+            criterion, exp.source_trees, exp.converted_target_trees
         )
         expected = {
             "source_tokens": token_counts(exp.source_trees),
@@ -212,13 +211,41 @@ class TestBuildRefs:
     def test_a_reference_without_its_corpus_is_missing(self):
         exp = small_experiment()
         candidates = [PseudoTree(t.sentence(), t, 0.5) for t in exp.source_trees[:3]]
-        for criterion, source in (
-            (CriterionConfig(kind="srs"), None),
-            (CriterionConfig(kind="srs", reference="bogus"), exp.source_trees),
+        for criterion, source, converted in (
+            (CriterionConfig(kind="srs"), None, exp.converted_target_trees),
+            (CriterionConfig(kind="csrs"), exp.source_trees, None),
         ):
-            refs = selftrain.build_refs(criterion, source, exp.converted_target_trees)
+            refs = selftrain.build_refs(criterion, source, converted)
             with pytest.raises(ConfigError, match="missing reference distribution"):
                 score(candidates, criterion, refs)
+
+
+class TestExcludeLabels:
+    def test_one_list_reaches_stats_reference_and_candidates(self, monkeypatch):
+        # The criterion's exclude_labels is the run's only exclude-label list:
+        # the prompt stats, the reference and the candidate features all get it.
+        seen = set()
+
+        def stats(trees, exclude_labels=(), base=None):
+            seen.add(("stats", exclude_labels))
+            return corpus_stats(trees, exclude_labels=exclude_labels, base=base)
+
+        def reference(trees, exclude_labels=()):
+            seen.add(("reference", exclude_labels))
+            return extract_corpus_rules(trees, exclude_labels=exclude_labels)
+
+        def candidates(pool, cfg, refs):
+            seen.add(("candidates", cfg.exclude_labels))
+            return score(pool, cfg, refs)
+
+        monkeypatch.setattr(selftrain, "corpus_stats", stats)
+        monkeypatch.setattr(selftrain, "extract_corpus_rules", reference)
+        monkeypatch.setattr(selftrain, "score", candidates)
+        criterion = CriterionConfig(kind="csrs", k=10, exclude_labels=["adv"])
+        run(small_experiment(iterations=2, criterion=criterion))
+        assert seen == {
+            ("stats", ("adv",)), ("reference", ("adv",)), ("candidates", ("adv",))
+        }
 
 
 class TestIncrementalStats:
@@ -234,11 +261,10 @@ class TestIncrementalStats:
             return stats
 
         monkeypatch.setattr(selftrain, "corpus_stats", recording)
-        exp = small_experiment(
-            seed=seed,
-            iterations=3,
-            out_dir=str(tmp_path),
-            rule_exclude_labels=exclude_labels,
+        exp = small_experiment(seed=seed, iterations=3, out_dir=str(tmp_path))
+        exp = dataclasses.replace(
+            exp,
+            criterion=dataclasses.replace(exp.criterion, exclude_labels=exclude_labels),
         )
         run(exp)
         assert len(seen) == 3
