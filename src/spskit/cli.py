@@ -404,6 +404,12 @@ def _build_experiment(config, seed_override=None, out_dir_override=None):
         _check_inputs(path)
         exclude.extend(t.sentence() for t in read_treebank(path))
 
+    seeds = config.get("seeds")
+    if seeds is not None and (
+        not isinstance(seeds, list)
+        or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
+    ):
+        raise ConfigError(f"'seeds' must be a list of integers, got {seeds!r}")
     seed = seed_override if seed_override is not None else config.get("seed", 0)
     options = {
         key: config[key]

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit, and the settings check they share."""
+"""Exception types shared across the toolkit, and the settings checks they share."""
+
+import math
 
 
 class SpsError(Exception):
@@ -62,8 +64,25 @@ class ConfigError(SpsError):
     """A run or criterion configuration violates its invariants."""
 
 
+def int_at_least(key, value, low):
+    """``value`` if an int >= ``low`` and not a bool, else a ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key!r} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def positive_int(key, value):
     """``value`` if an int >= 1 and not a bool, else a ConfigError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key!r} must be an integer >= 1, got {value!r}")
+    return int_at_least(key, value, 1)
+
+
+def non_negative_number(key, value):
+    """``value`` if a finite int or float >= 0 and not a bool, else a ConfigError."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value < 0
+    ):
+        raise ConfigError(f"{key!r} must be a finite number >= 0, got {value!r}")
     return value

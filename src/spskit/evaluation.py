@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import TokenMismatchError
+from .errors import ConfigError, TokenMismatchError
 from .treebank import write_text_atomic
 
 __all__ = ["ScoreOptions", "ScoreReport", "spans", "score_pair", "score_corpus"]
@@ -27,7 +27,15 @@ class ScoreOptions:
     exclude_labels: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "exclude_labels", frozenset(self.exclude_labels))
+        labels = self.exclude_labels
+        # A bare string would be read as its characters, one label each.
+        if not isinstance(labels, (list, tuple, set, frozenset)) or not all(
+            isinstance(label, str) for label in labels
+        ):
+            raise ConfigError(
+                f"'exclude_labels' must be a list of strings, got {labels!r}"
+            )
+        object.__setattr__(self, "exclude_labels", frozenset(labels))
 
 
 def spans(tree, opts=ScoreOptions()):

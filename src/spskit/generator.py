@@ -32,7 +32,13 @@ from importlib import resources
 
 import requests
 
-from .errors import ConfigError, GenerationError, positive_int
+from .errors import (
+    ConfigError,
+    GenerationError,
+    int_at_least,
+    non_negative_number,
+    positive_int,
+)
 from .rules import SyntacticRule, extract_corpus_rules, format_rule
 from .seeding import substream
 from .treebank import Sentence
@@ -89,6 +95,15 @@ class PromptConfig:
     max_rules: int = 8
     rule_count_mean: float | None = None   # None -> max_rules / 2
     example_count: int = 3
+
+    def __post_init__(self):
+        int_at_least("min_length", self.min_length, 2)  # PromptSpec's floor
+        positive_int("max_rules", self.max_rules)
+        positive_int("example_count", self.example_count)
+        for key in ("length_sigma", "rule_count_mean"):
+            value = getattr(self, key)
+            if value is not None:
+                non_negative_number(key, value)
 
 
 @dataclass(frozen=True)

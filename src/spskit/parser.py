@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, int_at_least, non_negative_number
 from .rules import SyntacticRule
 from .treebank import ParseTree, Sentence, validate_tree, write_text_atomic
 
@@ -59,6 +59,10 @@ PROB_TOL = 1e-6
 class TrainConfig:
     alpha: float = 0.01
     unk_threshold: int = 1
+
+    def __post_init__(self):
+        non_negative_number("alpha", self.alpha)
+        int_at_least("unk_threshold", self.unk_threshold, 0)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ The transfer runs in three stages over each tree:
 Each stage edits one mutable working tree in place, and merged leaves carry
 their provenance on it.  ``transfer_corpus`` converts each tree to that form
 once, runs all three stages on it and converts it back once; the public stage
-functions convert only at their own boundary.
+functions convert only at their own boundary.  Converting back returns the
+input's own node for every subtree the stages left unchanged.
 
 All operations require standard treebank form: every token sits alone under a
 preterminal node.  Merges only join leaves whose preterminals share a parent,
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .treebank import ParseTree, write_text_atomic
@@ -171,25 +173,30 @@ class TransferReport:
 
 
 # Mutable working form: _Unit is a preterminal (POS label over one token) and
-# carries merge provenance; _Branch mirrors internal structure.
+# carries merge provenance; _Branch mirrors internal structure.  Both keep the
+# ParseTree they were read from (``source``; None for units a split or the
+# word-first undo made), so that _to_tree can hand back unchanged subtrees
+# instead of rebuilding them.
 
 
 class _Unit:
-    __slots__ = ("label", "token", "parts", "part_pos")
+    __slots__ = ("label", "token", "parts", "part_pos", "source")
 
-    def __init__(self, label, token, parts=None, part_pos=None):
+    def __init__(self, label, token, parts=None, part_pos=None, source=None):
         self.label = label
         self.token = token
         self.parts = parts        # tuple of constituent tokens when merged
         self.part_pos = part_pos  # their POS labels, aligned with parts
+        self.source = source
 
 
 class _Branch:
-    __slots__ = ("label", "children")
+    __slots__ = ("label", "children", "source")
 
-    def __init__(self, label, children):
+    def __init__(self, label, children, source):
         self.label = label
         self.children = children
+        self.source = source
 
 
 def _to_mutable(tree):
@@ -199,7 +206,7 @@ def _to_mutable(tree):
                 f"node {tree.label!r} holds {len(tree.children)} tokens; "
                 "segmentation requires one token per preterminal"
             )
-        return _Unit(tree.label, tree.children[0])
+        return _Unit(tree.label, tree.children[0], source=tree)
     children = []
     for child in tree.children:
         if isinstance(child, str):
@@ -208,13 +215,26 @@ def _to_mutable(tree):
                 "segmentation requires one token per preterminal"
             )
         children.append(_to_mutable(child))
-    return _Branch(tree.label, children)
+    return _Branch(tree.label, children, tree)
 
 
 def _to_tree(node):
+    """The ParseTree of a working node, reusing every unchanged source node.
+
+    No stage edits a label, so a unit is unchanged when its token is, and a
+    branch when its rebuilt children are exactly its source's children.
+    """
+    source = node.source
     if isinstance(node, _Unit):
+        if source is not None and source.children[0] == node.token:
+            return source
         return ParseTree(node.label, (node.token,))
-    return ParseTree(node.label, tuple(_to_tree(c) for c in node.children))
+    children = tuple(_to_tree(c) for c in node.children)
+    if len(children) == len(source.children) and all(
+        map(operator.is_, children, source.children)
+    ):
+        return source
+    return ParseTree(node.label, children)
 
 
 def _units(root):
@@ -287,12 +307,16 @@ def _commit_merge(units, i, extra):
     unit.part_pos = part_pos
 
 
-def _edit_sweeps(root, lex, lookahead, word_first):
-    """Run merge sweeps to fixpoint; returns the number of commits."""
+def _edit_sweeps(units, lex, lookahead, word_first):
+    """Run merge sweeps over ``units`` (from _units) to fixpoint.
+
+    _commit_merge keeps ``units`` in step with the tree, so one leaf walk
+    serves every sweep and the caller's flag sweep.  Returns the number of
+    commits.
+    """
     merged = 0
     while True:
         before = merged
-        units = _units(root)
         i = 0
         while i < len(units):
             token = units[i][0].token
@@ -306,9 +330,8 @@ def _edit_sweeps(root, lex, lookahead, word_first):
             return merged
 
 
-def _flag_sweep(root, lex, lookahead, word_first, tree_index, report):
-    """Collect flags and merge records from a tree at merge fixpoint."""
-    units = _units(root)
+def _flag_sweep(units, lex, lookahead, word_first, tree_index, report):
+    """Collect flags and merge records from a tree's units at merge fixpoint."""
     for i, (unit, _) in enumerate(units):
         token = unit.token
         if unit.parts is not None:
@@ -369,16 +392,16 @@ def _word_first_segment(parts, part_pos, lex, lookahead):
     return pieces
 
 
-def _resolve(root, lex, lookahead, tree_index, report, origins):
+def _resolve(units, lex, lookahead, tree_index, report, origins):
     """The word-first pass on a tree whose merged units carry provenance.
 
     Undoes every merged unit whose first part is a lexicon word, last unit
     first so that leaf indices stay valid, then runs the word-first sweeps
-    and the flag sweep.  An undone merge is reported under the tree index
+    and the flag sweep.  ``units`` (from _units) is kept in step with the
+    tree throughout.  An undone merge is reported under the tree index
     ``origins`` gives for its leaf, else ``tree_index``.  Returns the number
     of merges the sweeps commit.
     """
-    units = _units(root)
     for i in range(len(units) - 1, -1, -1):
         unit, container = units[i]
         if unit.parts is None or unit.parts[0] not in lex:
@@ -386,13 +409,13 @@ def _resolve(root, lex, lookahead, tree_index, report, origins):
         report.misaligned.append((origins.get(i, tree_index), i, unit.token))
         if container is None:
             raise ValueError("cannot split back a single-node tree")
+        pieces = _word_first_segment(unit.parts, unit.part_pos, lex, lookahead)
         pos = container.children.index(unit)
-        container.children[pos:pos + 1] = _word_first_segment(
-            unit.parts, unit.part_pos, lex, lookahead
-        )
+        container.children[pos:pos + 1] = pieces
+        units[i:i + 1] = [(piece, container) for piece in pieces]
         report.split += 1
-    merged = _edit_sweeps(root, lex, lookahead, word_first=True)
-    _flag_sweep(root, lex, lookahead, True, tree_index, report)
+    merged = _edit_sweeps(units, lex, lookahead, word_first=True)
+    _flag_sweep(units, lex, lookahead, True, tree_index, report)
     return merged
 
 
@@ -424,9 +447,10 @@ def merge_pass(tree, lex, tree_index=0, lookahead=DEFAULT_LOOKAHEAD):
     """
     _check_lookahead(lookahead)
     root = _to_mutable(tree)
+    units = _units(root)
     report = TransferReport()
-    report.merged = _edit_sweeps(root, lex, lookahead, word_first=False)
-    _flag_sweep(root, lex, lookahead, False, tree_index, report)
+    report.merged = _edit_sweeps(units, lex, lookahead, word_first=False)
+    _flag_sweep(units, lex, lookahead, False, tree_index, report)
     return _to_tree(root), report
 
 
@@ -463,7 +487,7 @@ def resolve_ambiguous(
         unit.part_pos = tuple(record.pos_labels)
         origins[record.leaf_index] = record.tree_index
     report = TransferReport()
-    report.merged = _resolve(root, lex, lookahead, tree_index, report, origins)
+    report.merged = _resolve(units, lex, lookahead, tree_index, report, origins)
     return _to_tree(root), report
 
 
@@ -484,7 +508,8 @@ def transfer_corpus(
         root = _to_mutable(tree)
         if split_table is not None:
             report.split += _split(root, split_table)
-        report.merged += _edit_sweeps(root, lex, lookahead, word_first=False)
-        report.merged += _resolve(root, lex, lookahead, index, report, {})
+        units = _units(root)
+        report.merged += _edit_sweeps(units, lex, lookahead, word_first=False)
+        report.merged += _resolve(units, lex, lookahead, index, report, {})
         out.append(_to_tree(root))
     return out, report

@@ -71,7 +71,7 @@ class Experiment:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("iterations", "pool_size"):
+        for name in ("iterations", "pool_size", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name!r} must be an integer, got {value!r}")

@@ -1,11 +1,15 @@
 """Bracketed syntax trees with a partitioned SPS/POS label inventory.
 
 Trees are immutable: a ParseTree is a labeled node whose children are either
-ParseTree nodes or bare token strings (leaves).  The interchange format is
-Penn-style bracketing, one tree per line, UTF-8, single-space separated.
-Tokens must not contain whitespace or ASCII parentheses (CJK corpora use the
-full-width variants, so this costs nothing in practice); ParseTree and
-Sentence reject such tokens, so every tree re-reads from its bracketing.
+ParseTree nodes or bare token strings (leaves).  Tree transforms therefore
+return the input's own nodes wherever they change nothing
+(``normalize_pos_nodes`` here, segmentation transfer in ``segmentation``), so
+outputs share their unchanged subtrees with their inputs.  The interchange
+format is Penn-style bracketing, one tree per line, UTF-8, single-space
+separated.  Tokens must not contain whitespace or ASCII parentheses (CJK
+corpora use the full-width variants, so this costs nothing in practice);
+ParseTree and Sentence reject such tokens, so every tree re-reads from its
+bracketing.
 """
 
 from __future__ import annotations
@@ -244,6 +248,7 @@ def normalize_pos_nodes(tree, inventory):
     its place in the parent.  POS nodes directly above a token are kept.
     A deletable root with a single child is replaced by that child; with
     several children there is nowhere to promote them, which is an error.
+    Subtrees with nothing to splice are returned as they are, not copied.
     """
 
     def deletable(node):
@@ -253,16 +258,19 @@ def normalize_pos_nodes(tree, inventory):
 
     def walk(node):
         new_children = []
+        changed = False
         for child in node.children:
             if isinstance(child, str):
                 new_children.append(child)
                 continue
-            child = walk(child)
-            if deletable(child):
-                new_children.extend(child.children)
+            new = walk(child)
+            if deletable(new):
+                new_children.extend(new.children)
+                changed = True
             else:
-                new_children.append(child)
-        return ParseTree(node.label, tuple(new_children))
+                new_children.append(new)
+                changed = changed or new is not child
+        return ParseTree(node.label, tuple(new_children)) if changed else node
 
     root = walk(tree)
     while deletable(root):

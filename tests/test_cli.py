@@ -474,6 +474,17 @@ class TestSelfTrainCommand:
             ("criterion", {"kind": "csrs_conf", "conf_weight": 0.5}, "conf_weight"),
             (None, ["adv"], "rule_exclude_labels"),
             ("prompt", {"template_id": "default"}, "template_id"),
+            ("score", {"exclude_labels": "adv"}, "exclude_labels"),
+            ("prompt", {"min_length": "2"}, "min_length"),
+            ("prompt", {"max_rules": 0}, "max_rules"),
+            ("prompt", {"example_count": True}, "example_count"),
+            ("prompt", {"length_sigma": float("inf")}, "length_sigma"),
+            ("prompt", {"rule_count_mean": -1}, "rule_count_mean"),
+            ("parser", {"alpha": -1}, "alpha"),
+            ("parser", {"unk_threshold": 1.5}, "unk_threshold"),
+            (None, "7", "seed"),
+            (None, 1.5, "seed"),
+            (None, [1, "a"], "seeds"),
         ],
         ids=[
             "top-level-typo",
@@ -499,6 +510,17 @@ class TestSelfTrainCommand:
             "criterion-conf-weight-removed",
             "rule-exclude-labels-removed",
             "prompt-template-id-removed",
+            "score-labels-a-string",
+            "prompt-min-length-a-string",
+            "prompt-max-rules-zero",
+            "prompt-example-count-a-bool",
+            "prompt-length-sigma-infinite",
+            "prompt-rule-count-mean-negative",
+            "parser-alpha-negative",
+            "parser-unk-threshold-a-float",
+            "seed-a-string",
+            "seed-a-float",
+            "seeds-entry-a-string",
         ],
     )
     def test_bad_run_config_is_a_data_error(

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spskit import segmentation
+from spskit.errors import RootPromotionError
 from spskit.segmentation import (
     Lexicon,
     MergeRecord,
@@ -12,7 +16,13 @@ from spskit.segmentation import (
     split_finest,
     transfer_corpus,
 )
-from spskit.treebank import ParseTree, parse_bracketed, serialize
+from spskit.treebank import (
+    LabelInventory,
+    ParseTree,
+    normalize_pos_nodes,
+    parse_bracketed,
+    serialize,
+)
 
 
 @pytest.fixture
@@ -424,6 +434,19 @@ def staged_transfer(trees, lex, split_table, lookahead):
     return out, report
 
 
+def split_tables(data, trees):
+    """A drawn split table over the trees' leaves, or None."""
+    if not data.draw(st.booleans()):
+        return None
+    leaves = sorted({leaf for tree in trees for leaf in tree.leaves()})
+    entries = {}
+    for key in data.draw(st.lists(st.sampled_from(leaves), unique=True)):
+        cuts = data.draw(st.sets(st.integers(1, max(len(key) - 1, 1))))
+        bounds = [0, *sorted(cuts - {len(key)}), len(key)]
+        entries[key] = [key[a:b] for a, b in zip(bounds, bounds[1:])]
+    return SplitTable(entries)
+
+
 def outcome(fn):
     try:
         return fn()
@@ -441,15 +464,7 @@ class TestTransferMatchesStagedPasses:
     )
     def test_same_trees_and_report(self, trees, words, lookahead, data):
         lex = Lexicon(words)
-        leaves = sorted({leaf for tree in trees for leaf in tree.leaves()})
-        split_table = None
-        if data.draw(st.booleans()):
-            entries = {}
-            for key in data.draw(st.lists(st.sampled_from(leaves), unique=True)):
-                cuts = data.draw(st.sets(st.integers(1, max(len(key) - 1, 1))))
-                bounds = [0, *sorted(cuts - {len(key)}), len(key)]
-                entries[key] = [key[a:b] for a, b in zip(bounds, bounds[1:])]
-            split_table = SplitTable(entries)
+        split_table = split_tables(data, trees)
 
         def actual():
             out, report = transfer_corpus(
@@ -462,3 +477,126 @@ class TestTransferMatchesStagedPasses:
             return out, report.to_dict()
 
         assert outcome(actual) == outcome(expected)
+
+
+def rebuilt_tree(node):
+    """Reference for ``_to_tree``: every working node rebuilt, nothing shared."""
+    if isinstance(node, segmentation._Unit):
+        return ParseTree(node.label, (node.token,))
+    return ParseTree(node.label, tuple(rebuilt_tree(c) for c in node.children))
+
+
+def rebuilt_normalization(tree, inventory):
+    """Reference for ``normalize_pos_nodes``: every node rebuilt, nothing shared."""
+
+    def deletable(node):
+        return node.label in inventory.pos_labels and not any(
+            isinstance(c, str) for c in node.children
+        )
+
+    def walk(node):
+        new_children = []
+        for child in node.children:
+            if isinstance(child, str):
+                new_children.append(child)
+                continue
+            child = walk(child)
+            if deletable(child):
+                new_children.extend(child.children)
+            else:
+                new_children.append(child)
+        return ParseTree(node.label, tuple(new_children))
+
+    root = walk(tree)
+    while deletable(root):
+        if len(root.children) > 1:
+            raise RootPromotionError("multi-child deletable root")
+        root = root.children[0]
+    return root
+
+
+def every_transfer(trees, lex, split_table, lookahead):
+    """Serialized trees and reports of transfer_corpus and each public stage."""
+    out, report = transfer_corpus(
+        trees, lex, split_table=split_table, lookahead=lookahead
+    )
+    results = [[serialize(t) for t in out], report.to_dict()]
+    for index, tree in enumerate(trees):
+        if split_table is not None:
+            tree = split_finest(tree, split_table)
+            results.append(serialize(tree))
+        merged, first = merge_pass(tree, lex, tree_index=index, lookahead=lookahead)
+        final, second = resolve_ambiguous(
+            merged, lex, merges=first.merges, tree_index=index, lookahead=lookahead
+        )
+        results += [serialize(merged), first.to_dict(), serialize(final), second.to_dict()]
+    return results
+
+
+class TestTransformsShareUnchangedNodes:
+    """Sharing the input's unchanged nodes never changes an output byte."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(nested_trees(3), min_size=1, max_size=3),
+        st.sets(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=3),
+        st.data(),
+    )
+    def test_transfer_matches_a_full_rebuild(self, trees, words, lookahead, data):
+        lex = Lexicon(words)
+        split_table = split_tables(data, trees)
+        before = [serialize(t) for t in trees]
+        shared = outcome(lambda: every_transfer(trees, lex, split_table, lookahead))
+        with mock.patch.object(segmentation, "_to_tree", rebuilt_tree):
+            rebuilt = outcome(lambda: every_transfer(trees, lex, split_table, lookahead))
+        assert shared == rebuilt
+        assert [serialize(t) for t in trees] == before
+
+    @settings(max_examples=200)
+    @given(nested_trees(4))
+    def test_normalization_matches_a_full_rebuild(self, tree):
+        # "x" branches are POS nodes over internal nodes: spliced out.
+        inventory = LabelInventory(sps_labels={"s"}, pos_labels={"n", "v", "x"})
+
+        def result(normalize):
+            try:
+                return serialize(normalize(tree, inventory))
+            except RootPromotionError as e:
+                return type(e).__name__
+
+        before = serialize(tree)
+        assert result(normalize_pos_nodes) == result(rebuilt_normalization)
+        assert serialize(tree) == before
+
+    def test_untouched_subtrees_are_the_inputs_own(self, toy_lexicon):
+        tree = parse_bracketed("(s (x (n 武侠) (v 惹)) (x (n 圣诞) (n 节)) (v 到))")
+        untouched, merged_in, verb = tree.children
+        (out,), report = transfer_corpus([tree], toy_lexicon)
+        assert report.merged == 1
+        assert serialize(out) == "(s (x (n 武侠) (v 惹)) (x (n 圣诞节)) (v 到))"
+        assert out.children[0] is untouched
+        assert out.children[2] is verb
+        # The merge's path to the root is new; the input is left as it was.
+        assert out is not tree
+        assert out.children[1] is not merged_in
+        assert serialize(tree) == "(s (x (n 武侠) (v 惹)) (x (n 圣诞) (n 节)) (v 到))"
+
+    def test_a_split_rebuilds_its_path_and_nothing_else(self, toy_lexicon):
+        tree = parse_bracketed("(s (x (n 武侠小说)) (x (v 惹)))")
+        split_in, untouched = tree.children
+        table = SplitTable({"武侠小说": ["武侠", "小说"]})
+        out = split_finest(tree, table)
+        assert serialize(out) == "(s (x (n 武侠) (n 小说)) (x (v 惹)))"
+        assert out.children[1] is untouched
+        assert out is not tree and out.children[0] is not split_in
+        (transferred,), _ = transfer_corpus([tree], toy_lexicon, split_table=table)
+        assert transferred.children[1] is untouched
+
+    def test_a_tree_no_stage_changes_is_returned_as_it_is(self, toy_lexicon):
+        tree = parse_bracketed("(s (x (n 武侠) (v 惹)) (n 到))")
+        assert transfer_corpus([tree], toy_lexicon)[0][0] is tree
+        assert split_finest(tree, SplitTable({})) is tree
+        merged, first = merge_pass(tree, toy_lexicon)
+        assert merged is tree
+        assert resolve_ambiguous(tree, toy_lexicon, merges=first.merges)[0] is tree

@@ -82,7 +82,19 @@ class TestNormalizePosNodes:
         assert normalize_pos_nodes(nested_time_tree, fig_inventory) == flat_time_tree
 
     def test_tree_without_such_nodes_is_unchanged(self, flat_time_tree, fig_inventory):
-        assert normalize_pos_nodes(flat_time_tree, fig_inventory) == flat_time_tree
+        # Not a copy: trees are immutable, so the input itself is the result.
+        assert normalize_pos_nodes(flat_time_tree, fig_inventory) is flat_time_tree
+
+    def test_a_splice_rebuilds_only_its_path_to_the_root(
+        self, nested_time_tree, fig_inventory
+    ):
+        out = normalize_pos_nodes(nested_time_tree, fig_inventory)
+        spliced, comma = nested_time_tree.children
+        assert out is not nested_time_tree
+        assert out.children[0] is spliced.children[0]
+        assert out.children[1] is spliced.children[1]
+        assert out.children[2] is comma
+        assert serialize(nested_time_tree) == "(adv (t (t 昨天) (t 晚上)) (w ，))"
 
     def test_double_nesting_splices_to_fixpoint(self, fig_inventory):
         tree = parse_bracketed("(adv (t (t (t a))))")
