@@ -64,25 +64,32 @@ class ConfigError(SpsError):
     """A run or criterion configuration violates its invariants."""
 
 
-def int_at_least(key, value, low):
-    """``value`` if an int >= ``low`` and not a bool, else a ConfigError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{key!r} must be an integer >= {low}, got {value!r}")
+def int_at_least(key, value, low=None):
+    """``value`` if an int, not a bool, and >= ``low`` unless None; else a ConfigError."""
+    bound = "" if low is None else f" >= {low}"
+    if isinstance(value, bool) or not isinstance(value, int) or bound and value < low:
+        raise ConfigError(f"{key!r} must be an integer{bound}, got {value!r}")
     return value
-
-
-def positive_int(key, value):
-    """``value`` if an int >= 1 and not a bool, else a ConfigError naming ``key``."""
-    return int_at_least(key, value, 1)
 
 
 def non_negative_number(key, value):
     """``value`` if a finite int or float >= 0 and not a bool, else a ConfigError."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-        or value < 0
-    ):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 <= value < math.inf):  # NaN fails the range test too
         raise ConfigError(f"{key!r} must be a finite number >= 0, got {value!r}")
+    return value
+
+
+def probability(key, value):
+    """``value`` if an int or float in [0, 1] and not a bool, else a ConfigError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 <= value <= 1):  # NaN fails the range test too
+        raise ConfigError(f"{key!r} must be a number in [0, 1], got {value!r}")
+    return value
+
+
+def boolean(key, value):
+    """``value`` if exactly True or False, else a ConfigError naming ``key``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
     return value

@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, TokenMismatchError
+from .errors import ConfigError, TokenMismatchError, boolean
 from .treebank import write_text_atomic
 
 __all__ = ["ScoreOptions", "ScoreReport", "spans", "score_pair", "score_corpus"]
@@ -27,6 +27,8 @@ class ScoreOptions:
     exclude_labels: frozenset = frozenset()
 
     def __post_init__(self):
+        boolean("include_root", self.include_root)
+        boolean("include_pos", self.include_pos)
         labels = self.exclude_labels
         # A bare string would be read as its characters, one label each.
         if not isinstance(labels, (list, tuple, set, frozenset)) or not all(

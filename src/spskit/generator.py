@@ -33,11 +33,10 @@ from importlib import resources
 import requests
 
 from .errors import (
-    ConfigError,
     GenerationError,
     int_at_least,
     non_negative_number,
-    positive_int,
+    probability,
 )
 from .rules import SyntacticRule, extract_corpus_rules, format_rule
 from .seeding import substream
@@ -63,7 +62,6 @@ class SourceStats:
     """Length statistics and rule frequencies of the current training data."""
 
     mean_length: float
-    std_length: float
     rule_counts: Counter
     lengths: tuple = field(default=(), repr=False)  # per tree, in corpus order
 
@@ -82,7 +80,6 @@ def corpus_stats(trees, exclude_labels=(), base=None):
     rule_counts = extract_corpus_rules(trees, exclude_labels=exclude_labels)
     return SourceStats(
         mean_length=statistics.fmean(lengths),
-        std_length=statistics.pstdev(lengths),
         rule_counts=base.rule_counts + rule_counts if base else rule_counts,
         lengths=lengths,
     )
@@ -98,8 +95,8 @@ class PromptConfig:
 
     def __post_init__(self):
         int_at_least("min_length", self.min_length, 2)  # PromptSpec's floor
-        positive_int("max_rules", self.max_rules)
-        positive_int("example_count", self.example_count)
+        int_at_least("max_rules", self.max_rules, 1)
+        int_at_least("example_count", self.example_count, 1)
         for key in ("length_sigma", "rule_count_mean"):
             value = getattr(self, key)
             if value is not None:
@@ -259,12 +256,12 @@ class Pcfg:
         }
 
 
-def pcfg_from_treebank(trees, start="<s>"):
+def pcfg_from_treebank(trees):
     """Maximum-likelihood Pcfg from trees, for offline mock generation.
 
-    Root labels hang under a virtual start symbol so corpora with several
-    root labels stay samplable.  Trees must be in standard form: one token
-    per preterminal, and no token beside a subtree.
+    Root labels hang under the virtual start symbol ``"<s>"`` so corpora with
+    several root labels stay samplable.  Trees must be in standard form: one
+    token per preterminal, and no token beside a subtree.
     """
     trees = list(trees)
     if not trees:
@@ -289,11 +286,16 @@ def pcfg_from_treebank(trees, start="<s>"):
         return [(item, c / total) for item, c in sorted(counter.items())]
 
     rules = {lhs: normalized(c) for lhs, c in rule_counts.items()}
-    rules[start] = [
+    rules["<s>"] = [
         ((label,), c / len(trees)) for label, c in sorted(root_counts.items())
     ]
     lexicon = {pos: normalized(c) for pos, c in lex_counts.items()}
-    return Pcfg(start, rules, lexicon)
+    return Pcfg("<s>", rules, lexicon)
+
+
+# The mock's rejection-sampling caps: tries per batch slot, derivation depth.
+MAX_ATTEMPTS = 200
+MAX_DEPTH = 40
 
 
 def _choose(rng, options):
@@ -326,22 +328,13 @@ class MockPcfgGenerator:
         batch_size=10,
         guide_probability=0.75,
         length_tolerance=0.2,
-        max_attempts=200,
-        max_depth=40,
         template=None,
     ):
-        p = guide_probability
-        if not isinstance(p, (int, float)) or not 0 <= p <= 1:
-            raise ConfigError(
-                f"'guide_probability' must be in [0, 1], got {guide_probability!r}"
-            )
         self.grammar = grammar
-        self.seed = seed
-        self.batch_size = positive_int("batch_size", batch_size)
-        self.guide_probability = guide_probability
-        self.length_tolerance = length_tolerance
-        self.max_attempts = positive_int("max_attempts", max_attempts)
-        self.max_depth = max_depth
+        self.seed = int_at_least("seed", seed)
+        self.batch_size = int_at_least("batch_size", batch_size, 1)
+        self.guide_probability = probability("guide_probability", guide_probability)
+        self.length_tolerance = non_negative_number("length_tolerance", length_tolerance)
         self.template = template
         self._grammar_rules = grammar.rule_set()
 
@@ -354,7 +347,7 @@ class MockPcfgGenerator:
         """One ancestral derivation: its tokens and the rules it used.
 
         The first symbol found in ``guide`` expands by its guide row, then the
-        guide is dropped.  None past ``max_depth`` or 10,000 nodes.
+        guide is dropped.  None past ``MAX_DEPTH`` or 10,000 nodes.
         """
         tokens = []
         used = set()
@@ -365,7 +358,7 @@ class MockPcfgGenerator:
         while stack:
             symbol, depth = stack.pop()
             nodes += 1
-            if depth > self.max_depth or nodes > 10_000:
+            if depth > MAX_DEPTH or nodes > 10_000:
                 return None
             if symbol in lexicon:
                 tokens.append(_choose(rng, lexicon[symbol]))
@@ -398,12 +391,12 @@ class MockPcfgGenerator:
         derivations = []
         for _ in range(self.batch_size):
             guided = rng.random() < self.guide_probability and bool(guide)
-            for attempt in range(self.max_attempts):
+            for attempt in range(MAX_ATTEMPTS):
                 # A prompted rule can be incompatible with the length bound
                 # (e.g. it forces a very short derivation); after burning half
                 # the attempts, this slot falls back to unguided sampling,
                 # like a generator ignoring part of its instructions.
-                use_guide = guided and attempt < self.max_attempts // 2
+                use_guide = guided and attempt < MAX_ATTEMPTS // 2
                 sample = self._sample(rng, guide if use_guide else None)
                 if sample is not None and lo <= len(sample[0]) <= hi:
                     tokens, used = sample
@@ -416,8 +409,8 @@ class MockPcfgGenerator:
         if not sentences:
             raise GenerationError(
                 f"no derivation of length {lo}..{hi} found in "
-                f"{self.max_attempts} attempts per sentence",
-                attempts=self.max_attempts,
+                f"{MAX_ATTEMPTS} attempts per sentence",
+                attempts=MAX_ATTEMPTS,
             )
         return GenerationBatch(
             sentences=tuple(sentences),
@@ -437,7 +430,7 @@ class ServiceGenerator:
     body: {"text": "..."}, one sentence per line.  A line that cannot form a
     Sentence (a token holding an ASCII parenthesis, say) is dropped; a reply
     with no line left is an ``empty_generation`` error.  Bearer auth comes
-    from ``token_env``.  A simple client-side token bucket enforces
+    from ``$SPSKIT_SERVICE_TOKEN``.  A simple client-side token bucket enforces
     ``requests_per_minute`` (0 means no limit).
     """
 
@@ -446,7 +439,6 @@ class ServiceGenerator:
     def __init__(
         self,
         endpoint,
-        token_env="SPSKIT_SERVICE_TOKEN",
         template=None,
         max_tokens=512,
         temperature=0.8,
@@ -458,20 +450,15 @@ class ServiceGenerator:
         sleep=time.sleep,
     ):
         self.endpoint = endpoint
-        self.token_env = token_env
         self.template = template
         self.max_tokens = max_tokens
         self.temperature = temperature
-        self.seed = seed
+        self.seed = seed if seed is None else int_at_least("seed", seed)
         self.timeout = timeout
-        self.max_attempts = positive_int("max_attempts", max_attempts)
-        rate = requests_per_minute
-        number = isinstance(rate, (int, float)) and not isinstance(rate, bool)
-        if not number or not rate >= 0:  # NaN fails ``>=`` too
-            raise ConfigError(
-                f"'requests_per_minute' must be a number >= 0, got {rate!r}"
-            )
-        self.requests_per_minute = requests_per_minute
+        self.max_attempts = int_at_least("max_attempts", max_attempts, 1)
+        self.requests_per_minute = non_negative_number(
+            "requests_per_minute", requests_per_minute
+        )
         self.session = session or requests.Session()
         self._sleep = sleep
         self._interval = 60.0 / requests_per_minute if requests_per_minute else 0.0
@@ -489,7 +476,7 @@ class ServiceGenerator:
 
     def _headers(self):
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.token_env)
+        token = os.environ.get("SPSKIT_SERVICE_TOKEN")
         if token:
             headers["Authorization"] = f"Bearer {token}"
         return headers

@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .errors import ConfigError, positive_int
+from .errors import ConfigError, int_at_least
 from .rules import candidate_features, instance_distance
 from .treebank import serialize
 
@@ -53,8 +53,8 @@ class CriterionConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown criterion kind {self.kind!r}")
-        positive_int("k", self.k)
-        positive_int("prefilter_multiplier", self.prefilter_multiplier)
+        int_at_least("k", self.k, 1)
+        int_at_least("prefilter_multiplier", self.prefilter_multiplier, 1)
         labels = self.exclude_labels
         if not isinstance(labels, (list, tuple)) or not all(
             isinstance(label, str) for label in labels

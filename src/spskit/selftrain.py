@@ -30,7 +30,7 @@ import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ConfigError, GenerationError
+from .errors import ConfigError, GenerationError, boolean, int_at_least
 from .evaluation import ScoreOptions, score_corpus, spans
 from .generator import PromptConfig, corpus_stats, sample_prompt
 from .rules import RuleDistribution, extract_corpus_rules, token_counts
@@ -39,8 +39,8 @@ from .selection import CriterionConfig, SelectionRefs, score, select_top_k
 from .treebank import read_treebank, write_text_atomic, write_treebank
 
 __all__ = [
-    "Experiment", "IterationRecord", "RunManifest", "build_pool", "build_refs", "run",
-    "run_multiseed",
+    "Experiment", "IterationRecord", "RunManifest", "build_pool", "build_refs",
+    "check_seeds", "run", "run_multiseed",
 ]
 
 log = logging.getLogger(__name__)
@@ -71,17 +71,10 @@ class Experiment:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("iterations", "pool_size", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name!r} must be an integer, got {value!r}")
-        flag = self.update_reference
-        if not isinstance(flag, bool):
-            raise ConfigError(f"'update_reference' must be true or false, got {flag!r}")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be >= 0")
-        if self.pool_size < 1:
-            raise ConfigError("pool_size must be >= 1")
+        int_at_least("iterations", self.iterations, 0)
+        int_at_least("pool_size", self.pool_size, 1)
+        int_at_least("seed", self.seed)
+        boolean("update_reference", self.update_reference)
         if not self.source_trees:
             raise ConfigError("source treebank is empty")
         if (
@@ -439,13 +432,24 @@ def run(experiment, resume=False):
     return manifest
 
 
+def check_seeds(seeds):
+    """``seeds`` if a list of distinct integers (each run writes ``seed_<n>``)."""
+    if not isinstance(seeds, list):
+        raise ConfigError(f"'seeds' must be a list of integers, got {seeds!r}")
+    for seed in seeds:
+        int_at_least("seeds", seed)
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"'seeds' must not repeat a seed, got {seeds!r}")
+    return seeds
+
+
 def run_multiseed(experiment, seeds):
     """Independent runs per seed, aggregated into mean F1 per iteration.
 
     Individual run failures are tolerated: the aggregate covers whatever
     completed, with a warning.
     """
-    seeds = list(seeds)
+    seeds = check_seeds(list(seeds))
     if not seeds:
         raise ConfigError("run_multiseed needs at least one seed")
 

@@ -113,10 +113,13 @@ def target_grammar():
     return Pcfg("s", _STRUCTURE_TARGET, _LEX_TARGET)
 
 
-def sample_tree(grammar, rng, max_depth=30):
+MAX_DEPTH = 30  # past which a derivation is abandoned and drawn again
+
+
+def sample_tree(grammar, rng):
     def expand(symbol, depth):
-        if depth > max_depth:
-            raise RecursionError("derivation exceeded max_depth")
+        if depth > MAX_DEPTH:
+            raise RecursionError("derivation exceeded MAX_DEPTH")
         if symbol in grammar.lexicon:
             return ParseTree(symbol, (_choose(rng, grammar.lexicon[symbol]),))
         rhs = _choose(rng, grammar.rules[symbol])
@@ -125,30 +128,30 @@ def sample_tree(grammar, rng, max_depth=30):
     return expand(grammar.start, 0)
 
 
-def sample_corpus(grammar, n, seed, name="corpus", max_depth=30):
+def sample_corpus(grammar, n, seed, name="corpus"):
     """n independent trees from a named substream of the seed."""
     rng = substream(seed, "synthetic", name)
     trees = []
     while len(trees) < n:
         try:
-            trees.append(sample_tree(grammar, rng, max_depth=max_depth))
+            trees.append(sample_tree(grammar, rng))
         except RecursionError:
             continue
     return trees
 
 
-def cross_domain_data(data_seed=11, train_size=500, dev_size=80, ref_size=150):
+def cross_domain_data(data_seed=11):
     """The corpora of the standard cross-domain experiment.
 
-    Returns (source_train, source_dev, target_dev, target_reference); the
-    reference trees stand in for a rule-converted target treebank and double
-    as the prompt example pool.
+    Returns (source_train, source_dev, target_dev, target_reference) of 500,
+    80, 80 and 150 trees; the reference trees stand in for a rule-converted
+    target treebank and double as the prompt example pool.
     """
     return (
-        sample_corpus(source_grammar(), train_size, data_seed, "src-train"),
-        sample_corpus(source_grammar(), dev_size, data_seed, "src-dev"),
-        sample_corpus(target_grammar(), dev_size, data_seed, "tgt-dev"),
-        sample_corpus(target_grammar(), ref_size, data_seed, "tgt-ref"),
+        sample_corpus(source_grammar(), 500, data_seed, "src-train"),
+        sample_corpus(source_grammar(), 80, data_seed, "src-dev"),
+        sample_corpus(target_grammar(), 80, data_seed, "tgt-dev"),
+        sample_corpus(target_grammar(), 150, data_seed, "tgt-ref"),
     )
 
 

@@ -12,6 +12,7 @@ from spskit.evaluation import ScoreOptions
 from spskit.generator import PromptConfig
 from spskit.parser import TrainConfig
 from spskit.selection import CriterionConfig
+from spskit.selftrain import Experiment
 from spskit.synthetic import sample_corpus, source_grammar, target_grammar
 from spskit.treebank import read_treebank, write_treebank
 
@@ -384,6 +385,41 @@ class TestPipeline:
         assert not (tmp_path / "selected.txt").exists()
 
 
+def _setting_kind(annotation):
+    if annotation == "bool":
+        return "boolean"
+    if re.fullmatch(r"(int|float)( \| None)?", annotation):
+        return "number"
+    return None
+
+
+SECTION_CLASSES = {
+    "criterion": CriterionConfig,
+    "parser": TrainConfig,
+    "prompt": PromptConfig,
+    "score": ScoreOptions,
+}
+
+# (section, key, kind) of every numeric and boolean run-config setting: the
+# top-level keys, each section's fields and both generator backends' keys
+# other than the path and the endpoint.
+RUN_CONFIG_SETTINGS = [
+    (None, f.name, _setting_kind(f.type))
+    for f in dataclasses.fields(Experiment)
+    if f.name in cli._RUN_KEYS and _setting_kind(f.type)
+] + [
+    (section, f.name, _setting_kind(f.type))
+    for section, cls in SECTION_CLASSES.items()
+    for f in dataclasses.fields(cls)
+    if _setting_kind(f.type)
+] + [
+    (f"generator-{backend}", key, "number")
+    for backend, keys in cli._GENERATOR_KEYS.items()
+    for key in keys
+    if key not in ("treebank", "endpoint")
+]
+
+
 class TestSelfTrainCommand:
     def make_config(self, tmp_path, seeds=None):
         paths = {}
@@ -485,6 +521,7 @@ class TestSelfTrainCommand:
             (None, "7", "seed"),
             (None, 1.5, "seed"),
             (None, [1, "a"], "seeds"),
+            (None, [1, 1], "seeds"),
         ],
         ids=[
             "top-level-typo",
@@ -521,6 +558,7 @@ class TestSelfTrainCommand:
             "seed-a-string",
             "seed-a-float",
             "seeds-entry-a-string",
+            "seeds-repeated",
         ],
     )
     def test_bad_run_config_is_a_data_error(
@@ -541,6 +579,38 @@ class TestSelfTrainCommand:
         assert repr(named) in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("bad", ["other-type", "numeric-string"])
+    @pytest.mark.parametrize(
+        "section, key, kind",
+        RUN_CONFIG_SETTINGS,
+        ids=[f"{section or 'top'}-{key}" for section, key, _ in RUN_CONFIG_SETTINGS],
+    )
+    def test_every_setting_rejects_a_value_of_another_type(
+        self, tmp_path, capsys, section, key, kind, bad
+    ):
+        path = self.make_config(tmp_path)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        if bad == "numeric-string":
+            value = "1"
+        else:
+            value = True if kind == "number" else "false"
+        if section is None:
+            config[key] = value
+        elif section == "generator-service":
+            config["generator"] = {
+                "backend": "service", "endpoint": "http://localhost:1", key: value
+            }
+        elif section == "generator-mock":
+            config["generator"][key] = value
+        else:
+            config.setdefault(section, {})[key] = value
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["self-train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err
+        assert repr(key) in err
+        assert not (tmp_path / "run").exists()
+
     def test_report_subcommand(self, tmp_path, capsys):
         config = self.make_config(tmp_path)
         out = tmp_path / "single"
@@ -559,12 +629,6 @@ def test_readme_run_config_table_matches_the_code():
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     text = readme.read_text(encoding="utf-8")
     table = text.split("Run-config keys.", 1)[1].split("\n\n")[1]
-    classes = {
-        "criterion": CriterionConfig,
-        "parser": TrainConfig,
-        "prompt": PromptConfig,
-        "score": ScoreOptions,
-    }
     top, sections = set(), {}
     for row in table.splitlines()[2:]:
         cell = row.split("|")[1]
@@ -576,5 +640,5 @@ def test_readme_run_config_table_matches_the_code():
         if is_section:
             sections[names[0]] = set(re.findall(r"`(\w+)`", fields))
     assert top == cli._RUN_KEYS
-    for name, cls in classes.items():
+    for name, cls in SECTION_CLASSES.items():
         assert sections[name] == {f.name for f in dataclasses.fields(cls)}, name

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 import requests
 
+from spskit import generator
 from spskit.errors import ConfigError, GenerationError
 from spskit.generator import (
     MockPcfgGenerator,
@@ -57,9 +58,7 @@ class TestSamplePrompt:
         stats32 = corpus_stats(
             sample_corpus(source_grammar(), 30, seed=2, name="mean")
         )
-        stats32 = type(stats32)(
-            mean_length=32.0, std_length=0.0, rule_counts=stats32.rule_counts
-        )
+        stats32 = type(stats32)(mean_length=32.0, rule_counts=stats32.rule_counts)
         rng = substream(0, "test")
         config = PromptConfig(length_sigma=0.0)
         lengths = {
@@ -77,9 +76,7 @@ class TestSamplePrompt:
         from collections import Counter
 
         base = corpus_stats(sample_corpus(source_grammar(), 30, seed=2, name="g"))
-        stats32 = type(base)(
-            mean_length=32.0, std_length=8.0, rule_counts=base.rule_counts
-        )
+        stats32 = type(base)(mean_length=32.0, rule_counts=base.rule_counts)
         rng = substream(0, "gauss")
         config = PromptConfig(length_sigma=8.0)
         draws = [
@@ -105,7 +102,6 @@ class TestSamplePrompt:
         stats = corpus_stats(sample_corpus(source_grammar(), 5, seed=3, name="w"))
         stats = type(stats)(
             mean_length=4.0,
-            std_length=1.0,
             rule_counts=Counter({common: 99, rare: 1}),
         )
         rng = substream(2, "weights")
@@ -179,9 +175,7 @@ class TestMockGenerator:
     def make_spec(self, stats, examples, seed=0, length=4):
         rng = substream(seed, "mock-spec")
         config = PromptConfig(length_sigma=0.0, min_length=length)
-        stats = type(stats)(
-            mean_length=float(length), std_length=0.0, rule_counts=stats.rule_counts
-        )
+        stats = type(stats)(mean_length=float(length), rule_counts=stats.rule_counts)
         return sample_prompt(stats, examples, rng, config)
 
     def test_degenerate_grammar_yields_its_only_sentence(self, stats, examples):
@@ -227,18 +221,19 @@ class TestMockGenerator:
         assert batch.provenance["seed"] == 4
         assert batch.provenance["prompt_sha256"] == prompt_hash(spec)
 
-    def test_unreachable_length_is_a_generation_error(self, stats, examples):
+    def test_unreachable_length_is_a_generation_error(self, monkeypatch):
+        monkeypatch.setattr(generator, "MAX_ATTEMPTS", 10)
         grammar = Pcfg(
             "s", {"s": [(("x",), 1.0)]}, {"x": [("a", 1.0)]}
         )  # only 1-token sentences
-        gen = MockPcfgGenerator(grammar, seed=5, batch_size=2, max_attempts=10)
+        gen = MockPcfgGenerator(grammar, seed=5, batch_size=2)
         spec = PromptSpec(
             rules=(SyntacticRule("s", ("x",)),),
             examples=(Sentence(("a",)),),
             target_length=6,
             rule_count=1,
         )
-        with pytest.raises(GenerationError):
+        with pytest.raises(GenerationError, match="in 10 attempts"):
             gen.generate(spec)
 
     @pytest.mark.parametrize(
@@ -250,7 +245,10 @@ class TestMockGenerator:
             ("guide_probability", 5),
             ("guide_probability", -0.1),
             ("guide_probability", "0.5"),
-            ("max_attempts", 0),
+            ("guide_probability", True),
+            ("seed", 1.5),
+            ("seed", "7"),
+            ("length_tolerance", -1),
         ],
     )
     def test_bad_settings_are_config_errors(self, key, value):
@@ -293,7 +291,7 @@ def ref_sample_tree(gen, rng, guided, prompted_by_parent):
 
     def expand(symbol, depth):
         state["nodes"] += 1
-        if depth > gen.max_depth or state["nodes"] > 10_000:
+        if depth > generator.MAX_DEPTH or state["nodes"] > 10_000:
             raise RefDepthExceeded
         if symbol in gen.grammar.lexicon:
             return ParseTree(symbol, (_choose(rng, gen.grammar.lexicon[symbol]),))
@@ -326,8 +324,8 @@ def ref_generate(gen, spec):
     sentences, derivations = [], []
     for _ in range(gen.batch_size):
         guided = rng.random() < gen.guide_probability and bool(prompted_by_parent)
-        for attempt in range(gen.max_attempts):
-            use_guide = guided and attempt < gen.max_attempts // 2
+        for attempt in range(generator.MAX_ATTEMPTS):
+            use_guide = guided and attempt < generator.MAX_ATTEMPTS // 2
             try:
                 tree, used = ref_sample_tree(gen, rng, use_guide, prompted_by_parent)
             except RefDepthExceeded:
@@ -339,7 +337,7 @@ def ref_generate(gen, spec):
     return (tuple(sentences), tuple(derivations)) if sentences else None
 
 
-# Recursive: deep derivations hit max_depth, long ones miss the length bound.
+# Recursive: deep derivations hit MAX_DEPTH, long ones miss the length bound.
 RECURSIVE_GRAMMAR = Pcfg(
     "s",
     {
@@ -364,11 +362,18 @@ class TestMockReferenceParity:
         [
             (target_grammar(), dict(batch_size=25)),
             (target_grammar(), dict(batch_size=25, length_tolerance=0.0)),
-            (source_grammar(), dict(batch_size=10, guide_probability=1.0, max_attempts=6)),
-            (RECURSIVE_GRAMMAR, dict(batch_size=20, max_depth=6, max_attempts=30)),
+            (source_grammar(), dict(batch_size=10, guide_probability=1.0, MAX_ATTEMPTS=6)),
+            (RECURSIVE_GRAMMAR, dict(batch_size=20, MAX_DEPTH=6, MAX_ATTEMPTS=30)),
         ],
     )
-    def test_batches_and_derivations_match_reference(self, grammar, settings):
+    def test_batches_and_derivations_match_reference(
+        self, grammar, settings, monkeypatch
+    ):
+        # Upper-case keys set the sampler's module caps, the rest the mock.
+        settings = dict(settings)
+        for name in ("MAX_ATTEMPTS", "MAX_DEPTH"):
+            if name in settings:
+                monkeypatch.setattr(generator, name, settings.pop(name))
         corpus = sample_corpus(grammar, 120, seed=31, name="mock-parity")
         stats = corpus_stats(corpus)
         examples = [t.sentence() for t in corpus[:20]]
@@ -483,6 +488,7 @@ def stub_server():
     _StubHandler.requests = []
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
+    server.server_close()
 
 
 def _spec():
@@ -605,10 +611,15 @@ class TestServiceGenerator:
             gen.generate(_spec())
         assert "empty_generation" in str(err.value)
 
-    @pytest.mark.parametrize("rate", [-1, "60", True, float("nan")])
+    @pytest.mark.parametrize("rate", [-1, "60", True, float("nan"), float("inf")])
     def test_a_bad_rate_limit_is_a_config_error(self, rate):
         with pytest.raises(ConfigError, match="'requests_per_minute'"):
             ServiceGenerator("http://stub/complete", requests_per_minute=rate)
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True])
+    def test_a_bad_seed_is_a_config_error(self, seed):
+        with pytest.raises(ConfigError, match="'seed'"):
+            ServiceGenerator("http://stub/complete", seed=seed)
 
     def test_rate_limiter_spaces_requests(self, stub_server):
         sleeps = []
