@@ -7,7 +7,7 @@ iterative self-training orchestrator.
 """
 
 from .errors import SpsError
-from .evaluation import ScoreOptions, ScoreReport, score_corpus, score_pair
+from .evaluation import ScoreOptions, ScoreReport, score_corpus
 from .generator import (
     GenerationBatch,
     MockPcfgGenerator,

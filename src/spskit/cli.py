@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -32,13 +33,14 @@ from .rules import export_rules, extract_corpus_rules
 from .seeding import substream
 from .segmentation import Lexicon, SplitTable, transfer_corpus
 from .selection import KINDS, CriterionConfig, score, select_top_k
-from .selftrain import Experiment, _write_json
+from .selftrain import Experiment
 from .treebank import (
     LabelInventory,
     Sentence,
     default_inventory,
     normalize_pos_nodes,
     read_treebank,
+    write_json,
     write_text_atomic,
     write_treebank,
 )
@@ -97,7 +99,7 @@ def cmd_convert(args):
     converted, report = convert_corpus(trees, table)
     write_treebank(converted, args.output)
     if args.report:
-        _write_json(args.report, report.to_dict())
+        write_json(args.report, report.to_dict())
     _summary(
         "convert",
         trees=report.trees,
@@ -128,7 +130,7 @@ def cmd_transfer_seg(args):
     )
     write_treebank(out, args.output)
     if args.report:
-        _write_json(args.report, report.to_dict())
+        write_json(args.report, report.to_dict())
     _summary(
         "transfer-seg",
         trees=len(trees),
@@ -188,7 +190,7 @@ def cmd_generate(args):
     if not sentences:
         raise SpsError("generation produced no sentences")
     write_text_atomic(args.output, "".join(s.text() + "\n" for s in sentences))
-    _write_json(args.output + ".provenance.json", provenance)
+    write_json(args.output + ".provenance.json", provenance)
     _summary(
         "generate",
         sentences=len(sentences),
@@ -268,21 +270,18 @@ def cmd_select(args):
     write_treebank([p.tree for p in selected], args.output)
     if args.sidecar:
         index = {id(c): i for i, c in enumerate(candidates)}
-        by_id = {index[id(c)]: (c, s) for c, s in scored}
-        chosen = {index[id(c)] for c in selected}
-        _write_json(
-            args.sidecar,
-            [
-                {
-                    "id": cid,
-                    "kind": cfg.kind,
-                    "score": s,
-                    "confidence": c.confidence,
-                    "selected": cid in chosen,
-                }
-                for cid, (c, s) in sorted(by_id.items())
-            ],
-        )
+        chosen = {id(c) for c in selected}
+        rows = [
+            {
+                "id": index[id(c)],
+                "kind": cfg.kind,
+                "score": s,
+                "confidence": c.confidence,
+                "selected": id(c) in chosen,
+            }
+            for c, s in scored
+        ]
+        write_json(args.sidecar, sorted(rows, key=lambda row: row["id"]))
     _summary(
         "select",
         candidates=len(candidates),
@@ -307,7 +306,7 @@ def cmd_eval(args):
     print(report.table())
     print(f"F1 {report.f1:.2f}")
     if args.json:
-        _write_json(args.json, report.to_dict())
+        write_json(args.json, report.to_dict())
     _summary(
         "eval",
         pairs=len(preds),
@@ -444,11 +443,11 @@ def cmd_self_train(args):
     )
 
     if seeds:
-        aggregate = selftrain.run_multiseed(experiment, seeds)
+        aggregate = selftrain.run_multiseed(experiment, seeds, resume=args.resume)
         out_dir = experiment.out_dir
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
-            _write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
+            write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
         _summary(
             "self-train",
             seeds=aggregate["seeds"],
@@ -504,22 +503,16 @@ def build_parser():
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="log progress to stderr"
     )
+    # Every subcommand takes --seed too, so it may be given after the
+    # subcommand name without clobbering the global.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--seed", type=int, default=argparse.SUPPRESS, help="base random seed"
+    )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
+    add_parser = functools.partial(subparsers.add_parser, parents=[common])
 
-    class _Sub:
-        """Registers --seed on every subcommand too, so it may be given after
-        the subcommand name without clobbering the global."""
-
-        def add_parser(self, *args, **kwargs):
-            p = subparsers.add_parser(*args, **kwargs)
-            p.add_argument(
-                "--seed", type=int, default=argparse.SUPPRESS, help="base random seed"
-            )
-            return p
-
-    sub = _Sub()
-
-    p = sub.add_parser("convert", help="apply a mapping table to a treebank")
+    p = add_parser("convert", help="apply a mapping table to a treebank")
     p.add_argument("--input", required=True, help="constituency treebank file")
     p.add_argument("--table", required=True, help="mapping table JSON")
     p.add_argument("--output", required=True, help="converted treebank file")
@@ -529,13 +522,13 @@ def build_parser():
     )
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("normalize", help="splice out POS nodes above internal nodes")
+    p = add_parser("normalize", help="splice out POS nodes above internal nodes")
     p.add_argument("--input", required=True)
     p.add_argument("--inventory", help="label inventory JSON (default: shipped)")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("transfer-seg", help="word-segmentation granularity transfer")
+    p = add_parser("transfer-seg", help="word-segmentation granularity transfer")
     p.add_argument("--input", required=True)
     p.add_argument("--lexicon", required=True, help="one word per line")
     p.add_argument("--split-table", help="TSV: word TAB space-joined parts")
@@ -544,13 +537,13 @@ def build_parser():
     p.add_argument("--lookahead", type=int, default=3)
     p.set_defaults(func=cmd_transfer_seg)
 
-    p = sub.add_parser("extract-rules", help="export syntactic rules as text")
+    p = add_parser("extract-rules", help="export syntactic rules as text")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--exclude-labels", nargs="*", default=[])
     p.set_defaults(func=cmd_extract_rules)
 
-    p = sub.add_parser("generate", help="generate raw sentences for a pool")
+    p = add_parser("generate", help="generate raw sentences for a pool")
     p.add_argument("--stats-from", required=True, help="treebank for prompt stats")
     p.add_argument("--examples", required=True, help="sentence file for prompts")
     p.add_argument("--count", type=int, default=100)
@@ -563,7 +556,7 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train the PCFG parser backend")
+    p = add_parser("train", help="train the PCFG parser backend")
     p.add_argument("--input", required=True)
     p.add_argument("--inventory")
     p.add_argument("--alpha", type=float, default=0.01)
@@ -571,14 +564,14 @@ def build_parser():
     p.add_argument("--output", required=True, help="model JSON")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("parse", help="parse sentences with a trained model")
+    p = add_parser("parse", help="parse sentences with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="one sentence per line")
     p.add_argument("--output", required=True)
     p.add_argument("--confidences", help="write one confidence per line")
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("select", help="rank candidates and keep the top K")
+    p = add_parser("select", help="rank candidates and keep the top K")
     p.add_argument("--candidates", required=True, help="candidate treebank")
     p.add_argument("--confidences", required=True, help="one confidence per line")
     p.add_argument(
@@ -594,13 +587,13 @@ def build_parser():
     p.add_argument("--sidecar", help="scores sidecar JSON")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("self-train", help="run the full self-training loop")
+    p = add_parser("self-train", help="run the full self-training loop")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out-dir", help="override the config's out_dir")
     p.set_defaults(func=cmd_self_train)
 
-    p = sub.add_parser("eval", help="labeled bracket F1 against gold")
+    p = add_parser("eval", help="labeled bracket F1 against gold")
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--include-root", action="store_true")
@@ -609,7 +602,7 @@ def build_parser():
     p.add_argument("--json", help="write the report as JSON")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="tabulate one or more run manifests")
+    p = add_parser("report", help="tabulate one or more run manifests")
     p.add_argument("--manifest", nargs="+", required=True)
     p.set_defaults(func=cmd_report)
 

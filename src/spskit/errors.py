@@ -7,24 +7,22 @@ class SpsError(Exception):
     """Base class for all toolkit errors."""
 
 
-class TreeSyntaxError(SpsError):
+class _LineError(SpsError):
+    """An error in a corpus file, prefixed with its 1-based ``line`` when known."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class TreeSyntaxError(_LineError):
     """Malformed bracketed tree text (unbalanced brackets, empty node, ...)."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class LabelError(SpsError):
+class LabelError(_LineError):
     """A label is missing from the inventory, or the inventory is inconsistent."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class RootPromotionError(SpsError):

@@ -10,14 +10,12 @@ scores many predictions against the same gold trees.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, TokenMismatchError, boolean
-from .treebank import write_text_atomic
 
-__all__ = ["ScoreOptions", "ScoreReport", "spans", "score_pair", "score_corpus"]
+__all__ = ["ScoreOptions", "ScoreReport", "spans", "score_corpus"]
 
 
 @dataclass(frozen=True)
@@ -66,12 +64,6 @@ def spans(tree, opts=ScoreOptions()):
     return out
 
 
-def score_pair(pred, gold, opts=ScoreOptions()):
-    """(matched, predicted, gold) span counts for one tree pair."""
-    report = score_corpus([pred], [gold], opts)
-    return report.matched, report.predicted, report.gold
-
-
 def _prf(matched, predicted, gold):
     precision = 100.0 * matched / predicted if predicted else 0.0
     recall = 100.0 * matched / gold if gold else 0.0
@@ -106,10 +98,6 @@ class ScoreReport:
                 for label, (p, r, f) in sorted(self.per_label.items())
             },
         }
-
-    def to_json(self, path):
-        text = json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
-        write_text_atomic(path, text + "\n")
 
     def table(self):
         lines = [

@@ -423,15 +423,24 @@ class MockPcfgGenerator:
         )
 
 
+# The service's request settings: completion length, sampling temperature,
+# and seconds to wait for a reply.
+MAX_TOKENS = 512
+TEMPERATURE = 0.8
+TIMEOUT = 30.0
+
+
 class ServiceGenerator:
     """Client for a generic text-completion HTTP endpoint.
 
-    Request body: {"prompt", "max_tokens", "temperature", "seed"?}; reply
-    body: {"text": "..."}, one sentence per line.  A line that cannot form a
-    Sentence (a token holding an ASCII parenthesis, say) is dropped; a reply
-    with no line left is an ``empty_generation`` error.  Bearer auth comes
-    from ``$SPSKIT_SERVICE_TOKEN``.  A simple client-side token bucket enforces
-    ``requests_per_minute`` (0 means no limit).
+    Request body: {"prompt", "max_tokens", "temperature", "seed"?}, the middle
+    two from ``MAX_TOKENS`` and ``TEMPERATURE``, and a reply is awaited for
+    ``TIMEOUT`` seconds; reply body: {"text": "..."}, one sentence per line.
+    A line that cannot form a Sentence (a token holding an ASCII parenthesis,
+    say) is dropped; a reply with no line left is an ``empty_generation``
+    error.  Bearer auth comes from ``$SPSKIT_SERVICE_TOKEN``.  A simple
+    client-side token bucket enforces ``requests_per_minute`` (0 means no
+    limit).
     """
 
     name = "service"
@@ -440,10 +449,7 @@ class ServiceGenerator:
         self,
         endpoint,
         template=None,
-        max_tokens=512,
-        temperature=0.8,
         seed=None,
-        timeout=30.0,
         max_attempts=3,
         requests_per_minute=60,
         session=None,
@@ -451,10 +457,7 @@ class ServiceGenerator:
     ):
         self.endpoint = endpoint
         self.template = template
-        self.max_tokens = max_tokens
-        self.temperature = temperature
         self.seed = seed if seed is None else int_at_least("seed", seed)
-        self.timeout = timeout
         self.max_attempts = int_at_least("max_attempts", max_attempts, 1)
         self.requests_per_minute = non_negative_number(
             "requests_per_minute", requests_per_minute
@@ -485,8 +488,8 @@ class ServiceGenerator:
         prompt = render_prompt(spec, self.template)
         body = {
             "prompt": prompt,
-            "max_tokens": self.max_tokens,
-            "temperature": self.temperature,
+            "max_tokens": MAX_TOKENS,
+            "temperature": TEMPERATURE,
         }
         if self.seed is not None:
             body["seed"] = self.seed
@@ -498,7 +501,7 @@ class ServiceGenerator:
                     self.endpoint,
                     json=body,
                     headers=self._headers(),
-                    timeout=self.timeout,
+                    timeout=TIMEOUT,
                 )
             except (requests.Timeout, requests.ConnectionError) as e:
                 failure = f"service unreachable after {attempt} attempts: {e}"

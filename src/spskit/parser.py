@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ModelFormatError, int_at_least, non_negative_number
 from .rules import SyntacticRule
@@ -82,6 +82,9 @@ class PseudoTree:
 
 @dataclass
 class ParserModel:
+    """A smoothed PCFG.  ``reindex`` derives the chart's lookup tables from
+    it as plain attributes, which ``==`` and ``repr`` leave out."""
+
     roots: dict                 # label -> probability
     rules: dict                 # SyntacticRule (unary or binary) -> probability
     lexical: dict               # (preterminal label, token class) -> probability
@@ -89,11 +92,6 @@ class ParserModel:
     alpha: float
     fallback_root: str = ""
     fallback_pos: str = ""
-    _by_left: dict = field(default_factory=dict, repr=False)
-    _by_unary_child: dict = field(default_factory=dict, repr=False)
-    _exact: dict = field(default_factory=dict, repr=False)
-    _unk: list = field(default_factory=list, repr=False)
-    _lex_cells: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.reindex()
@@ -387,8 +385,6 @@ def parse(model, sentence):
     Ties are broken deterministically: the lexicographically smallest
     backpointer among equal-probability derivations.
     """
-    if isinstance(sentence, (list, tuple)):
-        sentence = Sentence(tuple(sentence))
     tokens = sentence.tokens
     n = len(tokens)
     by_left = model._by_left
@@ -478,34 +474,31 @@ class PcfgBackend:
     process, one sentence at a time.
 
     ``train`` keeps the tree list and counts of its last call.  A list that
-    extends that one (the same tree objects first, under the same inventory)
-    folds in only its new trees, as the self-training loop's growing training
-    set does; any other list is counted from scratch.  Either way the model
-    equals a fresh ``train`` of the whole list.
+    extends that one (the same tree objects first) folds in only its new
+    trees, as the self-training loop's growing training set does; any other
+    list is counted from scratch.  Either way the model equals a fresh
+    ``train`` of the whole list.
     """
 
     name = "pcfg"
 
-    def __init__(self, config=None, inventory=None):
+    def __init__(self, config=None):
         self.config = config or TrainConfig()
-        self.inventory = inventory
-        self._last = None       # (trees, inventory, counts) of the last train
+        self._last = None       # (trees, counts) of the last train
 
     def train(self, treebank):
         trees = list(treebank)
         counts, new = _TrainCounts(), trees
         if self._last is not None:
-            last_trees, last_inventory, last_counts = self._last
-            if (
-                last_inventory is self.inventory
-                and len(last_trees) <= len(trees)
-                and all(a is b for a, b in zip(last_trees, trees))
+            last_trees, last_counts = self._last
+            if len(last_trees) <= len(trees) and all(
+                a is b for a, b in zip(last_trees, trees)
             ):
                 # A copy, so a tree that fails to count leaves the cache intact.
                 counts, new = last_counts.copy(), trees[len(last_trees):]
-        counts.add(new, self.inventory)
+        counts.add(new)
         model = counts.model(self.config)
-        self._last = (trees, self.inventory, counts)
+        self._last = (trees, counts)
         return model
 
     def parse(self, model, sentence):

@@ -27,11 +27,10 @@ content is preserved exactly by every operation.
 from __future__ import annotations
 
 import bisect
-import json
 import operator
 from dataclasses import dataclass, field
 
-from .treebank import ParseTree, write_text_atomic
+from .treebank import ParseTree
 
 __all__ = [
     "Lexicon",
@@ -166,11 +165,6 @@ class TransferReport:
                 for r in self.merges
             ],
         }
-
-    def to_json(self, path):
-        text = json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
-        write_text_atomic(path, text + "\n")
-
 
 # Mutable working form: _Unit is a preterminal (POS label over one token) and
 # carries merge provenance; _Branch mirrors internal structure.  Both keep the

@@ -36,7 +36,7 @@ from .generator import PromptConfig, corpus_stats, sample_prompt
 from .rules import RuleDistribution, extract_corpus_rules, token_counts
 from .seeding import substream
 from .selection import CriterionConfig, SelectionRefs, score, select_top_k
-from .treebank import read_treebank, write_text_atomic, write_treebank
+from .treebank import read_treebank, write_json, write_treebank
 
 __all__ = [
     "Experiment", "IterationRecord", "RunManifest", "build_pool", "build_refs",
@@ -75,6 +75,13 @@ class Experiment:
         int_at_least("pool_size", self.pool_size, 1)
         int_at_least("seed", self.seed)
         boolean("update_reference", self.update_reference)
+        if self.update_reference and self.criterion.reference_name in (
+            None, "converted_target_rules"
+        ):
+            raise ConfigError(
+                f"'update_reference' has no effect under criterion "
+                f"{self.criterion.kind!r}, whose reference is not the source treebank"
+            )
         if not self.source_trees:
             raise ConfigError("source treebank is empty")
         if (
@@ -87,7 +94,7 @@ class Experiment:
 
     def config_snapshot(self):
         def jsonable(data):
-            return json.loads(json.dumps(data, sort_keys=True, default=list))
+            return json.loads(json.dumps(data, sort_keys=True, default=sorted))
 
         return {
             "iterations": self.iterations,
@@ -96,11 +103,7 @@ class Experiment:
             "seed": self.seed,
             "criterion": jsonable(dataclasses.asdict(self.criterion)),
             "prompt_config": jsonable(dataclasses.asdict(self.prompt_config)),
-            "score_options": {
-                "include_root": self.score_options.include_root,
-                "include_pos": self.score_options.include_pos,
-                "exclude_labels": sorted(self.score_options.exclude_labels),
-            },
+            "score_options": jsonable(dataclasses.asdict(self.score_options)),
             "update_reference": self.update_reference,
             "parser_backend": getattr(self.parser_backend, "name", "custom"),
             "generator_backend": getattr(self.generator_backend, "name", "custom"),
@@ -129,10 +132,6 @@ class IterationRecord:
     def to_dict(self):
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
-
 
 @dataclass
 class RunManifest:
@@ -152,28 +151,41 @@ class RunManifest:
         }
 
     def save(self, path):
-        _write_json(path, self.to_dict())
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
+        """Read a manifest; a ConfigError naming ``path`` if its version is
+        not ``MANIFEST_VERSION``, a key is missing, or a record's keys are
+        not exactly ``IterationRecord``'s fields."""
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
+        if not isinstance(data, dict):
+            raise ConfigError(f"manifest {path} is not a JSON object")
+        missing = [f.name for f in dataclasses.fields(cls) if f.name not in data]
+        if missing:
+            raise ConfigError(f"manifest {path} is missing {', '.join(missing)}")
+        if data["version"] != MANIFEST_VERSION:
+            raise ConfigError(
+                f"manifest {path} has version {data['version']!r}, "
+                f"not {MANIFEST_VERSION}"
+            )
+        fields = {f.name for f in dataclasses.fields(IterationRecord)}
+        records = data["records"]
+        if not isinstance(records, list) or any(
+            not isinstance(r, dict) or set(r) != fields for r in records
+        ):
+            raise ConfigError(
+                f"manifest {path}: every record must have exactly the keys "
+                + ", ".join(sorted(fields))
+            )
         return cls(
             config=data["config"],
-            records=[IterationRecord.from_dict(r) for r in data["records"]],
+            records=[IterationRecord(**r) for r in records],
             artifacts=data["artifacts"],
             status=data["status"],
             version=data["version"],
         )
-
-
-def _write_json(path, data):
-    text = json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True)
-    write_text_atomic(path, text + "\n")
-
-
-def _sentence_key(sentence):
-    return tuple(sentence.tokens)
 
 
 def build_refs(cfg, source_trees=None, converted_target_trees=None):
@@ -270,7 +282,7 @@ def build_pool(generator, stats, examples, size, rng, prompt_config, excluded):
         failures = 0
         provenance.append(batch.provenance)
         for sentence in batch.sentences:
-            key = _sentence_key(sentence)
+            key = sentence.tokens
             if key in excluded or key in seen:
                 continue
             seen.add(key)
@@ -299,7 +311,7 @@ def _persist_iteration(experiment, manifest, iteration, selected, scored, index)
         if id(c) in chosen
     ]
     score_name = f"scores_iter_{iteration}.json"
-    _write_json(
+    write_json(
         os.path.join(experiment.out_dir, score_name),
         sorted(sidecar, key=lambda row: row["id"]),
     )
@@ -345,12 +357,9 @@ def run(experiment, resume=False):
         _dev_set(golds, experiment.score_options)
         for golds in (experiment.source_dev, experiment.target_dev)
     )
-    excluded = {_sentence_key(s) for dev in devs if dev for s in dev.sentences}
-    for sentence in experiment.exclude_sentences:
-        excluded.add(_sentence_key(sentence))
-    example_pool = [
-        s for s in experiment.target_examples if _sentence_key(s) not in excluded
-    ]
+    excluded = {s.tokens for dev in devs if dev for s in dev.sentences}
+    excluded.update(s.tokens for s in experiment.exclude_sentences)
+    example_pool = [s for s in experiment.target_examples if s.tokens not in excluded]
     if not example_pool:
         raise ConfigError("no target example sentences survive dev/test exclusion")
 
@@ -443,11 +452,12 @@ def check_seeds(seeds):
     return seeds
 
 
-def run_multiseed(experiment, seeds):
+def run_multiseed(experiment, seeds, resume=False):
     """Independent runs per seed, aggregated into mean F1 per iteration.
 
-    Individual run failures are tolerated: the aggregate covers whatever
-    completed, with a warning.
+    ``resume`` is passed to every ``run``, so a seed whose manifest is
+    complete is not run again.  Individual run failures are tolerated: the
+    aggregate covers whatever completed, with a warning.
     """
     seeds = check_seeds(list(seeds))
     if not seeds:
@@ -465,7 +475,7 @@ def run_multiseed(experiment, seeds):
             ),
         )
         try:
-            manifests[seed] = run(per_seed)
+            manifests[seed] = run(per_seed, resume=resume)
         except Exception as e:  # noqa: BLE001 - partial aggregation is the contract
             log.warning("run with seed %s failed: %s", seed, e)
 

@@ -33,6 +33,7 @@ __all__ = [
     "read_treebank",
     "write_treebank",
     "write_text_atomic",
+    "write_json",
     "default_inventory",
 ]
 
@@ -159,13 +160,6 @@ class LabelInventory:
             return cls(frozenset(data["sps_labels"]), frozenset(data["pos_labels"]))
         except KeyError as e:
             raise LabelError(f"inventory file {path} missing key {e}") from e
-
-    def to_json(self, path):
-        data = {
-            "sps_labels": sorted(self.sps_labels),
-            "pos_labels": sorted(self.pos_labels),
-        }
-        write_text_atomic(path, json.dumps(data, ensure_ascii=False, indent=2) + "\n")
 
 
 def default_inventory():
@@ -326,3 +320,9 @@ def write_text_atomic(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, data):
+    """Write ``data`` atomically as indented JSON with sorted keys."""
+    text = json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True)
+    write_text_atomic(path, text + "\n")

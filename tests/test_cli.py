@@ -6,15 +6,15 @@ import re
 
 import pytest
 
-from spskit import cli
+from spskit import cli, selftrain
 from spskit.cli import build_parser, main
 from spskit.evaluation import ScoreOptions
 from spskit.generator import PromptConfig
-from spskit.parser import TrainConfig
+from spskit.parser import PcfgBackend, TrainConfig
 from spskit.selection import CriterionConfig
 from spskit.selftrain import Experiment
 from spskit.synthetic import sample_corpus, source_grammar, target_grammar
-from spskit.treebank import read_treebank, write_treebank
+from spskit.treebank import read_treebank, write_json, write_treebank
 
 SUBCOMMANDS = [
     "convert",
@@ -157,6 +157,9 @@ class TestTransferSeg:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "(s (n 圣诞节))"
         assert lines[1] == "(s (n 武侠) (n 小说))"
+        data = json.loads(report.read_text(encoding="utf-8"))
+        assert data["merged"] == 1
+        assert data["merges"][0]["parts"] == ["圣诞", "节"]
 
     @pytest.mark.parametrize("lookahead", ["0", "-2"])
     def test_lookahead_below_one_is_a_data_error(self, tmp_path, capsys, lookahead):
@@ -250,7 +253,7 @@ class TestPipeline:
              "--output", str(parsed), "--confidences", str(confidences)]
         ) == 0
         assert len(read_treebank(parsed)) == 30
-        assert len(confidences.read_text().splitlines()) == 30
+        assert len(confidences.read_text(encoding="utf-8").splitlines()) == 30
 
         selected = tmp_path / "selected.txt"
         sidecar = tmp_path / "scores.json"
@@ -308,7 +311,7 @@ class TestPipeline:
              "--backend", "mock", "--mock-treebank", str(grammar_treebank),
              "--output", str(out2)]
         )
-        assert out.read_text() == out2.read_text()
+        assert out.read_text(encoding="utf-8") == out2.read_text(encoding="utf-8")
 
     def test_generate_with_batch_size_zero_is_a_data_error(self, tmp_path, capsys):
         stats_treebank = tmp_path / "stats.txt"
@@ -478,6 +481,78 @@ class TestSelfTrainCommand:
         )
         assert len(aggregate["mean_target_f1"]) == 2
 
+    def test_multiseed_resume_continues_only_the_unfinished_seed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = self.make_config(tmp_path, seeds=[1, 2])
+        config = json.loads(path.read_text(encoding="utf-8"))
+        config["iterations"] = 2
+        path.write_text(json.dumps(config), encoding="utf-8")
+        straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+        for out in (straight, resumed):
+            assert main(["self-train", "--config", str(path), "--out-dir", str(out)]) == 0
+        # Cut seed 2 back to a run aborted after iteration 1.
+        seed_2 = resumed / "seed_2"
+        manifest = json.loads((seed_2 / "manifest.json").read_text(encoding="utf-8"))
+        manifest["status"] = "aborted"
+        manifest["records"] = manifest["records"][:2]
+        for name in ("selected_iter_2", "scores_iter_2"):
+            (seed_2 / manifest["artifacts"].pop(name)).unlink()
+        write_json(seed_2 / "manifest.json", manifest)
+        (resumed / "aggregate.json").unlink()
+
+        events = []
+        run, train = selftrain.run, PcfgBackend.train
+
+        def spy_run(experiment, resume=False):
+            events.append(("run", experiment.seed, resume))
+            return run(experiment, resume=resume)
+
+        def spy_train(backend, trees):
+            events.append("train")
+            return train(backend, trees)
+
+        monkeypatch.setattr(selftrain, "run", spy_run)
+        monkeypatch.setattr(PcfgBackend, "train", spy_train)
+        argv = ["self-train", "--config", str(path), "--out-dir", str(resumed)]
+        assert main(argv + ["--resume"]) == 0
+        # Seed 1 is complete: no training.  Seed 2 trains on source plus the
+        # replayed trees, then once more after iteration 2.
+        assert events == [("run", 1, True), ("run", 2, True), "train", "train"]
+
+        def files(root):
+            return {
+                p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()
+            }
+
+        assert files(resumed) == files(straight)
+
+    @pytest.mark.parametrize("command", ["resume", "report"])
+    @pytest.mark.parametrize("damage", ["version-99", "missing-key", "extra-record-key"])
+    def test_a_bad_manifest_is_a_data_error(self, tmp_path, capsys, command, damage):
+        path = self.make_config(tmp_path)
+        assert main(["self-train", "--config", str(path)]) == 0
+        manifest_path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if damage == "version-99":
+            manifest["version"] = 99
+        elif damage == "missing-key":
+            del manifest["artifacts"]
+        else:
+            manifest["records"][1]["extra"] = 0
+        text = json.dumps(manifest)
+        manifest_path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        if command == "resume":
+            argv = ["self-train", "--config", str(path), "--resume"]
+        else:
+            argv = ["report", "--manifest", str(manifest_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err
+        assert str(manifest_path) in err
+        assert manifest_path.read_text(encoding="utf-8") == text
+
     @pytest.mark.parametrize(
         "section, value, named",
         [
@@ -492,6 +567,7 @@ class TestSelfTrainCommand:
             (None, 4.5, "iterations"),
             (None, None, "pool_size"),
             (None, "no", "update_reference"),
+            (None, True, "update_reference"),
             ("criterion", {"kind": "csrs", "exclude_labels": "adv"}, "exclude_labels"),
             ("criterion", {"kind": "csrs", "k": 2.5}, "k"),
             (None, 3, "exclude"),
@@ -535,6 +611,7 @@ class TestSelfTrainCommand:
             "iterations-a-float",
             "pool-size-null",
             "update-reference-a-string",
+            "update-reference-under-csrs",
             "criterion-labels-a-string",
             "criterion-k-a-float",
             "exclude-not-a-list",

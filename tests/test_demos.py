@@ -17,13 +17,20 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(ROOT / "src"),
+        PYTHONIOENCODING="utf-8",
+        TMPDIR=str(tmp_path),
+    )
+    # Text I/O without an explicit encoding fails the demo.
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=300,
     )
     assert result.returncode == 0, result.stderr

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from spskit.errors import TokenMismatchError
-from spskit.evaluation import ScoreOptions, score_corpus, score_pair, spans
+from spskit.evaluation import ScoreOptions, score_corpus, spans
 from spskit.treebank import ParseTree, parse_bracketed
 
 
@@ -41,26 +41,26 @@ class TestSpans:
 class TestScorePair:
     def test_identity(self):
         gold = parse_bracketed("(s (subj (n a)) (pred (v b) (obj (n c))))")
-        matched, predicted, total = score_pair(gold, gold)
-        assert matched == predicted == total == 3
+        report = score_corpus([gold], [gold])
+        assert report.matched == report.predicted == report.gold == 3
 
     def test_flat_vs_structured_hand_counts(self):
         # gold spans (root and POS excluded): subj(0,1), pred(1,3), obj(2,3),
         # att... none; predicted flat single constituent: x(0,3) -> no match.
         gold = parse_bracketed("(s (subj (n a)) (pred (v b) (obj (n c))))")
         pred = parse_bracketed("(s (x (n a) (v b) (n c)))")
-        matched, predicted, total = score_pair(pred, gold)
-        assert (matched, predicted, total) == (0, 1, 3)
+        report = score_corpus([pred], [gold])
+        assert (report.matched, report.predicted, report.gold) == (0, 1, 3)
 
     def test_partial_overlap_hand_counts(self):
         gold = parse_bracketed("(s (subj (n a)) (pred (v b) (obj (n c))))")
         pred = parse_bracketed("(s (subj (n a)) (x (v b) (n c)))")
-        matched, predicted, total = score_pair(pred, gold)
-        assert (matched, predicted, total) == (1, 2, 3)
+        report = score_corpus([pred], [gold])
+        assert (report.matched, report.predicted, report.gold) == (1, 2, 3)
 
     def test_token_mismatch(self):
         with pytest.raises(TokenMismatchError):
-            score_pair(parse_bracketed("(s (n a))"), parse_bracketed("(s (n b))"))
+            score_corpus([parse_bracketed("(s (n a))")], [parse_bracketed("(s (n b))")])
 
 
 class TestScoreCorpus:
@@ -170,13 +170,8 @@ class TestScoreCorpus:
         with pytest.raises(ValueError):
             score_corpus([gold], [gold], gold_spans=[])
 
-    def test_report_serialization(self, tmp_path):
+    def test_report_serialization(self):
         gold = parse_bracketed("(s (subj (n a)) (pred (v b)))")
         report = score_corpus([gold], [gold])
-        path = tmp_path / "report.json"
-        report.to_json(path)
-        import json
-
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["f1"] == 100.0
+        assert report.to_dict()["f1"] == 100.0
         assert "ALL" in report.table()

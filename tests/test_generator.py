@@ -512,8 +512,8 @@ class TestServiceGenerator:
         request = _StubHandler.requests[0]
         assert request["auth"] == "Bearer sekrit"
         assert request["body"]["seed"] == 5
-        assert request["body"]["max_tokens"] > 0
-        assert "temperature" in request["body"]
+        assert request["body"]["max_tokens"] == generator.MAX_TOKENS
+        assert request["body"]["temperature"] == generator.TEMPERATURE
         assert batch.provenance["backend"] == "service"
 
     def test_server_errors_retry_then_succeed(self, stub_server):
@@ -560,10 +560,10 @@ class TestServiceGenerator:
         assert err.value.retriable
         assert err.value.attempts == 2
 
-    def test_unreachable_endpoint_is_retriable(self):
+    def test_unreachable_endpoint_is_retriable(self, monkeypatch):
+        monkeypatch.setattr(generator, "TIMEOUT", 0.2)
         gen = ServiceGenerator(
-            "http://127.0.0.1:1/none", max_attempts=2, timeout=0.2,
-            requests_per_minute=0,
+            "http://127.0.0.1:1/none", max_attempts=2, requests_per_minute=0
         )
         with pytest.raises(GenerationError) as err:
             gen.generate(_spec())

@@ -464,9 +464,37 @@ class TestAdaptationTrend:
                 improving += 1
         assert improving >= 2
 
-    def test_update_reference_flag_runs(self):
-        manifest = run(small_experiment(iterations=1, update_reference=True))
+    def test_update_reference_flag_runs(self, tmp_path, monkeypatch):
+        # The token reference follows the training set: iteration 2 scores
+        # against the source trees plus the trees iteration 1 selected.
+        exp = small_experiment(
+            iterations=2,
+            out_dir=str(tmp_path),
+            criterion=CriterionConfig(kind="token", k=10),
+            update_reference=True,
+        )
+        refs_seen = []
+
+        def spy(candidates, cfg, refs):
+            refs_seen.append(refs.source_tokens.counts)
+            return score(candidates, cfg, refs)
+
+        monkeypatch.setattr(selftrain, "score", spy)
+        manifest = run(exp)
         assert manifest.status == "complete"
+        selected_1 = read_treebank(tmp_path / "selected_iter_1.txt")
+        assert len(selected_1) == 10
+        assert refs_seen == [
+            dict(token_counts(exp.source_trees)),
+            dict(token_counts(exp.source_trees + selected_1)),
+        ]
+
+    @pytest.mark.parametrize("kind", ["conf", "csrs", "csrs_conf"])
+    def test_update_reference_is_rejected_where_the_reference_is_fixed(self, kind):
+        with pytest.raises(ConfigError, match=f"'update_reference'.*'{kind}'"):
+            small_experiment(
+                criterion=CriterionConfig(kind=kind, k=10), update_reference=True
+            )
 
 
 class TestGenerationDegradation:

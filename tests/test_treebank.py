@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -132,7 +133,11 @@ class TestLabelInventory:
 
     def test_json_round_trip(self, tmp_path, fig_inventory):
         path = tmp_path / "inv.json"
-        fig_inventory.to_json(path)
+        data = {
+            "sps_labels": sorted(fig_inventory.sps_labels),
+            "pos_labels": sorted(fig_inventory.pos_labels),
+        }
+        path.write_text(json.dumps(data), encoding="utf-8")
         assert LabelInventory.from_json(path) == fig_inventory
 
     def test_default_inventory_loads(self):
