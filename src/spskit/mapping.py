@@ -93,25 +93,39 @@ class MappingTable:
         Each rule entry: {"pattern": {"parent": L, "children"?: [...]},
         "rewrite": {"parent"?: L, "children"?: [...]}, "priority": N}.
         Child rewrite entries may be null to leave that child to its own rule.
+        A value of the wrong type is a MappingTableError naming the rule's
+        index and key.
         """
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
         try:
             rules = []
-            for entry in data["rules"]:
+            for index, entry in enumerate(data["rules"]):
+                where = f"mapping table {path} rule {index}"
                 pattern = entry["pattern"]
                 rewrite = entry.get("rewrite", {})
-                children = pattern.get("children")
-                child_rewrites = rewrite.get("children")
+                parent = _label(where, "pattern 'parent'", pattern["parent"])
+                parent_rewrite = _label(
+                    where, "rewrite 'parent'", rewrite.get("parent"), nullable=True
+                )
+                priority = entry["priority"]
+                if not isinstance(priority, int) or isinstance(priority, bool):
+                    raise MappingTableError(
+                        f"{where}: 'priority' must be an integer, got {priority!r}"
+                    )
+                child_pattern = _child_labels(
+                    where, "pattern 'children'", pattern.get("children")
+                )
+                child_rewrites = _child_labels(
+                    where, "rewrite 'children'", rewrite.get("children"), nullable=True
+                )
                 rules.append(
                     MappingRule(
-                        parent_pattern=pattern["parent"],
-                        child_pattern=None if children is None else tuple(children),
-                        parent_rewrite=rewrite.get("parent"),
-                        child_rewrites=(
-                            None if child_rewrites is None else tuple(child_rewrites)
-                        ),
-                        priority=entry["priority"],
+                        parent_pattern=parent,
+                        child_pattern=child_pattern,
+                        parent_rewrite=parent_rewrite,
+                        child_rewrites=child_rewrites,
+                        priority=priority,
                     )
                 )
             return cls(
@@ -121,6 +135,28 @@ class MappingTable:
             )
         except KeyError as e:
             raise MappingTableError(f"mapping table {path} missing key {e}") from e
+
+
+def _label(where, key, value, nullable=False):
+    """``value`` if a non-empty string, or None when ``nullable``; else a
+    MappingTableError naming ``where`` and ``key``."""
+    if (isinstance(value, str) and value) or (nullable and value is None):
+        return value
+    expected = "a non-empty string or null" if nullable else "a non-empty string"
+    raise MappingTableError(f"{where}: {key} must be {expected}, got {value!r}")
+
+
+def _child_labels(where, key, children, nullable=False):
+    """A rule's ``children`` list as a tuple of labels, None when absent.
+
+    ``nullable`` lets an entry be null; anything else that is not a label is
+    a MappingTableError naming ``where`` and ``key``.
+    """
+    if children is None:
+        return None
+    if not isinstance(children, list):
+        raise MappingTableError(f"{where}: {key} must be a list, got {children!r}")
+    return tuple(_label(where, f"{key} entry", c, nullable) for c in children)
 
 
 @dataclass

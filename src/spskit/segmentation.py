@@ -13,7 +13,10 @@ The transfer runs in three stages over each tree:
    review; flags that the word-first reading clears disappear.
 
 Each stage edits one mutable working tree in place, and merged leaves carry
-their provenance on it.  ``transfer_corpus`` converts each tree to that form
+their provenance on it.  One walk over the input yields both the working tree
+and its leaf list, each leaf paired with its parent; every stage keeps that
+list in step with the tree as it splits, merges and undoes leaves, so no stage
+walks the tree again.  ``transfer_corpus`` converts each tree to that form
 once, runs all three stages on it and converts it back once; the public stage
 functions convert only at their own boundary.  Converting back returns the
 input's own node for every subtree the stages left unchanged.
@@ -26,7 +29,6 @@ content is preserved exactly by every operation.
 
 from __future__ import annotations
 
-import bisect
 import operator
 from dataclasses import dataclass, field
 
@@ -49,8 +51,9 @@ DEFAULT_LOOKAHEAD = 3
 class Lexicon:
     """A word list answering membership and strict-prefix queries.
 
-    Strict-prefix lookup is a bisect into the sorted word list: every word
-    extending ``s`` sorts immediately after it, so one probe suffices.
+    Both queries are hash lookups.  Strict prefixes are looked up in a set
+    holding every ``w[:i]`` with ``1 <= i < len(w)``: one entry per distinct
+    strict prefix, so at most the words' total character count.
     """
 
     def __init__(self, words):
@@ -58,7 +61,9 @@ class Lexicon:
         if not words or not all(words):
             raise ValueError("lexicon words must be non-empty")
         self.words = frozenset(words)
-        self._sorted = sorted(self.words)
+        self._prefixes = frozenset(
+            w[:i] for w in self.words for i in range(1, len(w))
+        )
 
     def __contains__(self, s):
         return s in self.words
@@ -68,10 +73,7 @@ class Lexicon:
 
     def is_strict_prefix(self, s):
         """True when some lexicon word extends ``s`` (s itself not counted)."""
-        if not s:
-            return False
-        i = bisect.bisect_right(self._sorted, s)
-        return i < len(self._sorted) and self._sorted[i].startswith(s)
+        return s in self._prefixes
 
     @classmethod
     def from_file(cls, path):
@@ -193,23 +195,31 @@ class _Branch:
         self.source = source
 
 
-def _to_mutable(tree):
-    if tree.is_preterminal:
-        if len(tree.children) != 1:
-            raise ValueError(
-                f"node {tree.label!r} holds {len(tree.children)} tokens; "
-                "segmentation requires one token per preterminal"
-            )
-        return _Unit(tree.label, tree.children[0], source=tree)
-    children = []
-    for child in tree.children:
+def _to_mutable(tree, units, container=None):
+    """The working form of ``tree``.
+
+    Appends each of its units to ``units`` in leaf order, paired with its
+    container: the parent branch, None for a single-unit tree.
+    """
+    children = tree.children
+    if len(children) == 1 and isinstance(children[0], str):
+        unit = _Unit(tree.label, children[0], source=tree)
+        units.append((unit, container))
+        return unit
+    branch = _Branch(tree.label, [], tree)
+    for child in children:
         if isinstance(child, str):
+            if tree.is_preterminal:
+                raise ValueError(
+                    f"node {tree.label!r} holds {len(children)} tokens; "
+                    "segmentation requires one token per preterminal"
+                )
             raise ValueError(
                 f"node {tree.label!r} mixes tokens and subtrees; "
                 "segmentation requires one token per preterminal"
             )
-        children.append(_to_mutable(child))
-    return _Branch(tree.label, children, tree)
+        branch.children.append(_to_mutable(child, units, branch))
+    return branch
 
 
 def _to_tree(node):
@@ -229,24 +239,6 @@ def _to_tree(node):
     ):
         return source
     return ParseTree(node.label, children)
-
-
-def _units(root):
-    """(unit, container) pairs in leaf order; container is the parent branch."""
-    out = []
-
-    def walk(node):
-        if isinstance(node, _Unit):  # single-unit tree
-            out.append((node, None))
-            return
-        for child in node.children:
-            if isinstance(child, _Unit):
-                out.append((child, node))
-            else:
-                walk(child)
-
-    walk(root)
-    return out
 
 
 def _unit_parts(unit):
@@ -302,7 +294,7 @@ def _commit_merge(units, i, extra):
 
 
 def _edit_sweeps(units, lex, lookahead, word_first):
-    """Run merge sweeps over ``units`` (from _units) to fixpoint.
+    """Run merge sweeps over ``units`` (from _to_mutable) to fixpoint.
 
     _commit_merge keeps ``units`` in step with the tree, so one leaf walk
     serves every sweep and the caller's flag sweep.  Returns the number of
@@ -344,22 +336,28 @@ def _flag_sweep(units, lex, lookahead, word_first, tree_index, report):
         report.unmatched_logged.append((tree_index, token))
 
 
-def _split(root, table):
-    """Split every unit listed in the table in place; returns how many."""
-    if isinstance(root, _Unit):
-        if root.token in table:
+def _split(units, table):
+    """Split every unit listed in the table in place; returns how many.
+
+    ``units`` (from _to_mutable) is kept in step with the tree.
+    """
+    out = []
+    split = 0
+    for unit, container in units:
+        parts = table.entries.get(unit.token)
+        if parts is None:
+            out.append((unit, container))
+            continue
+        if container is None:
             raise ValueError(
                 "cannot split a single-node tree: the parts would need a parent"
             )
-        return 0
-    split = 0
-    for unit, container in _units(root):
-        if unit.token in table:
-            pos = container.children.index(unit)
-            container.children[pos:pos + 1] = [
-                _Unit(unit.label, part) for part in table[unit.token]
-            ]
-            split += 1
+        pieces = [_Unit(unit.label, part) for part in parts]
+        pos = container.children.index(unit)
+        container.children[pos:pos + 1] = pieces
+        out.extend((piece, container) for piece in pieces)
+        split += 1
+    units[:] = out
     return split
 
 
@@ -391,7 +389,7 @@ def _resolve(units, lex, lookahead, tree_index, report, origins):
 
     Undoes every merged unit whose first part is a lexicon word, last unit
     first so that leaf indices stay valid, then runs the word-first sweeps
-    and the flag sweep.  ``units`` (from _units) is kept in step with the
+    and the flag sweep.  ``units`` (from _to_mutable) is kept in step with the
     tree throughout.  An undone merge is reported under the tree index
     ``origins`` gives for its leaf, else ``tree_index``.  Returns the number
     of merges the sweeps commit.
@@ -424,8 +422,9 @@ def split_finest(tree, table):
     The preterminal is replicated for each part, so POS labels are kept.
     Leaves without a table entry are untouched.
     """
-    root = _to_mutable(tree)
-    _split(root, table)
+    units = []
+    root = _to_mutable(tree, units)
+    _split(units, table)
     return _to_tree(root)
 
 
@@ -440,8 +439,8 @@ def merge_pass(tree, lex, tree_index=0, lookahead=DEFAULT_LOOKAHEAD):
     until no merge commits.
     """
     _check_lookahead(lookahead)
-    root = _to_mutable(tree)
-    units = _units(root)
+    units = []
+    root = _to_mutable(tree, units)
     report = TransferReport()
     report.merged = _edit_sweeps(units, lex, lookahead, word_first=False)
     _flag_sweep(units, lex, lookahead, False, tree_index, report)
@@ -461,8 +460,8 @@ def resolve_ambiguous(
     a residual conflict (misaligned) or an unknown term (unmatched).
     """
     _check_lookahead(lookahead)
-    root = _to_mutable(tree)
-    units = _units(root)
+    units = []
+    root = _to_mutable(tree, units)
     origins = {}
     # Highest leaf index first: of several bad records, the one furthest
     # right is reported.
@@ -499,10 +498,10 @@ def transfer_corpus(
     out = []
     report = TransferReport()
     for index, tree in enumerate(trees):
-        root = _to_mutable(tree)
+        units = []
+        root = _to_mutable(tree, units)
         if split_table is not None:
-            report.split += _split(root, split_table)
-        units = _units(root)
+            report.split += _split(units, split_table)
         report.merged += _edit_sweeps(units, lex, lookahead, word_first=False)
         report.merged += _resolve(units, lex, lookahead, index, report, {})
         out.append(_to_tree(root))

@@ -457,7 +457,8 @@ def run_multiseed(experiment, seeds, resume=False):
 
     ``resume`` is passed to every ``run``, so a seed whose manifest is
     complete is not run again.  Individual run failures are tolerated: the
-    aggregate covers whatever completed, with a warning.
+    aggregate covers whatever completed, with a warning.  A ConfigError, such
+    as a seed's damaged manifest, is no run failure and stops the whole run.
     """
     seeds = check_seeds(list(seeds))
     if not seeds:
@@ -476,6 +477,8 @@ def run_multiseed(experiment, seeds, resume=False):
         )
         try:
             manifests[seed] = run(per_seed, resume=resume)
+        except ConfigError:
+            raise
         except Exception as e:  # noqa: BLE001 - partial aggregation is the contract
             log.warning("run with seed %s failed: %s", seed, e)
 

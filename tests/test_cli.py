@@ -232,6 +232,23 @@ class TestPipeline:
         ) == 0
         assert "s -> subject predicate" in rules_out.read_text(encoding="utf-8")
 
+    def test_convert_rejects_a_rule_priority_that_is_no_integer(self, tmp_path, capsys):
+        treebank = tmp_path / "const.txt"
+        treebank.write_text("(IP (NP (NN 指标)) (VP (VV 高于)))\n", encoding="utf-8")
+        table = tmp_path / "table.json"
+        rule = {"pattern": {"parent": "IP"}, "rewrite": {"parent": "s"}, "priority": "5"}
+        table.write_text(
+            json.dumps({"default_label": "att", "rules": [rule]}), encoding="utf-8"
+        )
+        converted = tmp_path / "sps.txt"
+        assert main(
+            ["convert", "--input", str(treebank), "--table", str(table),
+             "--output", str(converted)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err and "rule 0: 'priority'" in err
+        assert not converted.exists()
+
     def test_train_parse_select_eval(self, tmp_path, capsys):
         source = tmp_path / "source.txt"
         write_treebank(sample_corpus(source_grammar(), 120, seed=1, name="cli-src"), source)
@@ -526,6 +543,23 @@ class TestSelfTrainCommand:
             }
 
         assert files(resumed) == files(straight)
+
+    def test_a_bad_seed_manifest_stops_a_multiseed_resume(self, tmp_path, capsys):
+        # A damaged seed is no tolerated run failure: the aggregate of the
+        # other seeds must not silently replace the full one.
+        path = self.make_config(tmp_path, seeds=[1, 2])
+        assert main(["self-train", "--config", str(path)]) == 0
+        manifest_path = tmp_path / "run" / "seed_2" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["version"] = 99
+        write_json(manifest_path, manifest)
+        aggregate = (tmp_path / "run" / "aggregate.json").read_bytes()
+        capsys.readouterr()
+        assert main(["self-train", "--config", str(path), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err
+        assert str(manifest_path) in err
+        assert (tmp_path / "run" / "aggregate.json").read_bytes() == aggregate
 
     @pytest.mark.parametrize("command", ["resume", "report"])
     @pytest.mark.parametrize("damage", ["version-99", "missing-key", "extra-record-key"])

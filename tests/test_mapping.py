@@ -226,6 +226,58 @@ class TestMappingTable:
         out = convert(tree, table)
         assert serialize(out) == "(sps (subject (NN 指标)) (predicate (att 高于)))"
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("priority", "5", "'priority'"),
+            ("priority", 2.0, "'priority'"),
+            ("priority", True, "'priority'"),
+            ("pattern", {"parent": "IP", "children": "NP"}, "pattern 'children'"),
+            ("pattern", {"parent": "IP", "children": ["NP", 3]}, "pattern 'children'"),
+            ("pattern", {"parent": "IP", "children": ["NP", None]}, "pattern 'children'"),
+            ("pattern", {"parent": ""}, "pattern 'parent'"),
+            ("pattern", {"parent": ["IP"]}, "pattern 'parent'"),
+            ("pattern", {"parent": None}, "pattern 'parent'"),
+            ("rewrite", {"parent": 5}, "rewrite 'parent'"),
+            ("rewrite", {"parent": ""}, "rewrite 'parent'"),
+            ("rewrite", {"parent": "s", "children": "ab"}, "rewrite 'children'"),
+            ("rewrite", {"parent": "s", "children": [1, None]}, "rewrite 'children'"),
+        ],
+    )
+    def test_from_json_names_a_rule_value_of_the_wrong_type(
+        self, tmp_path, field, value, named
+    ):
+        # "children": "NP" used to be read as ("N", "P"), a rule that never
+        # matches; "priority": "5" failed later with a raw TypeError.
+        entry = {
+            "pattern": {"parent": "IP", "children": ["NP", "VP"]},
+            "rewrite": {"parent": "s"},
+            "priority": 1,
+        }
+        entry[field] = value
+        path = tmp_path / "table.json"
+        rules = [{"pattern": {"parent": "NN"}, "priority": 2}, entry]
+        path.write_text(
+            json.dumps({"default_label": "att", "rules": rules}), encoding="utf-8"
+        )
+        with pytest.raises(MappingTableError, match="rule 1: " + named) as info:
+            MappingTable.from_json(path)
+        assert str(path) in str(info.value)
+
+    def test_from_json_accepts_null_child_rewrites(self, tmp_path):
+        path = tmp_path / "table.json"
+        entry = {
+            "pattern": {"parent": "IP", "children": ["NP", "*"]},
+            "rewrite": {"children": ["subject", None]},
+            "priority": 1,
+        }
+        path.write_text(
+            json.dumps({"default_label": "att", "rules": [entry]}), encoding="utf-8"
+        )
+        (rule_,) = MappingTable.from_json(path).rules
+        assert rule_.child_pattern == ("NP", "*")
+        assert rule_.child_rewrites == ("subject", None)
+
     def test_from_json_missing_key(self, tmp_path):
         path = tmp_path / "table.json"
         path.write_text('{"rules": []}', encoding="utf-8")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from unittest import mock
 
 import pytest
@@ -392,6 +395,61 @@ class TestTransferCorpus:
         for record in report.merges:
             assert leaves[record.leaf_index] == record.surface
 
+
+GOLDEN_SYLLABLES = ("ba", "ku", "to", "mi", "re", "sa", "no", "li")
+
+
+def golden_corpus():
+    """A fixed corpus on which every transfer outcome occurs.
+
+    Two- and three-syllable words make the merges; the first four syllables
+    are words too, so some merges are undone word-first; two-syllable source
+    tokens are split; ``zz`` is no word and no prefix.
+    """
+    rng = random.Random(13)
+
+    def syllables(n):
+        return "".join(rng.choice(GOLDEN_SYLLABLES) for _ in range(n))
+
+    words = set(GOLDEN_SYLLABLES[:4])
+    words.update(syllables(2) for _ in range(24))
+    words.update(syllables(3) for _ in range(12))
+    coarse = [syllables(2) for _ in range(10)]
+    split_table = SplitTable({w: (w[:2], w[2:]) for w in coarse})
+    tokens = GOLDEN_SYLLABLES + tuple(split_table.entries) + ("zz",)
+
+    def node(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return ParseTree(rng.choice("nvm"), (rng.choice(tokens),))
+        label = rng.choice(("np", "vp", "ip"))
+        return ParseTree(label, tuple(node(depth - 1) for _ in range(rng.randint(1, 5))))
+
+    trees = [
+        ParseTree("s", tuple(node(2) for _ in range(rng.randint(1, 4))))
+        for _ in range(300)
+    ]
+    return trees, Lexicon(sorted(words)), split_table
+
+
+class TestTransferGolden:
+    def test_transfer_output_is_pinned(self):
+        # Speed-ups to segmentation transfer must leave every tree and every
+        # report entry of this corpus unchanged.
+        trees, lex, split_table = golden_corpus()
+        out, report = transfer_corpus(trees, lex, split_table=split_table)
+        table_splits = sum(
+            leaf in split_table for tree in trees for leaf in tree.leaves()
+        )
+        assert table_splits > 0
+        assert report.split - table_splits > 0  # merges undone word-first
+        assert report.merged > 0
+        assert report.merges
+        assert report.misaligned
+        assert report.unmatched_logged
+        summary = json.dumps([[serialize(t) for t in out], report.to_dict()])
+        assert hashlib.sha256(summary.encode("utf-8")).hexdigest() == (
+            "b6d9b49106f9f7c95c2181905927a56ece8abff5e54b99f55e456b22bedce1fd"
+        )
 
 TOKENS = st.text(alphabet="ab", min_size=1, max_size=3)
 
