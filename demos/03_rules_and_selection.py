@@ -56,7 +56,7 @@ pool = [
 ]
 
 for c in pool[:3]:
-    d = instance_distance(c, refs.converted_target_rules, mode="rules")
+    d = instance_distance(extract_rules(c.tree), refs.converted_target_rules)
     print(f"distance {d:.4f}  conf {c.confidence:.2f}  {c.sentence.text()}")
 
 # CSRs picks the structurally closest; the fallback candidate is dropped.

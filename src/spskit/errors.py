@@ -38,7 +38,7 @@ class MappingTableError(SpsError):
 
 
 class EmptyFeaturesError(SpsError):
-    """A candidate produced no features under the requested featurization mode."""
+    """instance_distance was given a candidate with no feature counts."""
 
 
 class TokenMismatchError(SpsError):

@@ -93,8 +93,8 @@ class MappingTable:
         Each rule entry: {"pattern": {"parent": L, "children"?: [...]},
         "rewrite": {"parent"?: L, "children"?: [...]}, "priority": N}.
         Child rewrite entries may be null to leave that child to its own rule.
-        A value of the wrong type is a MappingTableError naming the rule's
-        index and key.
+        A value of the wrong type is a MappingTableError naming the key, and
+        the rule's index for a rule's key.
         """
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -128,10 +128,16 @@ class MappingTable:
                         priority=priority,
                     )
                 )
+            where = f"mapping table {path}"
+            strict = data.get("strict", False)
+            if not isinstance(strict, bool):
+                raise MappingTableError(
+                    f"{where}: 'strict' must be true or false, got {strict!r}"
+                )
             return cls(
                 rules=rules,
-                default_label=data["default_label"],
-                strict=data.get("strict", False),
+                default_label=_label(where, "'default_label'", data["default_label"]),
+                strict=strict,
             )
         except KeyError as e:
             raise MappingTableError(f"mapping table {path} missing key {e}") from e

@@ -3,10 +3,11 @@
 A syntactic rule is a one-level production: a parent label plus the ordered
 labels of its children.  Lexical productions (a POS tag over its token) are
 excluded by default, so a rule exists for every internal node that has at
-least one non-leaf child.  The selection machinery measures how well a
-candidate fits a reference corpus as JS(S, S + {c}): the Jensen-Shannon
-divergence, in base 2, between the reference distribution and the same
-distribution with the candidate's feature counts folded in.
+least one non-leaf child.  This module counts rules and tokens and compares
+counts; how a candidate is featurized is ``selection``'s job.  The instance
+distance JS(S, S + {c}) is the Jensen-Shannon divergence, in base 2, between
+the reference distribution and the same distribution with the candidate's
+feature counts folded in.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyFeaturesError
-from .treebank import ParseTree, Sentence, write_text_atomic
+from .treebank import write_text_atomic
 
 __all__ = [
     "SyntacticRule",
@@ -25,7 +26,6 @@ __all__ = [
     "extract_corpus_rules",
     "token_counts",
     "js_divergence",
-    "candidate_features",
     "instance_distance",
     "format_rule",
     "export_rules",
@@ -81,15 +81,11 @@ def extract_corpus_rules(trees, exclude_labels=()):
     return counts
 
 
-def token_counts(item):
-    """Token counts of a Sentence, a ParseTree, or an iterable of either."""
-    if isinstance(item, Sentence):
-        return Counter(item.tokens)
-    if isinstance(item, ParseTree):
-        return Counter(item.leaves())
+def token_counts(trees):
+    """Aggregate token counts over a corpus of trees."""
     counts = Counter()
-    for element in item:
-        counts.update(token_counts(element))
+    for tree in trees:
+        counts.update(tree.leaves())
     return counts
 
 
@@ -116,20 +112,11 @@ class RuleDistribution:
         total = self.total_count
         return {item: c / total for item, c in self._counts.items()}
 
-    def probability(self, item):
-        return self._counts.get(item, 0) / self.total_count
-
     def extended(self, extra_counts):
         """A new distribution with ``extra_counts`` folded into this one."""
         merged = Counter(self._counts)
         merged.update(extra_counts)
         return RuleDistribution(merged)
-
-    def scaled(self, factor):
-        """Counts multiplied by a positive integer; probabilities unchanged."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        return RuleDistribution({i: c * factor for i, c in self._counts.items()})
 
     def __len__(self):
         return len(self._counts)
@@ -164,37 +151,16 @@ def js_divergence(p, q):
     return min(1.0, max(0.0, total))
 
 
-def candidate_features(candidate, mode, exclude_labels=()):
-    """Featurize a candidate for instance_distance.
-
-    ``mode`` is "rules" (syntactic-rule counts of the candidate's tree) or
-    "tokens" (token counts of its sentence).  Accepts a PseudoTree-shaped
-    object (``.tree``/``.sentence``), a ParseTree, or a Sentence.
-    """
-    if mode == "rules":
-        tree = getattr(candidate, "tree", candidate)
-        if not isinstance(tree, ParseTree):
-            raise TypeError(f"cannot extract rules from {type(candidate).__name__}")
-        return extract_rules(tree, exclude_labels=exclude_labels)
-    if mode == "tokens":
-        sentence = getattr(candidate, "sentence", candidate)
-        return token_counts(sentence)
-    raise ValueError(f"unknown featurization mode {mode!r}")
-
-
-def instance_distance(candidate, reference, mode="rules", exclude_labels=()):
-    """D(c, S) = JS(S, S + {c}) under the requested featurization.
+def instance_distance(features, reference):
+    """D(c, S) = JS(S, S + {c}) for a candidate's feature counts ``features``.
 
     ``reference`` is the empirical distribution of the reference corpus S;
-    the candidate's feature counts are added to S's counts and the result is
+    the candidate's counts are added to S's counts and the result is
     compared against S.  Lower means the candidate disturbs the reference
     distribution less.
     """
-    features = candidate_features(candidate, mode, exclude_labels=exclude_labels)
     if not features:
-        raise EmptyFeaturesError(
-            f"candidate has no features under mode {mode!r}"
-        )
+        raise EmptyFeaturesError("candidate has no features")
     return js_divergence(reference, reference.extended(features))
 
 

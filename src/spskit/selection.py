@@ -8,11 +8,10 @@ kind alone fixes the reference and how a candidate is featurized (``KINDS``).
 ``conf`` scores negated confidence so that lower is always better.  The
 combined kinds (``srs_conf``, ``csrs_conf``) first keep the
 ``prefilter_multiplier * k`` best candidates by rule score, then pick the k
-most confident among them.  Candidates that received the parser's fallback
-tree (confidence 0) carry no usable structure and are dropped before scoring.
-A candidate's distance depends only on the reference and its feature
-multiset, so ``score`` computes it once per distinct multiset and reuses it
-for the rest.
+most confident among them.  ``score`` featurizes each candidate once (token
+counts for ``token``, rule counts otherwise) and computes one distance per
+distinct feature multiset.  It drops fallback parses (confidence 0) and
+candidates with no features (every rule child excluded).
 
 All orderings are total and deterministic: ties break by confidence (higher
 first), then the token sequence, then the serialized tree.
@@ -21,10 +20,11 @@ first), then the token sequence, then the serialized tree.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConfigError, int_at_least
-from .rules import candidate_features, instance_distance
+from .rules import extract_rules, instance_distance
 from .treebank import serialize
 
 __all__ = ["CriterionConfig", "SelectionRefs", "score", "select_top_k", "select"]
@@ -97,9 +97,9 @@ def _candidate_key(candidate):
 def score(candidates, cfg, refs):
     """(candidate, score) pairs; lower scores are better under every kind.
 
-    Fallback-parsed candidates are dropped here.  For the combined kinds the
-    returned score is the rule-distance component; confidence enters during
-    selection.
+    Fallback-parsed candidates and candidates without features are dropped
+    here.  For the combined kinds the returned score is the rule-distance
+    component; confidence enters during selection.
     """
     usable = [c for c in candidates if c.confidence > 0.0]
     mode = cfg.mode
@@ -111,13 +111,16 @@ def score(candidates, cfg, refs):
     distances = {}
     scored = []
     for c in usable:
-        features = candidate_features(c, mode, exclude_labels=cfg.exclude_labels)
+        if mode == "tokens":
+            features = Counter(c.sentence.tokens)
+        else:
+            features = extract_rules(c.tree, exclude_labels=cfg.exclude_labels)
+        if not features:
+            continue
         key = frozenset(features.items())
         distance = distances.get(key)
         if distance is None:
-            distance = distances[key] = instance_distance(
-                c, reference, mode=mode, exclude_labels=cfg.exclude_labels
-            )
+            distance = distances[key] = instance_distance(features, reference)
         scored.append((c, distance))
     return scored
 

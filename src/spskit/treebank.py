@@ -155,11 +155,28 @@ class LabelInventory:
     @classmethod
     def from_json(cls, path):
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-        try:
-            return cls(frozenset(data["sps_labels"]), frozenset(data["pos_labels"]))
-        except KeyError as e:
-            raise LabelError(f"inventory file {path} missing key {e}") from e
+            return _inventory(json.load(f), f"inventory file {path}")
+
+
+def _inventory(data, where):
+    """The LabelInventory of parsed JSON ``data``: an object whose
+    ``sps_labels`` and ``pos_labels`` are lists of non-empty strings.  Anything
+    else is a LabelError naming ``where`` and the key."""
+    if not isinstance(data, dict):
+        raise LabelError(f"{where} must hold an object, got {type(data).__name__}")
+    labels = []
+    for key in ("sps_labels", "pos_labels"):
+        if key not in data:
+            raise LabelError(f"{where} missing key {key!r}")
+        value = data[key]
+        if not isinstance(value, list) or not all(
+            isinstance(label, str) and label for label in value
+        ):
+            raise LabelError(
+                f"{where}: {key!r} must be a list of non-empty strings, got {value!r}"
+            )
+        labels.append(frozenset(value))
+    return LabelInventory(*labels)
 
 
 def default_inventory():
@@ -167,8 +184,7 @@ def default_inventory():
     text = resources.files("spskit").joinpath("data/default_inventory.json").read_text(
         encoding="utf-8"
     )
-    data = json.loads(text)
-    return LabelInventory(frozenset(data["sps_labels"]), frozenset(data["pos_labels"]))
+    return _inventory(json.loads(text), "shipped inventory")
 
 
 def parse_bracketed(text, inventory=None, line=None):

@@ -249,6 +249,46 @@ class TestPipeline:
         assert "spskit: error:" in err and "rule 0: 'priority'" in err
         assert not converted.exists()
 
+    @pytest.mark.parametrize("key, value", [("default_label", 5), ("strict", "no")])
+    def test_convert_rejects_a_table_value_of_the_wrong_type(
+        self, tmp_path, capsys, key, value
+    ):
+        treebank = tmp_path / "const.txt"
+        treebank.write_text("(IP (NP (NN 指标)) (VP (VV 高于)))\n", encoding="utf-8")
+        table = tmp_path / "table.json"
+        rule = {"pattern": {"parent": "IP"}, "rewrite": {"parent": "s"}, "priority": 1}
+        table.write_text(
+            json.dumps({"default_label": "att", "rules": [rule], key: value}),
+            encoding="utf-8",
+        )
+        converted = tmp_path / "sps.txt"
+        assert main(
+            ["convert", "--input", str(treebank), "--table", str(table),
+             "--output", str(converted)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err and f"'{key}' must be" in err
+        assert not converted.exists()
+
+    @pytest.mark.parametrize(
+        "data", [[], {"sps_labels": "subj", "pos_labels": ["n"]}]
+    )
+    def test_normalize_rejects_an_inventory_of_the_wrong_shape(
+        self, tmp_path, capsys, data
+    ):
+        treebank = tmp_path / "sps.txt"
+        treebank.write_text("(s (subj (n a)))\n", encoding="utf-8")
+        inventory = tmp_path / "inv.json"
+        inventory.write_text(json.dumps(data), encoding="utf-8")
+        normalized = tmp_path / "norm.txt"
+        assert main(
+            ["normalize", "--input", str(treebank), "--inventory", str(inventory),
+             "--output", str(normalized)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err and str(inventory) in err
+        assert not normalized.exists()
+
     def test_train_parse_select_eval(self, tmp_path, capsys):
         source = tmp_path / "source.txt"
         write_treebank(sample_corpus(source_grammar(), 120, seed=1, name="cli-src"), source)

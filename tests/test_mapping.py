@@ -264,6 +264,36 @@ class TestMappingTable:
             MappingTable.from_json(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("default_label", 5),
+            ("default_label", ""),
+            ("default_label", None),
+            ("strict", "no"),
+            ("strict", 1),
+            ("strict", None),
+        ],
+    )
+    def test_from_json_names_a_table_value_of_the_wrong_type(self, tmp_path, key, value):
+        # "strict": "no" is truthy, so it must be refused, not run strict; a
+        # label that is no string would fail only when trees are written.
+        rules = [{"pattern": {"parent": "NN"}, "priority": 1}]
+        table = {"default_label": "att", "rules": rules, key: value}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        with pytest.raises(MappingTableError, match=f"'{key}' must be") as info:
+            MappingTable.from_json(path)
+        assert str(path) in str(info.value)
+
+    def test_from_json_reads_strict(self, tmp_path):
+        path = tmp_path / "table.json"
+        rules = [{"pattern": {"parent": "NN"}, "priority": 1}]
+        for strict in (True, False):
+            table = {"default_label": "att", "strict": strict, "rules": rules}
+            path.write_text(json.dumps(table), encoding="utf-8")
+            assert MappingTable.from_json(path).strict is strict
+
     def test_from_json_accepts_null_child_rewrites(self, tmp_path):
         path = tmp_path / "table.json"
         entry = {

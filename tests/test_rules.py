@@ -19,7 +19,7 @@ from spskit.rules import (
     js_divergence,
     token_counts,
 )
-from spskit.treebank import Sentence, parse_bracketed
+from spskit.treebank import ParseTree, parse_bracketed
 
 
 def dist(**counts):
@@ -29,8 +29,8 @@ def dist(**counts):
 def js_oracle_scipy(p, q):
     """Independent JS via scipy over the union support (scipy returns sqrt)."""
     support = sorted(set(p.support) | set(q.support))
-    pv = [p.probability(i) for i in support]
-    qv = [q.probability(i) for i in support]
+    pv = [p.support.get(i, 0.0) for i in support]
+    qv = [q.support.get(i, 0.0) for i in support]
     return jensenshannon(pv, qv, base=2) ** 2
 
 
@@ -92,8 +92,6 @@ class TestExtractRules:
         assert counts == Counter({SyntacticRule("adv", ("t", "t")): 1})
 
     def test_bare_token_children_use_marker(self):
-        from spskit.treebank import ParseTree
-
         tree = ParseTree("a", ("b", ParseTree("c", ("d",))))
         (rule,) = extract_rules(tree)
         assert rule == SyntacticRule("a", ("<tok>", "c"))
@@ -111,7 +109,7 @@ class TestExtractRules:
 class TestRuleDistribution:
     def test_probabilities_sum_to_one(self):
         d = dist(a=3, b=1)
-        assert d.probability("a") == 0.75
+        assert d.support["a"] == 0.75
         assert abs(sum(d.support.values()) - 1.0) < 1e-9
         assert d.total_count == 4
 
@@ -122,10 +120,6 @@ class TestRuleDistribution:
     def test_extended_adds_counts(self):
         d = dist(a=1).extended(Counter({"a": 1, "b": 2}))
         assert d.counts == {"a": 2, "b": 2}
-
-    def test_scaled_preserves_probabilities(self):
-        d = dist(a=3, b=1)
-        assert d.scaled(5).support == d.support
 
 
 class TestJsDivergence:
@@ -156,7 +150,8 @@ class TestJsDivergence:
         if value < 1e-9:
             assert p.support.keys() == q.support.keys()
             assert all(
-                abs(p.probability(i) - q.probability(i)) < 1e-6 for i in p.support
+                abs(p.support.get(i, 0.0) - q.support.get(i, 0.0)) < 1e-6
+                for i in p.support
             )
 
     @given(counts_strategy, counts_strategy)
@@ -170,10 +165,8 @@ class TestInstanceDistance:
         # S holds one rule; a candidate contributing only that rule leaves
         # the extended distribution identical.
         single = RuleDistribution({SyntacticRule("x", ("y",)): 1})
-        from spskit.treebank import ParseTree
-
         candidate = ParseTree("x", (ParseTree("y", ("tok",)),))
-        assert instance_distance(candidate, single, mode="rules") <= 1e-12
+        assert instance_distance(extract_rules(candidate), single) <= 1e-12
 
     def test_proportional_candidate_beats_novel_one(self):
         r1 = SyntacticRule("s", ("subj", "pred"))
@@ -182,26 +175,26 @@ class TestInstanceDistance:
         reference = RuleDistribution({r1: 4, r2: 4, r3: 4})
         matching = parse_bracketed("(s (subj (n a)) (pred (v b)))")
         novel = parse_bracketed("(s (zz (n a)) (pred (v b)))")
-        d_match = instance_distance(matching, reference, mode="rules")
-        d_novel = instance_distance(novel, reference, mode="rules")
+        d_match = instance_distance(extract_rules(matching), reference)
+        d_novel = instance_distance(extract_rules(novel), reference)
         # brute-force check of both values against the high-precision oracle
         for candidate, value in ((matching, d_match), (novel, d_novel)):
             extended = reference.extended(extract_rules(candidate))
             assert value == pytest.approx(js_oracle_mpmath(reference, extended), abs=1e-12)
         assert d_match < d_novel
 
-    def test_token_mode_uses_sentence_tokens(self):
-        reference = RuleDistribution(token_counts(Sentence(("a", "b", "a"))))
-        near = Sentence(("a", "b"))
-        far = Sentence(("zz", "zz"))
-        assert instance_distance(near, reference, mode="tokens") < instance_distance(
-            far, reference, mode="tokens"
-        )
+    def test_token_counts_compare_like_rule_counts(self):
+        corpus = [parse_bracketed("(s (x a) (x b))"), parse_bracketed("(s (x a))")]
+        reference = RuleDistribution(token_counts(corpus))
+        assert reference.counts == {"a": 2, "b": 1}
+        near = Counter(("a", "b"))
+        far = Counter(("zz", "zz"))
+        assert instance_distance(near, reference) < instance_distance(far, reference)
 
     def test_empty_features_is_an_error(self):
         reference = dist(a=1)
         with pytest.raises(EmptyFeaturesError):
-            instance_distance(parse_bracketed("(x a)"), reference, mode="rules")
+            instance_distance(extract_rules(parse_bracketed("(x a)")), reference)
 
     @given(
         st.lists(
@@ -225,7 +218,10 @@ class TestInstanceDistance:
         from hypothesis import assume
         import itertools
 
-        reference = RuleDistribution({"a": 6, "b": 3, "c": 1}).scaled(base)
+        def scaled(d, factor):
+            return RuleDistribution({i: c * factor for i, c in d.counts.items()})
+
+        reference = scaled(RuleDistribution({"a": 6, "b": 3, "c": 1}), base)
 
         def distances(ref):
             return [js_divergence(ref, ref.extended(c)) for c in candidate_counts]
@@ -241,7 +237,7 @@ class TestInstanceDistance:
         def ranking(values):
             return sorted(range(len(values)), key=lambda i: (values[i], i))
 
-        assert ranking(base_distances) == ranking(distances(reference.scaled(2)))
+        assert ranking(base_distances) == ranking(distances(scaled(reference, 2)))
 
     def test_format_rule(self):
         assert format_rule(SyntacticRule("s", ("subj", "pred"))) == "s -> subj pred"

@@ -5,11 +5,10 @@ from collections import Counter
 import pytest
 
 from spskit import selection
-from spskit.errors import ConfigError, EmptyFeaturesError
+from spskit.errors import ConfigError
 from spskit.parser import PseudoTree
 from spskit.rules import (
     RuleDistribution,
-    candidate_features,
     extract_corpus_rules,
     extract_rules,
     instance_distance,
@@ -88,7 +87,7 @@ def oracle_select(candidates, cfg, refs):
         if cfg.kind == "conf":
             return -c.confidence
         features = (
-            token_counts(c.sentence) if cfg.kind == "token" else extract_rules(c.tree)
+            Counter(c.sentence.tokens) if cfg.kind == "token" else extract_rules(c.tree)
         )
         extended = Counter(reference.counts)
         extended.update(features)
@@ -170,9 +169,9 @@ class TestDistanceReuse:
     def counted(self, monkeypatch):
         calls = []
 
-        def counting(candidate, reference, **kwargs):
-            calls.append(candidate)
-            return instance_distance(candidate, reference, **kwargs)
+        def counting(features, reference):
+            calls.append(features)
+            return instance_distance(features, reference)
 
         monkeypatch.setattr(selection, "instance_distance", counting)
         return calls
@@ -186,25 +185,44 @@ class TestDistanceReuse:
             for text in ("(x (x (y a)))", "(x (x (x (y a))))", "(s (n a) (n a))", "(s (n a))")
         ]
         cfg = CriterionConfig(kind=kind, k=5, exclude_labels=exclude_labels)
-        mode = "tokens" if kind == "token" else "rules"
         reference = refs.get(cfg.reference_name)
         usable = [c for c in pool if c.confidence > 0.0]
-        expected = [
-            (id(c), instance_distance(c, reference, mode=mode, exclude_labels=exclude_labels).hex())
-            for c in usable
-        ]
+
+        def features(c):
+            if kind == "token":
+                return Counter(c.sentence.tokens)
+            return extract_rules(c.tree, exclude_labels=exclude_labels)
+
+        expected = [(id(c), instance_distance(features(c), reference).hex()) for c in usable]
         got = score(pool, cfg, refs)
         assert [(id(c), s.hex()) for c, s in got] == expected
-        distinct = {
-            frozenset(candidate_features(c, mode, exclude_labels).items()) for c in usable
-        }
+        distinct = {frozenset(features(c).items()) for c in usable}
         assert len(counted) == len(distinct) < len(usable)
 
-    def test_empty_features_still_raise(self, refs):
+    def test_empty_features_are_dropped(self, refs, counted):
+        # Every rule child is excluded, so these candidates have no features;
+        # the kept candidate still gets its distance.
         cfg = CriterionConfig(kind="srs", k=1, exclude_labels=("w",))
         empty = [pseudo("(s (w a) (w b))", 0.5) for _ in range(2)]
-        with pytest.raises(EmptyFeaturesError):
-            score(empty, cfg, refs)
+        kept = pseudo("(s (subj (n a)) (pred (v b)) (w c))", 0.5)
+        scored = score(empty + [kept], cfg, refs)
+        assert [c for c, _ in scored] == [kept]
+        assert len(counted) == 1
+        assert score(empty, cfg, refs) == []
+
+    @pytest.mark.parametrize("kind", ["srs", "srs_conf", "csrs", "csrs_conf"])
+    def test_rules_extracted_once_per_usable_candidate(self, refs, monkeypatch, kind):
+        trees = []
+
+        def spy(tree, exclude_labels=()):
+            trees.append(tree)
+            return extract_rules(tree, exclude_labels=exclude_labels)
+
+        monkeypatch.setattr(selection, "extract_rules", spy)
+        pool = random_pool(random.Random(3), 40)
+        usable = [c for c in pool if c.confidence > 0.0]
+        score(pool, CriterionConfig(kind=kind, k=5), refs)
+        assert [id(t) for t in trees] == [id(c.tree) for c in usable]
 
 
 class TestSelectTopK:
@@ -306,11 +324,14 @@ class TestSelectTopK:
             pseudo("(s (zz (qq (n a))) (yy (n b)))", 0.31),
         ]
 
+        def scaled(d, factor):
+            return RuleDistribution({i: c * factor for i, c in d.counts.items()})
+
         def at_scale(factor):
             return SelectionRefs(
-                source_tokens=refs.source_tokens.scaled(factor),
-                source_rules=refs.source_rules.scaled(factor),
-                converted_target_rules=refs.converted_target_rules.scaled(factor),
+                source_tokens=scaled(refs.source_tokens, factor),
+                source_rules=scaled(refs.source_rules, factor),
+                converted_target_rules=scaled(refs.converted_target_rules, factor),
             )
 
         for kind in ALL_KINDS:

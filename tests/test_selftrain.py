@@ -11,12 +11,12 @@ import pytest
 from spskit import selftrain
 from spskit.errors import ConfigError, GenerationError
 from spskit.generator import GenerationBatch, corpus_stats
-from spskit.parser import PseudoTree
+from spskit.parser import PcfgBackend, PseudoTree
 from spskit.rules import extract_corpus_rules, token_counts
 from spskit.selection import CriterionConfig, score
 from spskit.selftrain import Experiment, RunManifest, run, run_multiseed
 from spskit.synthetic import cross_domain_experiment
-from spskit.treebank import read_treebank
+from spskit.treebank import Sentence, parse_bracketed, read_treebank
 
 
 def small_experiment(seed=0, iterations=2, out_dir=None, **overrides):
@@ -275,6 +275,38 @@ class TestExcludeLabels:
         assert seen == {
             ("stats", ("adv",)), ("reference", ("adv",)), ("candidates", ("adv",))
         }
+
+    def test_a_candidate_without_rules_is_dropped_not_fatal(self):
+        # "。" parses as (s (w 。)), which has no rule once "w" is excluded.
+        source = [
+            parse_bracketed(text)
+            for text in (
+                "(s (w 。))",
+                "(s (subj (n a)) (pred (v b)) (w 。))",
+                "(s (subj (n a)) (pred (v b)))",
+            )
+        ]
+
+        class Stub:
+            name = "stub"
+
+            def generate(self, spec):
+                sentences = (Sentence(("。",)), Sentence(("a", "b", "。")))
+                return GenerationBatch(sentences, {"backend": "stub"})
+
+        exp = Experiment(
+            source_trees=source,
+            target_examples=[t.sentence() for t in source],
+            parser_backend=PcfgBackend(),
+            generator_backend=Stub(),
+            criterion=CriterionConfig(kind="csrs", k=1, exclude_labels=["w"]),
+            converted_target_trees=source,
+            iterations=1,
+            pool_size=2,
+        )
+        manifest = run(exp)
+        assert manifest.status == "complete"
+        assert manifest.records[1].selected_ids == [1]
 
 
 class TestIncrementalStats:

@@ -140,6 +140,27 @@ class TestLabelInventory:
         path.write_text(json.dumps(data), encoding="utf-8")
         assert LabelInventory.from_json(path) == fig_inventory
 
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ([], "must hold an object"),
+            ("s", "must hold an object"),
+            ({"pos_labels": ["n"]}, "missing key 'sps_labels'"),
+            ({"sps_labels": "subj", "pos_labels": ["n"]}, "'sps_labels' must be"),
+            ({"sps_labels": ["s"], "pos_labels": {"n": 1}}, "'pos_labels' must be"),
+            ({"sps_labels": ["s", 3], "pos_labels": ["n"]}, "'sps_labels' must be"),
+            ({"sps_labels": ["s"], "pos_labels": [""]}, "'pos_labels' must be"),
+        ],
+    )
+    def test_from_json_names_a_value_of_the_wrong_type(self, tmp_path, data, named):
+        # A string is iterable, so "subj" must be refused, not read as the
+        # labels s, u, b and j; a file that is no object names its path.
+        path = tmp_path / "inv.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(LabelError, match=named) as info:
+            LabelInventory.from_json(path)
+        assert str(path) in str(info.value)
+
     def test_default_inventory_loads(self):
         inv = default_inventory()
         assert "subject" in inv.sps_labels
