@@ -30,8 +30,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
-import requests
-
 from .errors import (
     GenerationError,
     int_at_least,
@@ -462,7 +460,12 @@ class ServiceGenerator:
         self.requests_per_minute = non_negative_number(
             "requests_per_minute", requests_per_minute
         )
-        self.session = session or requests.Session()
+        if session is None:
+            # Imported here so that the offline stages load no HTTP client.
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
         self._interval = 60.0 / requests_per_minute if requests_per_minute else 0.0
         self._last_request = None
@@ -485,6 +488,8 @@ class ServiceGenerator:
         return headers
 
     def generate(self, spec):
+        import requests
+
         prompt = render_prompt(spec, self.template)
         body = {
             "prompt": prompt,

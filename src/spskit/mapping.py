@@ -98,12 +98,19 @@ class MappingTable:
         """
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
+        table = f"mapping table {path}"
+        _object(table, "the file", data)
         try:
+            if not isinstance(data["rules"], list):
+                raise MappingTableError(
+                    f"{table}: 'rules' must be a list, got {data['rules']!r}"
+                )
             rules = []
             for index, entry in enumerate(data["rules"]):
-                where = f"mapping table {path} rule {index}"
-                pattern = entry["pattern"]
-                rewrite = entry.get("rewrite", {})
+                where = f"{table} rule {index}"
+                _object(where, "the entry", entry)
+                pattern = _object(where, "'pattern'", entry["pattern"])
+                rewrite = _object(where, "'rewrite'", entry.get("rewrite", {}))
                 parent = _label(where, "pattern 'parent'", pattern["parent"])
                 parent_rewrite = _label(
                     where, "rewrite 'parent'", rewrite.get("parent"), nullable=True
@@ -128,19 +135,26 @@ class MappingTable:
                         priority=priority,
                     )
                 )
-            where = f"mapping table {path}"
             strict = data.get("strict", False)
             if not isinstance(strict, bool):
                 raise MappingTableError(
-                    f"{where}: 'strict' must be true or false, got {strict!r}"
+                    f"{table}: 'strict' must be true or false, got {strict!r}"
                 )
             return cls(
                 rules=rules,
-                default_label=_label(where, "'default_label'", data["default_label"]),
+                default_label=_label(table, "'default_label'", data["default_label"]),
                 strict=strict,
             )
         except KeyError as e:
-            raise MappingTableError(f"mapping table {path} missing key {e}") from e
+            raise MappingTableError(f"{table} missing key {e}") from e
+
+
+def _object(where, key, value):
+    """``value`` if a JSON object; else a MappingTableError naming ``where``
+    and ``key``."""
+    if isinstance(value, dict):
+        return value
+    raise MappingTableError(f"{where}: {key} must be an object, got {value!r}")
 
 
 def _label(where, key, value, nullable=False):

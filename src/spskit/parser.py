@@ -65,7 +65,7 @@ class TrainConfig:
         int_at_least("unk_threshold", self.unk_threshold, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PseudoTree:
     """A candidate sentence with its predicted tree and parser confidence."""
 

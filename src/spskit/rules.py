@@ -35,7 +35,7 @@ __all__ = [
 TOKEN_MARKER = "<tok>"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SyntacticRule:
     parent: str
     children: tuple

@@ -47,7 +47,10 @@ def _is_token(text):
     return text.split() == [text] and "(" not in text and ")" not in text
 
 
-@dataclass(frozen=True)
+# ParseTree, Sentence, PseudoTree and SyntacticRule are slotted: a corpus holds
+# one per node or item, and none needs a __dict__.  Slotted frozen dataclasses
+# do not unpickle on Python 3.10, so none of them may be pickled.
+@dataclass(frozen=True, slots=True)
 class ParseTree:
     """A labeled ordered tree node; the root node stands for the whole tree.
 
@@ -103,7 +106,7 @@ class ParseTree:
         return serialize(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """An ordered, non-empty sequence of tokens."""
 
@@ -193,7 +196,19 @@ def parse_bracketed(text, inventory=None, line=None):
     When ``inventory`` is given, every node label must belong to it.  ``line``
     is only used to contextualize error messages when reading corpus files.
     """
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    return _parse_bracketed(text, inventory, line, {})
+
+
+def _parse_bracketed(text, inventory, line, strings):
+    """parse_bracketed, keeping one copy of each label and token in ``strings``.
+
+    ``strings`` maps a string to the copy already in use, so equal labels and
+    tokens across every tree parsed with the same dict are one object.
+    """
+    tokens = [
+        strings.setdefault(token, token)
+        for token in text.replace("(", " ( ").replace(")", " ) ").split()
+    ]
     if not tokens:
         raise TreeSyntaxError("empty input", line)
 
@@ -297,14 +312,16 @@ def read_treebank(path, inventory=None):
     """Read a one-tree-per-line file; blank lines are ignored.
 
     Syntax and label errors are reported with their 1-based line number.
+    Equal labels and tokens are one string object across the file's trees.
     """
     trees = []
+    strings = {}
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             text = raw.strip()
             if not text:
                 continue
-            trees.append(parse_bracketed(text, inventory=inventory, line=lineno))
+            trees.append(_parse_bracketed(text, inventory, lineno, strings))
     return trees
 
 

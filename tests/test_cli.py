@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import spskit
 from spskit import cli, selftrain
 from spskit.cli import build_parser, main
 from spskit.evaluation import ScoreOptions
@@ -271,6 +275,42 @@ class TestPipeline:
         assert not converted.exists()
 
     @pytest.mark.parametrize(
+        "data, named",
+        [
+            ([], ": the file must be an object"),
+            ({"default_label": "att", "rules": 5}, ": 'rules' must be a list"),
+            ({"default_label": "att", "rules": ["x"]}, " rule 0: the entry must be"),
+            (
+                {"default_label": "att", "rules": [{"pattern": "IP", "priority": 1}]},
+                " rule 0: 'pattern' must be an object",
+            ),
+            (
+                {"default_label": "att", "rules": [
+                    {"pattern": {"parent": "IP"}, "rewrite": "s", "priority": 1}
+                ]},
+                " rule 0: 'rewrite' must be an object",
+            ),
+        ],
+    )
+    def test_convert_rejects_a_table_of_the_wrong_shape(
+        self, tmp_path, capsys, data, named
+    ):
+        # Each of these used to escape main() as a raw TypeError or
+        # AttributeError traceback.
+        treebank = tmp_path / "const.txt"
+        treebank.write_text("(IP (NP (NN 指标)) (VP (VV 高于)))\n", encoding="utf-8")
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(data), encoding="utf-8")
+        converted = tmp_path / "sps.txt"
+        assert main(
+            ["convert", "--input", str(treebank), "--table", str(table),
+             "--output", str(converted)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err and f"mapping table {table}{named}" in err
+        assert not converted.exists()
+
+    @pytest.mark.parametrize(
         "data", [[], {"sps_labels": "subj", "pos_labels": ["n"]}]
     )
     def test_normalize_rejects_an_inventory_of_the_wrong_shape(
@@ -481,7 +521,8 @@ RUN_CONFIG_SETTINGS = [
 
 
 class TestSelfTrainCommand:
-    def make_config(self, tmp_path, seeds=None):
+    @staticmethod
+    def make_config(tmp_path, seeds=None):
         paths = {}
         for name, trees in (
             ("source", sample_corpus(source_grammar(), 80, seed=4, name="st-src")),
@@ -772,6 +813,59 @@ class TestSelfTrainCommand:
         text = capsys.readouterr().out
         assert "tgt F1" in text
         assert "spskit:summary" in text
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this spskit."""
+    src = str(pathlib.Path(spskit.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        encoding="utf-8",
+        timeout=120,
+    )
+
+
+class TestImportFootprint:
+    def test_only_the_service_backend_loads_the_http_client(self):
+        done = run_python(
+            "import sys\n"
+            "import spskit, spskit.cli\n"
+            "assert 'requests' not in sys.modules, 'loaded on import'\n"
+            "spskit.ServiceGenerator('http://127.0.0.1:1/none')\n"
+            "assert 'requests' in sys.modules, 'not loaded by the service backend'\n"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_offline_stages_run_without_the_http_client(self, tmp_path):
+        treebank = tmp_path / "const.txt"
+        treebank.write_text("(IP (NP (NN 指标)) (VP (VV 高于)))\n", encoding="utf-8")
+        table = tmp_path / "table.json"
+        rule = {"pattern": {"parent": "IP"}, "rewrite": {"parent": "s"}, "priority": 1}
+        table.write_text(
+            json.dumps({"default_label": "att", "rules": [rule]}), encoding="utf-8"
+        )
+        config = TestSelfTrainCommand.make_config(tmp_path)
+        commands = [
+            ["convert", "--input", str(treebank), "--table", str(table),
+             "--output", str(tmp_path / "sps.txt")],
+            ["extract-rules", "--input", str(tmp_path / "sps.txt"),
+             "--output", str(tmp_path / "rules.txt")],
+            ["self-train", "--config", str(config)],
+        ]
+        done = run_python(
+            "import json, sys\n"
+            "sys.modules['requests'] = None  # any import of it now fails\n"
+            "from spskit.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if main(argv) != 0:\n"
+            "        sys.exit(f'{argv[0]} failed')\n",
+            json.dumps(commands),
+        )
+        assert done.returncode == 0, done.stderr
+        assert "s -> att att" in (tmp_path / "rules.txt").read_text(encoding="utf-8")
+        assert (tmp_path / "run" / "manifest.json").exists()
 
 
 def test_readme_run_config_table_matches_the_code():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spskit.errors import LabelError, RootPromotionError, TreeSyntaxError
-from spskit.parser import train
+from spskit.parser import PseudoTree, train
+from spskit.rules import SyntacticRule
 from spskit.selftrain import RunManifest
 from spskit.treebank import (
     LabelInventory,
@@ -195,6 +197,17 @@ class TestTreebankFiles:
             read_treebank(path)
         assert "line 3" in str(err.value)
 
+    def test_equal_strings_of_one_file_are_one_object(self, tmp_path):
+        lines = ["(subj (n 指标) (n 指标))", "(subj (v 高于) (n 指标))"]
+        path = tmp_path / "trees.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        first, second = read_treebank(path)
+        assert [first, second] == [parse_bracketed(line) for line in lines]
+        assert first.label is second.label
+        assert first.children[1].label is second.children[1].label
+        shared = {id(token) for tree in (first, second) for token in tree.leaves()}
+        assert len(shared) == 2  # 指标 three times, 高于 once
+
     def test_unknown_labels_all_reported(self, fig_inventory):
         tree = parse_bracketed("(adv (zz a) (yy b))")
         with pytest.raises(LabelError) as err:
@@ -280,3 +293,44 @@ class TestDomainTypes:
         assert flat_time_tree.sentence() == Sentence(("昨天", "晚上", "，"))
         assert [n.label for n in flat_time_tree.subtrees()] == ["adv", "t", "t", "w"]
         assert str(flat_time_tree) == serialize(flat_time_tree)
+
+
+def _value(kind, token="a"):
+    tree = parse_bracketed(f"(s (n {token}) (v b))")
+    return {
+        "ParseTree": tree,
+        "Sentence": tree.sentence(),
+        "PseudoTree": PseudoTree(tree.sentence(), tree, 0.5),
+        "SyntacticRule": SyntacticRule("s", ("n", token)),
+    }[kind]
+
+
+VALUE_TYPES = ["ParseTree", "Sentence", "PseudoTree", "SyntacticRule"]
+
+
+class TestSlottedValueTypes:
+    @pytest.mark.parametrize("kind", VALUE_TYPES)
+    def test_no_instance_dict_and_fields_stay_frozen(self, kind):
+        value = _value(kind)
+        assert not hasattr(value, "__dict__")
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+
+    @pytest.mark.parametrize("kind", VALUE_TYPES)
+    def test_equality_and_hash_are_by_field_values(self, kind):
+        value, twin = _value(kind), _value(kind)
+        assert value == twin and value is not twin
+        assert value != _value(kind, token="c")
+        fields = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+        assert hash(value) == hash(twin) == hash(fields)
+
+    def test_rules_order_by_parent_then_children(self):
+        rules = [
+            SyntacticRule("s", ("n", "v")),
+            SyntacticRule("np", ("n",)),
+            SyntacticRule("s", ("n",)),
+            SyntacticRule("np", ("adj", "n")),
+        ]
+        assert sorted(rules) == sorted(rules, key=lambda r: (r.parent, r.children))
+        assert sorted(rules)[0] == SyntacticRule("np", ("adj", "n"))
