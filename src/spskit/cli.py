@@ -333,6 +333,27 @@ _GENERATOR_KEYS = {
 }
 
 
+def _check_paths(config):
+    """Each path- or URL-valued key a non-empty string, before any file is read.
+
+    Null leaves out an optional key, but not a required key or an exclude entry.
+    """
+    optional = ("converted_target_treebank", "source_dev", "target_dev", "out_dir")
+    given = {key: config.get(key) for key in optional}
+    gen_cfg = config.get("generator", {})
+    if isinstance(gen_cfg, dict):  # else _check_keys rejects it
+        given.update(
+            (f"generator.{key}", gen_cfg.get(key))
+            for key in ("treebank", "template", "endpoint")
+        )
+    values = [(key, config[key]) for key in ("source_treebank", "target_examples")]
+    values += [("exclude", path) for path in config.get("exclude", [])]
+    values += [(key, value) for key, value in given.items() if value is not None]
+    for key, value in values:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{key!r} must be a non-empty string, got {value!r}")
+
+
 def _check_keys(section, where, allowed):
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -383,6 +404,7 @@ def _build_experiment(config, seed_override=None, out_dir_override=None):
             raise SpsError(f"run config is missing {key!r}")
     if not isinstance(config.get("exclude", []), list):
         raise ConfigError(f"'exclude' must be a list, got {config['exclude']!r}")
+    _check_paths(config)
     criterion = _from_section(CriterionConfig, config, "criterion")
     train_config = _from_section(TrainConfig, config, "parser")
     prompt_config = _from_section(PromptConfig, config, "prompt")

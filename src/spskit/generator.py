@@ -23,7 +23,6 @@ import functools
 import hashlib
 import math
 import os
-import statistics
 import string
 import time
 from collections import Counter
@@ -36,7 +35,7 @@ from .errors import (
     non_negative_number,
     probability,
 )
-from .rules import SyntacticRule, extract_corpus_rules, format_rule
+from .rules import SyntacticRule, extract_corpus_rules, format_rule, token_counts
 from .seeding import substream
 from .treebank import Sentence
 
@@ -57,11 +56,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SourceStats:
-    """Length statistics and rule frequencies of the current training data."""
+    """Running counts of the training data: its trees, their mean length, and
+    rule and token frequencies, each tree folded in once by ``corpus_stats``."""
 
     mean_length: float
     rule_counts: Counter
-    lengths: tuple = field(default=(), repr=False)  # per tree, in corpus order
+    token_counts: Counter = field(default_factory=Counter, repr=False)
+    trees: int = 0
 
 
 def corpus_stats(trees, exclude_labels=(), base=None):
@@ -72,15 +73,13 @@ def corpus_stats(trees, exclude_labels=(), base=None):
     re-extracting the trees already counted.
     """
     trees = list(trees)
-    lengths = (base.lengths if base else ()) + tuple(len(t.leaves()) for t in trees)
-    if not lengths:
+    base = base or SourceStats(0.0, Counter())
+    count = base.trees + len(trees)
+    if not count:
         raise ValueError("cannot compute stats of an empty corpus")
-    rule_counts = extract_corpus_rules(trees, exclude_labels=exclude_labels)
-    return SourceStats(
-        mean_length=statistics.fmean(lengths),
-        rule_counts=base.rule_counts + rule_counts if base else rule_counts,
-        lengths=lengths,
-    )
+    tokens = base.token_counts + token_counts(trees)
+    rules = base.rule_counts + extract_corpus_rules(trees, exclude_labels=exclude_labels)
+    return SourceStats(tokens.total() / count, rules, tokens, count)
 
 
 @dataclass(frozen=True)

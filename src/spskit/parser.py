@@ -65,9 +65,11 @@ class TrainConfig:
         int_at_least("unk_threshold", self.unk_threshold, 0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PseudoTree:
     """A candidate sentence with its predicted tree and parser confidence."""
+
+    __slots__ = ("sentence", "tree", "confidence")
 
     sentence: Sentence
     tree: ParseTree

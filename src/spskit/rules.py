@@ -35,8 +35,10 @@ __all__ = [
 TOKEN_MARKER = "<tok>"
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True)
 class SyntacticRule:
+    __slots__ = ("parent", "children")
+
     parent: str
     children: tuple
 

@@ -1,16 +1,17 @@
 """The iterative self-training loop: extract, generate, train, parse, select.
 
 Iteration 0 trains the parser on source data alone.  Every later iteration
-re-extracts syntactic rules from the current training set (source plus
-accepted pseudo-trees, so prompts drift toward the target domain), generates
-a fresh candidate pool, parses it with the current parser, selects the top K
-under the configured criterion, appends them to the pseudo-tree set, retrains
-on the whole training set (the PCFG backend counts only the trees added since
-its last call, and gets the model a full recount would), and evaluates on the
-held-out dev sets, whose sentences and gold spans are built once per run.
-Accepted pseudo-trees persist for all later iterations.  The parser backend
-needs only ``train(trees)`` and ``parse(model, sentence)``: the pool and the
-dev sets are parsed one sentence at a time, in this process.
+folds its new trees into one running count of the training set (source plus
+accepted pseudo-trees): its rules weight the prompts, which thus drift toward
+the target domain, and under ``update_reference`` it is the selection
+reference.  The iteration then generates a fresh candidate pool, parses it
+with the current parser, selects the top K under the configured criterion,
+retrains on the whole training set (the PCFG backend counts only the trees
+added since its last call, and gets the model a full recount would), and
+evaluates on the held-out dev sets, whose sentences and gold spans are built
+once per run.  Accepted pseudo-trees persist for all later iterations.  The
+parser backend needs only ``train(trees)`` and ``parse(model, sentence)``:
+the pool and the dev sets are parsed one sentence at a time, in this process.
 
 Dev and test sentences are barred from the prompt example pool and from the
 candidate pool by token-sequence hash, so they can never leak into training.
@@ -363,14 +364,11 @@ def run(experiment, resume=False):
     if not example_pool:
         raise ConfigError("no target example sentences survive dev/test exclusion")
 
-    def current_refs():
-        return build_refs(
-            experiment.criterion,
-            train_set if experiment.update_reference else experiment.source_trees,
-            experiment.converted_target_trees,
+    criterion = experiment.criterion
+    if not experiment.update_reference:
+        refs = build_refs(
+            criterion, experiment.source_trees, experiment.converted_target_trees
         )
-
-    refs = current_refs()
     stats = None
     model = experiment.parser_backend.train(train_set)
     if not manifest.records:
@@ -390,12 +388,16 @@ def run(experiment, resume=False):
     try:
         for iteration in range(len(manifest.records), experiment.iterations + 1):
             # Fold only the trees added since the last iteration into the stats.
-            folded = len(stats.lengths) if stats else 0
             stats = corpus_stats(
-                train_set[folded:],
-                exclude_labels=experiment.criterion.exclude_labels,
+                train_set[stats.trees if stats else 0:],
+                exclude_labels=criterion.exclude_labels,
                 base=stats,
             )
+            if experiment.update_reference:
+                tokens = criterion.mode == "tokens"
+                counts = stats.token_counts if tokens else stats.rule_counts
+                refs = SelectionRefs()
+                setattr(refs, criterion.reference_name, RuleDistribution(counts))
             pool, _ = build_pool(
                 experiment.generator_backend,
                 stats,
@@ -406,13 +408,11 @@ def run(experiment, resume=False):
                 excluded,
             )
             candidates = [experiment.parser_backend.parse(model, s) for s in pool]
-            scored = score(candidates, experiment.criterion, refs)
-            selected = select_top_k(scored, experiment.criterion)
+            scored = score(candidates, criterion, refs)
+            selected = select_top_k(scored, criterion)
             index = {id(c): i for i, c in enumerate(candidates)}
 
             train_set = train_set + [p.tree for p in selected]
-            if experiment.update_reference:
-                refs = current_refs()
             model = experiment.parser_backend.train(train_set)
 
             manifest.records.append(

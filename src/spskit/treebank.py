@@ -48,15 +48,20 @@ def _is_token(text):
 
 
 # ParseTree, Sentence, PseudoTree and SyntacticRule are slotted: a corpus holds
-# one per node or item, and none needs a __dict__.  Slotted frozen dataclasses
-# do not unpickle on Python 3.10, so none of them may be pickled.
-@dataclass(frozen=True, slots=True)
+# one per node or item, and none needs a __dict__.  Each declares __slots__ in
+# its body: ``dataclass(slots=True)`` would build a new class whose frozen
+# __setattr__ still names the old one, so setting an attribute that is not a
+# field would raise TypeError rather than FrozenInstanceError.  Unpickling sets
+# each slot through the frozen __setattr__ and fails, so none may be pickled.
+@dataclass(frozen=True)
 class ParseTree:
     """A labeled ordered tree node; the root node stands for the whole tree.
 
     ``children`` holds sub-nodes and/or token strings.  A node whose children
     are all strings is a preterminal (typically a POS tag over one token).
     """
+
+    __slots__ = ("label", "children")
 
     label: str
     children: tuple
@@ -106,9 +111,11 @@ class ParseTree:
         return serialize(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Sentence:
     """An ordered, non-empty sequence of tokens."""
+
+    __slots__ = ("tokens",)
 
     tokens: tuple
 

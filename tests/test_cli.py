@@ -519,6 +519,27 @@ RUN_CONFIG_SETTINGS = [
     if key not in ("treebank", "endpoint")
 ]
 
+# Every path- or URL-valued run-config key, and whether null is an error for
+# it.  Null leaves an optional key out, so it has no null row; a required key
+# and an exclude entry do.  Each key gets every JSON type but a string, and "".
+PATH_KEYS = {
+    "source_treebank": True,
+    "target_examples": True,
+    "exclude": True,
+    "converted_target_treebank": False,
+    "source_dev": False,
+    "target_dev": False,
+    "out_dir": False,
+    "generator.treebank": False,
+    "generator.template": False,
+    "generator.endpoint": False,
+}
+PATH_CASES = [
+    (key, value)
+    for key, null_is_an_error in PATH_KEYS.items()
+    for value in ([None] if null_is_an_error else []) + [True, 5, 1.5, "", ["a"], {}]
+]
+
 
 class TestSelfTrainCommand:
     @staticmethod
@@ -802,6 +823,31 @@ class TestSelfTrainCommand:
         assert "spskit: error:" in err
         assert repr(key) in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", PATH_CASES, ids=[f"{k}-{json.dumps(v)}" for k, v in PATH_CASES]
+    )
+    def test_every_path_key_rejects_a_value_that_is_no_path(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        path = self.make_config(tmp_path)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        if key == "exclude":
+            config["exclude"] = [value]
+        elif key == "generator.endpoint":
+            config["generator"] = {"backend": "service", "endpoint": value}
+        elif key.startswith("generator."):
+            config["generator"][key.removeprefix("generator.")] = value
+        else:
+            config[key] = value
+        path.write_text(json.dumps(config), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)  # where a relative run directory would go
+        before = set(tmp_path.iterdir())
+        assert main(["self-train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err
+        assert repr(key) in err
+        assert set(tmp_path.iterdir()) == before
 
     def test_report_subcommand(self, tmp_path, capsys):
         config = self.make_config(tmp_path)

@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +15,13 @@ from spskit import selftrain
 from spskit.errors import ConfigError, GenerationError
 from spskit.generator import GenerationBatch, corpus_stats
 from spskit.parser import PcfgBackend, PseudoTree
-from spskit.rules import extract_corpus_rules, token_counts
+from spskit.rules import (
+    RuleDistribution,
+    extract_corpus_rules,
+    extract_rules,
+    instance_distance,
+    token_counts,
+)
 from spskit.selection import CriterionConfig, score
 from spskit.selftrain import Experiment, RunManifest, run, run_multiseed
 from spskit.synthetic import cross_domain_experiment
@@ -24,6 +33,46 @@ def small_experiment(seed=0, iterations=2, out_dir=None, **overrides):
         seed=seed, iterations=iterations, pool_size=60, k=10, out_dir=out_dir
     )
     return dataclasses.replace(exp, **overrides) if overrides else exp
+
+
+def _spied_run(monkeypatch, exp, resume=False, abort_at=None):
+    """Run ``exp`` and return what the loop did: each iteration's reference
+    with its first scored pair, the trees folded into the stats in order, and
+    every recount of the training set.  With ``abort_at`` the run must die
+    at the start of its ``abort_at``-th iteration.
+    """
+    seen = SimpleNamespace(scored=[], folded=[], recounts=[])
+    stats_calls = itertools.count(1)
+
+    def scoring(candidates, cfg, refs):
+        scored = score(candidates, cfg, refs)
+        seen.scored.append((refs.get(cfg.reference_name), scored[0]))
+        return scored
+
+    def stats(trees, exclude_labels=(), base=None):
+        if next(stats_calls) == abort_at:
+            raise RuntimeError(f"killed at iteration {abort_at}")
+        seen.folded.extend(trees)
+        return corpus_stats(trees, exclude_labels=exclude_labels, base=base)
+
+    def recount(name, original):
+        def spy(*args, **kwargs):
+            seen.recounts.append(name)
+            return original(*args, **kwargs)
+
+        return spy
+
+    with monkeypatch.context() as m:
+        m.setattr(selftrain, "score", scoring)
+        m.setattr(selftrain, "corpus_stats", stats)
+        for name in ("extract_corpus_rules", "token_counts"):
+            m.setattr(selftrain, name, recount(name, getattr(selftrain, name)))
+        if abort_at is None:
+            run(exp, resume=resume)
+        else:
+            with pytest.raises(RuntimeError, match=f"killed at iteration {abort_at}"):
+                run(exp, resume=resume)
+    return seen
 
 
 class TestRunBasics:
@@ -84,16 +133,23 @@ class TestDeterminism:
         m2 = run(small_experiment(seed=6, iterations=1))
         assert m1.to_dict() != m2.to_dict()
 
-    def test_run_directory_is_identical_across_hash_seeds(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kind, update_reference", [("csrs", False), ("srs", True)],
+        ids=["csrs", "srs-update-reference"],
+    )
+    def test_run_directory_is_identical_across_hash_seeds(
+        self, tmp_path, kind, update_reference
+    ):
         # Nothing a run writes may depend on str hashing, which differs
         # between processes.
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         code = (
-            "import sys\n"
+            "import dataclasses, sys\n"
             "from spskit.selftrain import run\n"
             "from spskit.synthetic import cross_domain_experiment\n"
-            "run(cross_domain_experiment(seed=1, iterations=2, pool_size=60, k=10,"
-            " out_dir=sys.argv[1]))\n"
+            "exp = cross_domain_experiment(seed=1, iterations=2, pool_size=60, k=10,"
+            f" criterion_kind={kind!r}, out_dir=sys.argv[1])\n"
+            f"run(dataclasses.replace(exp, update_reference={update_reference}))\n"
         )
         runs = []
         for hash_seed in ("1", "2"):
@@ -107,17 +163,31 @@ class TestDeterminism:
         assert len(runs[0]) == 5  # the manifest, and two files per iteration
         assert runs[0] == runs[1]
 
-    def test_demo_experiment_results_are_pinned(self):
+    @pytest.mark.parametrize(
+        "kind, update_reference, digest",
+        [
+            ("csrs", False,
+             "333a6106c776e903d5e1943d0b15b5ef671bd3ec18cf82bef4d5776118b2e40f"),
+            ("token", True,
+             "91a2f77963e996ad0371357c67469f2494068ffd7b70bf0c632bc68cea285637"),
+            ("srs", True,
+             "68145059529dd6cff7e3af12696b76445080cb9d5941c7833d289b6287b833b9"),
+            ("srs_conf", True,
+             "6d828f001b532f858d54c5eaa3e78b3b9580489dc267bb3d6e07305ee4bda221"),
+        ],
+        ids=["csrs", "token-update-reference", "srs-update-reference",
+             "srs_conf-update-reference"],
+    )
+    def test_demo_experiment_results_are_pinned(self, kind, update_reference, digest):
         # Speed-ups to the parser, generator or scorer must leave every
         # pool, selection and dev score of the demo experiment unchanged.
-        records = run(cross_domain_experiment(seed=1)).records
+        exp = cross_domain_experiment(seed=1, criterion_kind=kind)
+        records = run(dataclasses.replace(exp, update_reference=update_reference)).records
         summary = json.dumps([
             [r.iteration, r.pool_size, r.selected_ids, r.dev_f1_source, r.dev_f1_target]
             for r in records
         ])
-        assert hashlib.sha256(summary.encode("utf-8")).hexdigest() == (
-            "333a6106c776e903d5e1943d0b15b5ef671bd3ec18cf82bef4d5776118b2e40f"
-        )
+        assert hashlib.sha256(summary.encode("utf-8")).hexdigest() == digest
 
 
 class TestMultiseed:
@@ -496,30 +566,63 @@ class TestAdaptationTrend:
                 improving += 1
         assert improving >= 2
 
-    def test_update_reference_flag_runs(self, tmp_path, monkeypatch):
-        # The token reference follows the training set: iteration 2 scores
-        # against the source trees plus the trees iteration 1 selected.
+    @pytest.mark.parametrize(
+        "kind, exclude_labels",
+        [("token", ()), ("srs", ()), ("srs_conf", ()), ("srs", ("adv",))],
+        ids=["token", "srs", "srs_conf", "srs-exclude-adv"],
+    )
+    def test_update_reference_flag_runs(
+        self, tmp_path, monkeypatch, kind, exclude_labels
+    ):
+        # The reference follows the training set: iteration i scores against
+        # the source trees plus the trees iterations 1..i-1 selected, read
+        # from the running count that folds each training tree in once.
+        criterion = CriterionConfig(kind=kind, k=10, exclude_labels=exclude_labels)
         exp = small_experiment(
-            iterations=2,
+            iterations=3,
             out_dir=str(tmp_path),
-            criterion=CriterionConfig(kind="token", k=10),
+            criterion=criterion,
             update_reference=True,
         )
-        refs_seen = []
+        seen = _spied_run(monkeypatch, exp)
+        assert seen.recounts == []
+        assert len(seen.scored) == 3
+        train_set = list(exp.source_trees)
+        for iteration, (reference, (candidate, distance)) in enumerate(
+            seen.scored, start=1
+        ):
+            if kind == "token":
+                fresh = RuleDistribution(token_counts(train_set))
+                features = Counter(candidate.sentence.tokens)
+            else:
+                fresh = RuleDistribution(extract_corpus_rules(train_set, exclude_labels))
+                features = extract_rules(candidate.tree, exclude_labels)
+            assert reference.counts == fresh.counts
+            assert distance.hex() == instance_distance(features, fresh).hex()
+            if iteration < 3:
+                train_set += read_treebank(tmp_path / f"selected_iter_{iteration}.txt")
+        assert seen.folded == train_set  # each training tree once, in order
 
-        def spy(candidates, cfg, refs):
-            refs_seen.append(refs.source_tokens.counts)
-            return score(candidates, cfg, refs)
+    @pytest.mark.parametrize("kind", ["token", "srs"])
+    def test_a_resumed_run_follows_the_same_reference(
+        self, tmp_path, monkeypatch, kind
+    ):
+        def experiment(out_dir):
+            return small_experiment(
+                iterations=3,
+                out_dir=str(out_dir),
+                criterion=CriterionConfig(kind=kind, k=10),
+                update_reference=True,
+            )
 
-        monkeypatch.setattr(selftrain, "score", spy)
-        manifest = run(exp)
-        assert manifest.status == "complete"
-        selected_1 = read_treebank(tmp_path / "selected_iter_1.txt")
-        assert len(selected_1) == 10
-        assert refs_seen == [
-            dict(token_counts(exp.source_trees)),
-            dict(token_counts(exp.source_trees + selected_1)),
-        ]
+        def counts(seen):
+            return [reference.counts for reference, _ in seen.scored]
+
+        straight = _spied_run(monkeypatch, experiment(tmp_path / "straight"))
+        aborted = _spied_run(monkeypatch, experiment(tmp_path / "resumed"), abort_at=2)
+        resumed = _spied_run(monkeypatch, experiment(tmp_path / "resumed"), resume=True)
+        assert aborted.recounts == resumed.recounts == []
+        assert counts(aborted) + counts(resumed) == counts(straight)
 
     @pytest.mark.parametrize("kind", ["conf", "csrs", "csrs_conf"])
     def test_update_reference_is_rejected_where_the_reference_is_fixed(self, kind):

@@ -313,9 +313,10 @@ class TestSlottedValueTypes:
     def test_no_instance_dict_and_fields_stay_frozen(self, kind):
         value = _value(kind)
         assert not hasattr(value, "__dict__")
-        for field in dataclasses.fields(value):
+        # "extra" is no field: it must fail as frozen, not for want of a slot.
+        for name in [f.name for f in dataclasses.fields(value)] + ["extra"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, field.name, getattr(value, field.name))
+                setattr(value, name, getattr(value, name, 1))
 
     @pytest.mark.parametrize("kind", VALUE_TYPES)
     def test_equality_and_hash_are_by_field_values(self, kind):
