@@ -333,27 +333,6 @@ _GENERATOR_KEYS = {
 }
 
 
-def _check_paths(config):
-    """Each path- or URL-valued key a non-empty string, before any file is read.
-
-    Null leaves out an optional key, but not a required key or an exclude entry.
-    """
-    optional = ("converted_target_treebank", "source_dev", "target_dev", "out_dir")
-    given = {key: config.get(key) for key in optional}
-    gen_cfg = config.get("generator", {})
-    if isinstance(gen_cfg, dict):  # else _check_keys rejects it
-        given.update(
-            (f"generator.{key}", gen_cfg.get(key))
-            for key in ("treebank", "template", "endpoint")
-        )
-    values = [(key, config[key]) for key in ("source_treebank", "target_examples")]
-    values += [("exclude", path) for path in config.get("exclude", [])]
-    values += [(key, value) for key, value in given.items() if value is not None]
-    for key, value in values:
-        if not isinstance(value, str) or not value:
-            raise ConfigError(f"{key!r} must be a non-empty string, got {value!r}")
-
-
 def _check_keys(section, where, allowed):
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -372,82 +351,86 @@ def _from_section(cls, config, name):
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _build_generator(config, seed):
-    gen_cfg = config.get("generator", {})
-    kind = gen_cfg.get("backend", "mock") if isinstance(gen_cfg, dict) else "mock"
-    if kind not in _GENERATOR_KEYS:
-        raise SpsError(f"unknown generator backend {kind!r}")
-    _check_keys(
-        gen_cfg,
-        f"run config section 'generator' (backend {kind!r})",
-        {"backend", "template", *_GENERATOR_KEYS[kind]},
-    )
-    template = _read_template(gen_cfg.get("template"))
-    options = {k: v for k, v in gen_cfg.items() if k not in ("backend", "template")}
-    if kind == "service":
-        endpoint = options.pop("endpoint", None)
-        if not endpoint:
-            raise SpsError("generator.backend 'service' requires generator.endpoint")
-        return ServiceGenerator(endpoint, template=template, **options)
-    grammar_path = options.pop("treebank", None)
-    if not grammar_path:
-        raise SpsError("generator.backend 'mock' requires generator.treebank")
-    _check_inputs(grammar_path)
-    grammar = pcfg_from_treebank(read_treebank(grammar_path))
-    return MockPcfgGenerator(grammar, template=template, **{"seed": seed, **options})
-
-
 def _build_experiment(config, seed_override=None, out_dir_override=None):
+    """Check every run-config key and input path, then read the inputs; the
+    objects built from them check the values they hold."""
     _check_keys(config, "the run config", _RUN_KEYS)
-    for key in ("source_treebank", "target_examples", "criterion"):
-        if key not in config:
-            raise SpsError(f"run config is missing {key!r}")
-    if not isinstance(config.get("exclude", []), list):
-        raise ConfigError(f"'exclude' must be a list, got {config['exclude']!r}")
-    _check_paths(config)
+    gen_cfg = config.get("generator", {})
+    backend = gen_cfg.get("backend", "mock") if isinstance(gen_cfg, dict) else "mock"
+    if backend not in list(_GENERATOR_KEYS):  # a list: backend may be unhashable
+        raise ConfigError(f"'backend' must be 'mock' or 'service', got {backend!r}")
+    where = f"run config section 'generator' (backend {backend!r})"
+    _check_keys(gen_cfg, where, {"backend", "template", *_GENERATOR_KEYS[backend]})
+    if config.get("criterion") is None:
+        raise ConfigError("run config is missing 'criterion'")
     criterion = _from_section(CriterionConfig, config, "criterion")
     train_config = _from_section(TrainConfig, config, "parser")
     prompt_config = _from_section(PromptConfig, config, "prompt")
     score_options = _from_section(ScoreOptions, config, "score")
-    _check_inputs(
-        config["source_treebank"],
-        config["target_examples"],
-        config.get("converted_target_treebank"),
-        config.get("source_dev"),
-        config.get("target_dev"),
-    )
-
-    def optional_treebank(key):
-        return read_treebank(config[key]) if config.get(key) else None
-
-    exclude = []
-    for path in config.get("exclude", []):
-        _check_inputs(path)
-        exclude.extend(t.sentence() for t in read_treebank(path))
-
     if config.get("seeds") is not None:
         selftrain.check_seeds(config["seeds"])
+    exclude = config.get("exclude", [])
+    if not isinstance(exclude, list):
+        raise ConfigError(f"'exclude' must be a list, got {exclude!r}")
+    # Each path- or URL-valued key and whether it is required; a "generator."
+    # key sits in that section.  Null leaves out an optional key, but no
+    # exclude entry.
+    paths = {}
+    for key, required in (
+        ("source_treebank", True),
+        ("target_examples", True),
+        ("converted_target_treebank", False),
+        ("source_dev", False),
+        ("target_dev", False),
+        ("generator.treebank", backend == "mock"),
+        ("generator.template", False),
+        ("generator.endpoint", backend == "service"),
+    ):
+        group, _, name = key.rpartition(".")
+        paths[key] = (gen_cfg if group else config).get(name)
+        if required and paths[key] is None:
+            raise ConfigError(f"run config is missing {key!r}")
+    given = [(key, path) for key, path in paths.items() if path is not None]
+    for key, path in given + [("exclude", path) for path in exclude]:
+        if not isinstance(path, str) or not path:
+            raise ConfigError(f"{key!r} must be a non-empty string, got {path!r}")
+    del paths["generator.endpoint"]  # no file: ServiceGenerator checks the URL
+    _check_inputs(*paths.values(), *exclude)
+
+    def optional_treebank(key):
+        return read_treebank(paths[key]) if paths[key] else None
+
     seed = seed_override if seed_override is not None else config.get("seed", 0)
-    options = {
-        key: config[key]
-        for key in ("iterations", "pool_size", "update_reference")
-        if key in config
-    }
+    template = _read_template(paths["generator.template"])
+    options = {k: v for k, v in gen_cfg.items() if k in _GENERATOR_KEYS[backend]}
+    if backend == "service":
+        generator = ServiceGenerator(template=template, **options)
+    else:
+        grammar = pcfg_from_treebank(read_treebank(options.pop("treebank")))
+        generator = MockPcfgGenerator(
+            grammar, template=template, **{"seed": seed, **options}
+        )
     return Experiment(
-        source_trees=read_treebank(config["source_treebank"]),
-        target_examples=_read_sentences(config["target_examples"]),
+        source_trees=read_treebank(paths["source_treebank"]),
+        target_examples=_read_sentences(paths["target_examples"]),
         parser_backend=PcfgBackend(train_config),
-        generator_backend=_build_generator(config, seed),
+        generator_backend=generator,
         criterion=criterion,
         seed=seed,
         converted_target_trees=optional_treebank("converted_target_treebank"),
         source_dev=optional_treebank("source_dev"),
         target_dev=optional_treebank("target_dev"),
-        exclude_sentences=tuple(exclude),
+        exclude_sentences=tuple(
+            tree.sentence() for path in exclude for tree in read_treebank(path)
+        ),
         prompt_config=prompt_config,
         score_options=score_options,
         out_dir=out_dir_override or config.get("out_dir"),
-        **options,
+        **{
+            key: config[key]
+            for key in ("iterations", "pool_size", "update_reference")
+            if key in config
+        },
     )
 
 
@@ -455,15 +438,10 @@ def cmd_self_train(args):
     _check_inputs(args.config)
     with open(args.config, encoding="utf-8") as f:
         config = json.load(f)
-
-    seeds = config.get("seeds")
-    if args.seed is not None:
-        seeds = None  # an explicit seed runs exactly one run
-
     experiment = _build_experiment(
         config, seed_override=args.seed, out_dir_override=args.out_dir
     )
-
+    seeds = config.get("seeds") if args.seed is None else None  # --seed: one run
     if seeds:
         aggregate = selftrain.run_multiseed(experiment, seeds, resume=args.resume)
         out_dir = experiment.out_dir

@@ -28,8 +28,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from urllib.parse import urlsplit
 
 from .errors import (
+    ConfigError,
     GenerationError,
     int_at_least,
     non_negative_number,
@@ -452,6 +454,14 @@ class ServiceGenerator:
         session=None,
         sleep=time.sleep,
     ):
+        try:
+            url = urlsplit(endpoint) if isinstance(endpoint, str) else None
+        except ValueError:  # a malformed IPv6 host
+            url = None
+        if not url or url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(
+                f"'endpoint' must be an http or https URL, got {endpoint!r}"
+            )
         self.endpoint = endpoint
         self.template = template
         self.seed = seed if seed is None else int_at_least("seed", seed)

@@ -51,8 +51,10 @@ class CriterionConfig:
     exclude_labels: tuple = ()  # rule child labels the whole run leaves out
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown criterion kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
+            raise ConfigError(
+                f"'kind' must be one of {', '.join(KINDS)}, got {self.kind!r}"
+            )
         int_at_least("k", self.k, 1)
         int_at_least("prefilter_multiplier", self.prefilter_multiplier, 1)
         labels = self.exclude_labels

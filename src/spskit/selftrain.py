@@ -69,13 +69,18 @@ class Experiment:
     prompt_config: PromptConfig = field(default_factory=PromptConfig)
     score_options: ScoreOptions = field(default_factory=ScoreOptions)
     update_reference: bool = False
-    out_dir: str | None = None
+    out_dir: str | os.PathLike | None = None
 
     def __post_init__(self):
         int_at_least("iterations", self.iterations, 0)
         int_at_least("pool_size", self.pool_size, 1)
         int_at_least("seed", self.seed)
         boolean("update_reference", self.update_reference)
+        out_dir = self.out_dir
+        if out_dir == "" or not isinstance(out_dir, (str, os.PathLike, type(None))):
+            raise ConfigError(
+                f"'out_dir' must be a non-empty string or a path, got {out_dir!r}"
+            )
         if self.update_reference and self.criterion.reference_name in (
             None, "converted_target_rules"
         ):

@@ -16,7 +16,6 @@ from spskit.evaluation import ScoreOptions
 from spskit.generator import PromptConfig
 from spskit.parser import PcfgBackend, TrainConfig
 from spskit.selection import CriterionConfig
-from spskit.selftrain import Experiment
 from spskit.synthetic import sample_corpus, source_grammar, target_grammar
 from spskit.treebank import read_treebank, write_json, write_treebank
 
@@ -428,6 +427,24 @@ class TestPipeline:
         assert "'batch_size'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("endpoint", ["nohost", "ftp://host/complete", "http://"])
+    def test_generate_refuses_an_endpoint_that_is_no_http_url(
+        self, tmp_path, capsys, endpoint
+    ):
+        stats_treebank = tmp_path / "stats.txt"
+        write_treebank(sample_corpus(source_grammar(), 5, seed=3, name="cli-stats"), stats_treebank)
+        examples = tmp_path / "examples.txt"
+        examples.write_text("na va\n", encoding="utf-8")
+        out = tmp_path / "sentences.txt"
+        code = main(
+            ["generate", "--stats-from", str(stats_treebank),
+             "--examples", str(examples), "--backend", "service",
+             "--endpoint", endpoint, "--output", str(out)]
+        )
+        assert code == 1
+        assert "'endpoint'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generate_writes_no_duplicate_sentence(self, tmp_path, capsys):
         stats_treebank = tmp_path / "stats.txt"
         write_treebank(sample_corpus(source_grammar(), 50, seed=3, name="cli-stats"), stats_treebank)
@@ -485,39 +502,12 @@ class TestPipeline:
         assert not (tmp_path / "selected.txt").exists()
 
 
-def _setting_kind(annotation):
-    if annotation == "bool":
-        return "boolean"
-    if re.fullmatch(r"(int|float)( \| None)?", annotation):
-        return "number"
-    return None
-
-
 SECTION_CLASSES = {
     "criterion": CriterionConfig,
     "parser": TrainConfig,
     "prompt": PromptConfig,
     "score": ScoreOptions,
 }
-
-# (section, key, kind) of every numeric and boolean run-config setting: the
-# top-level keys, each section's fields and both generator backends' keys
-# other than the path and the endpoint.
-RUN_CONFIG_SETTINGS = [
-    (None, f.name, _setting_kind(f.type))
-    for f in dataclasses.fields(Experiment)
-    if f.name in cli._RUN_KEYS and _setting_kind(f.type)
-] + [
-    (section, f.name, _setting_kind(f.type))
-    for section, cls in SECTION_CLASSES.items()
-    for f in dataclasses.fields(cls)
-    if _setting_kind(f.type)
-] + [
-    (f"generator-{backend}", key, "number")
-    for backend, keys in cli._GENERATOR_KEYS.items()
-    for key in keys
-    if key not in ("treebank", "endpoint")
-]
 
 # Every path- or URL-valued run-config key, and whether null is an error for
 # it.  Null leaves an optional key out, so it has no null row; a required key
@@ -539,6 +529,77 @@ PATH_CASES = [
     for key, null_is_an_error in PATH_KEYS.items()
     for value in ([None] if null_is_an_error else []) + [True, 5, 1.5, "", ["a"], {}]
 ]
+
+# Every run-config key that holds no path, as (where, key): the top-level keys
+# (with "exclude", a list whose entries PATH_CASES tries), each section's
+# fields, the generator's backend, and both backends' keys but the path and
+# the endpoint.
+SETTINGS = [
+    (None, key) for key in sorted(cli._RUN_KEYS - set(PATH_KEYS) | {"exclude"})
+] + [
+    (section, f.name)
+    for section, cls in SECTION_CLASSES.items()
+    for f in dataclasses.fields(cls)
+] + [("generator", "backend")] + [
+    (f"generator-{backend}", key)
+    for backend, keys in cli._GENERATOR_KEYS.items()
+    for key in keys
+    if key not in ("treebank", "endpoint")
+]
+
+# Each setting is tried with one value of every JSON type, a string that reads
+# as a number and one that reads as a boolean, but not with the values TAKEN
+# lists for it: those it takes.  Null means "not given" where it is taken.
+TYPE_VALUES = [None, True, 1, 1.5, "x", "1", "false", [], {}]
+TAKEN = {
+    (None, "exclude"): ["[]"],
+    (None, "seed"): ["1"],
+    (None, "seeds"): ["null", "[]"],  # [] is no seed list: one run
+    (None, "iterations"): ["1"],
+    (None, "pool_size"): ["1"],
+    # a boolean; true is refused under csrs, which the update-reference-under-
+    # csrs row of test_bad_run_config_is_a_data_error covers
+    (None, "update_reference"): ["true"],
+    (None, "criterion"): [],  # required: {} lacks the kind and is refused
+    (None, "parser"): ["{}"],
+    (None, "prompt"): ["{}"],
+    (None, "score"): ["{}"],
+    # {} is the mock backend without its treebank, which is refused as the
+    # missing 'generator.treebank'
+    (None, "generator"): ["{}"],
+    ("criterion", "kind"): [],  # one of the kinds' names
+    ("criterion", "k"): ["1"],
+    ("criterion", "prefilter_multiplier"): ["1"],
+    ("criterion", "exclude_labels"): ["[]"],
+    ("parser", "alpha"): ["1", "1.5"],
+    ("parser", "unk_threshold"): ["1"],
+    ("prompt", "length_sigma"): ["null", "1", "1.5"],
+    ("prompt", "min_length"): [],  # at least 2
+    ("prompt", "max_rules"): ["1"],
+    ("prompt", "rule_count_mean"): ["null", "1", "1.5"],
+    ("prompt", "example_count"): ["1"],
+    ("score", "include_root"): ["true"],
+    ("score", "include_pos"): ["true"],
+    ("score", "exclude_labels"): ["[]"],
+    ("generator", "backend"): [],  # "mock" or "service"
+    ("generator-mock", "seed"): ["1"],
+    ("generator-mock", "batch_size"): ["1"],
+    ("generator-mock", "guide_probability"): ["1"],  # in [0, 1]
+    ("generator-service", "seed"): ["null", "1"],
+    ("generator-service", "max_attempts"): ["1"],
+    ("generator-service", "requests_per_minute"): ["1", "1.5"],
+}
+TYPE_CASES = [
+    (where, key, value)
+    for where, key in SETTINGS
+    for value in TYPE_VALUES
+    if json.dumps(value) not in TAKEN[where, key]
+]
+
+
+def test_the_type_table_covers_every_setting_once():
+    assert sorted(TAKEN, key=str) == sorted(SETTINGS, key=str)
+    assert len(set(SETTINGS)) == len(SETTINGS)
 
 
 class TestSelfTrainCommand:
@@ -713,6 +774,9 @@ class TestSelfTrainCommand:
                            "requests_per_minute": "60"}, "requests_per_minute"),
             ("generator", {"batch_size": 0}, "batch_size"),
             ("generator", {"guide_probability": 5}, "guide_probability"),
+            ("generator", {"backend": "service", "endpoint": "nohost"}, "endpoint"),
+            ("generator", {"backend": "service"}, "generator.endpoint"),
+            ("generator", {"backend": "mock"}, "generator.treebank"),
             # not settings: the kind alone fixes the reference and how the
             # combined kinds combine, and the criterion's exclude_labels is the
             # run's one exclude-label list
@@ -755,6 +819,9 @@ class TestSelfTrainCommand:
             "service-requests-per-minute-string",
             "mock-batch-size-zero",
             "mock-guide-probability-five",
+            "service-endpoint-without-scheme",
+            "service-endpoint-missing",
+            "mock-treebank-missing",
             "criterion-reference-removed",
             "criterion-combine-removed",
             "criterion-conf-weight-removed",
@@ -792,31 +859,35 @@ class TestSelfTrainCommand:
         assert repr(named) in err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("bad", ["other-type", "numeric-string"])
+    @pytest.mark.parametrize("config", [[], "run", None])
+    def test_a_run_config_that_is_no_object_is_a_data_error(
+        self, tmp_path, capsys, config
+    ):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["self-train", "--config", str(path)]) == 1
+        assert "the run config must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
-        "section, key, kind",
-        RUN_CONFIG_SETTINGS,
-        ids=[f"{section or 'top'}-{key}" for section, key, _ in RUN_CONFIG_SETTINGS],
+        "where, key, value",
+        TYPE_CASES,
+        ids=[f"{where or 'top'}-{key}-{json.dumps(v)}" for where, key, v in TYPE_CASES],
     )
     def test_every_setting_rejects_a_value_of_another_type(
-        self, tmp_path, capsys, section, key, kind, bad
+        self, tmp_path, capsys, where, key, value
     ):
         path = self.make_config(tmp_path)
         config = json.loads(path.read_text(encoding="utf-8"))
-        if bad == "numeric-string":
-            value = "1"
-        else:
-            value = True if kind == "number" else "false"
-        if section is None:
+        if where is None:
             config[key] = value
-        elif section == "generator-service":
+        elif where == "generator-service":
             config["generator"] = {
                 "backend": "service", "endpoint": "http://localhost:1", key: value
             }
-        elif section == "generator-mock":
+        elif where == "generator-mock":
             config["generator"][key] = value
         else:
-            config.setdefault(section, {})[key] = value
+            config.setdefault(where, {})[key] = value
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["self-train", "--config", str(path)]) == 1
         err = capsys.readouterr().err

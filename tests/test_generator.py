@@ -621,6 +621,20 @@ class TestServiceGenerator:
         with pytest.raises(ConfigError, match="'seed'"):
             ServiceGenerator("http://stub/complete", seed=seed)
 
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["nohost", "ftp://h/x", "http://", "http://:80/x", "http://[::1/x", "", None, 5],
+    )
+    def test_an_endpoint_that_is_no_http_url_is_a_config_error(self, endpoint):
+        with pytest.raises(ConfigError, match="'endpoint'"):
+            ServiceGenerator(endpoint, requests_per_minute=0)
+
+    @pytest.mark.parametrize(
+        "endpoint", ["http://stub/complete", "https://h:8443/v1", "HTTP://127.0.0.1:1"]
+    )
+    def test_an_http_or_https_url_is_accepted(self, endpoint):
+        assert ServiceGenerator(endpoint).endpoint == endpoint
+
     def test_rate_limiter_spaces_requests(self, stub_server):
         sleeps = []
         gen = ServiceGenerator(

@@ -251,6 +251,9 @@ class TestSelectTopK:
             ({"exclude_labels": "adv"}, "exclude_labels"),
             ({"exclude_labels": ["adv", 3]}, "exclude_labels"),
             ({"kind": "weighted"}, "weighted"),
+            ({"kind": None}, "kind"),
+            ({"kind": ["srs"]}, "kind"),
+            ({"kind": {}}, "kind"),
         ],
     )
     def test_bad_settings_rejected_at_construction(self, settings, named):

@@ -121,6 +121,17 @@ class TestRunBasics:
         with pytest.raises(ConfigError):
             small_experiment(source_trees=[])
 
+    @pytest.mark.parametrize("out_dir", [5.5, "", ["run"], b"run"])
+    def test_an_out_dir_that_is_no_path_is_refused_at_construction(self, out_dir):
+        with pytest.raises(ConfigError, match="'out_dir'"):
+            cross_domain_experiment(
+                seed=1, iterations=1, pool_size=20, k=5, out_dir=out_dir
+            )
+
+    def test_an_out_dir_may_be_a_path_object(self, tmp_path):
+        run(cross_domain_experiment(seed=1, iterations=0, out_dir=tmp_path / "run"))
+        assert (tmp_path / "run" / "manifest.json").exists()
+
 
 class TestDeterminism:
     def test_same_seed_identical_manifests(self):
