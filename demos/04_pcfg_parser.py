@@ -11,10 +11,10 @@ import tempfile
 
 from spskit import ParserModel, Sentence, serialize, train
 from spskit.parser import parse
-from spskit.synthetic import demo_inventory, sample_corpus, source_grammar
+from spskit.synthetic import sample_corpus, source_grammar
 
 treebank = sample_corpus(source_grammar(), 300, seed=1, name="demo-train")
-model = train(treebank, inventory=demo_inventory())
+model = train(treebank)
 print("rules:", len(model.rules), " lexical entries:", len(model.lexical))
 
 # Parse a held-out sentence; confidence is exp(mean per-token logprob).

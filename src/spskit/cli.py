@@ -28,7 +28,7 @@ from .generator import (
     pcfg_from_treebank,
 )
 from .mapping import MappingTable, convert_corpus
-from .parser import ParserModel, PcfgBackend, PseudoTree, TrainConfig, parse_pool, train
+from .parser import ParserModel, PcfgBackend, PseudoTree, TrainConfig, parse, train
 from .rules import export_rules, extract_corpus_rules
 from .seeding import substream
 from .segmentation import Lexicon, SplitTable, transfer_corpus
@@ -206,7 +206,7 @@ def cmd_train(args):
     inventory = LabelInventory.from_json(args.inventory) if args.inventory else None
     trees = read_treebank(args.input, inventory=inventory)
     config = TrainConfig(alpha=args.alpha, unk_threshold=args.unk_threshold)
-    model = train(trees, config=config, inventory=inventory)
+    model = train(trees, config=config)
     model.save(args.output)
     _summary(
         "train",
@@ -222,7 +222,7 @@ def cmd_parse(args):
     _check_inputs(args.model, args.input)
     model = ParserModel.load(args.model)
     sentences = _read_sentences(args.input)
-    results = parse_pool(model, sentences)
+    results = [parse(model, s) for s in sentences]
     write_treebank([r.tree for r in results], args.output)
     if args.confidences:
         write_text_atomic(

@@ -21,9 +21,8 @@ looks binary rules up by left child, then by right child, so a left label
 that starts no rule is skipped before the right cell is read.  A token's
 closed width-1 cell depends only on its lexical class (the token itself when
 some tag keeps it, else UNK), so each model caches those cells, at most one
-per kept token plus one for UNK; ``reindex`` clears the cache.  The winning
-derivation is read back from the backpointers straight into the
-debinarized tree.
+per kept token plus one for UNK.  The winning derivation is read back from
+the backpointers straight into the debinarized tree.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import ModelFormatError, int_at_least, non_negative_number
 from .rules import SyntacticRule
-from .treebank import ParseTree, Sentence, validate_tree, write_text_atomic
+from .treebank import ParseTree, Sentence, write_text_atomic
 
 __all__ = [
     "TrainConfig",
@@ -43,7 +42,6 @@ __all__ = [
     "PcfgBackend",
     "train",
     "parse",
-    "parse_pool",
 ]
 
 UNK = "<unk>"
@@ -84,8 +82,9 @@ class PseudoTree:
 
 @dataclass
 class ParserModel:
-    """A smoothed PCFG.  ``reindex`` derives the chart's lookup tables from
-    it as plain attributes, which ``==`` and ``repr`` leave out."""
+    """A smoothed PCFG, not edited after construction.  The chart's lookup
+    tables are derived from it as plain attributes, which ``==`` and
+    ``repr`` leave out."""
 
     roots: dict                 # label -> probability
     rules: dict                 # SyntacticRule (unary or binary) -> probability
@@ -96,10 +95,6 @@ class ParserModel:
     fallback_pos: str = ""
 
     def __post_init__(self):
-        self.reindex()
-
-    def reindex(self):
-        """Rebuild the lookup tables; call after editing rules or lexical."""
         by_left = {}            # left child -> right child -> [(parent, logp)]
         by_unary_child = {}
         for rule, prob in self.rules.items():
@@ -131,19 +126,6 @@ class ParserModel:
         self._unk = unk
         self._lex_cells = {}
 
-    def lexical_options(self, token):
-        """(preterminal, logprob) choices for one token.
-
-        Tags that saw the token often enough use its own class; every other
-        tag stays reachable through its UNK slot.
-        """
-        options = list(self._exact.get(token, ()))
-        covered = {label for label, _ in options}
-        options.extend(
-            (label, logp) for label, logp in self._unk if label not in covered
-        )
-        return options
-
     def validate(self):
         """Check probability invariants; raises ModelFormatError on failure.
 
@@ -157,8 +139,8 @@ class ParserModel:
             families.setdefault(("lex", label), []).append(prob)
         families[("root", "")] = list(self.roots.values())
         for family, probs in families.items():
-            if any(p <= 0.0 for p in probs):
-                raise ModelFormatError(f"family {family!r} has a prob <= 0")
+            if not all(0.0 < p < math.inf for p in probs):  # NaN fails too
+                raise ModelFormatError(f"family {family!r} has a prob outside (0, inf)")
             if abs(sum(probs) - 1.0) > PROB_TOL:
                 raise ModelFormatError(
                     f"family {family!r} sums to {sum(probs)!r}, not 1"
@@ -183,27 +165,47 @@ class ParserModel:
 
     @classmethod
     def load(cls, path):
+        """Read a model saved by ``save``; ModelFormatError names the path of
+        a file that is not one."""
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-        if data.get("version") != MODEL_VERSION:
-            raise ModelFormatError(f"unsupported model version {data.get('version')!r}")
+            text = f.read()
         try:
+            data = json.loads(text)
+            if not isinstance(data, dict):
+                raise TypeError("not a JSON object")
+            if data.get("version") != MODEL_VERSION:
+                raise ValueError(f"unsupported model version {data.get('version')!r}")
             model = cls(
-                roots=dict(data["roots"]),
+                roots={_string(k): _prob(p) for k, p in data["roots"].items()},
                 rules={
-                    SyntacticRule(p, tuple(children)): prob
-                    for p, children, prob in data["rules"]
+                    SyntacticRule(_string(p), tuple(map(_string, kids))): _prob(prob)
+                    for p, kids, prob in data["rules"]
                 },
-                lexical={(label, cls): p for label, cls, p in data["lexical"]},
+                lexical={
+                    (_string(label), _string(cls)): _prob(p)
+                    for label, cls, p in data["lexical"]
+                },
                 unk_threshold=data["unk_threshold"],
                 alpha=data["alpha"],
-                fallback_root=data["fallback_root"],
-                fallback_pos=data["fallback_pos"],
+                fallback_root=_string(data["fallback_root"]),
+                fallback_pos=_string(data["fallback_pos"]),
             )
-        except (KeyError, TypeError, ValueError) as e:
+            model.validate()
+        except (AttributeError, KeyError, TypeError, ValueError, ModelFormatError) as e:
             raise ModelFormatError(f"malformed model file {path}: {e}") from e
-        model.validate()
         return model
+
+
+def _string(value):
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{value!r} is not a non-empty string")
+    return value
+
+
+def _prob(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"probability {value!r} is not a number")
+    return value
 
 
 def _smooth(counts, alpha):
@@ -225,19 +227,11 @@ class _TrainCounts:
         self.rules = {}         # (parent, child labels) -> count
         self.tags = {}          # preterminal label -> token -> count
 
-    def copy(self):
-        other = _TrainCounts()
-        other.roots = dict(self.roots)
-        other.rules = dict(self.rules)
-        other.tags = {label: dict(tokens) for label, tokens in self.tags.items()}
-        return other
-
-    def add(self, trees, inventory=None):
+    def add(self, trees):
         """Fold ``trees`` in.
 
-        Raises at the first tree the parser cannot train on (ValueError), or
-        that uses a label outside ``inventory`` (LabelError), leaving the
-        counts partly updated.
+        Raises ValueError at the first tree the parser cannot train on,
+        leaving the counts partly updated.
         """
         root_counts = self.roots
         rule_counts = self.rules
@@ -277,8 +271,6 @@ class _TrainCounts:
 
         for tree in trees:
             walk(tree)
-            if inventory is not None:
-                validate_tree(tree, inventory)
             root_counts[tree.label] = root_counts.get(tree.label, 0) + 1
 
     def model(self, config):
@@ -328,14 +320,9 @@ class _TrainCounts:
         return model
 
 
-def train(treebank, config=None, inventory=None):
-    """Estimate a smoothed PCFG from trees; deterministic for a given input.
-
-    ``inventory`` is optional; when given, trees are validated against it.
-    """
-    counts = _TrainCounts()
-    counts.add(treebank, inventory)
-    return counts.model(config or TrainConfig())
+def train(treebank, config=None):
+    """Estimate a smoothed PCFG from trees; deterministic for a given input."""
+    return PcfgBackend(config).train(treebank)
 
 
 def _fallback_tree(model, sentence):
@@ -375,7 +362,11 @@ def _lexical_cell(model, token):
     key = token if token in model._exact else UNK
     cell = model._lex_cells.get(key)
     if cell is None:
-        cell = {label: (logp, ()) for label, logp in model.lexical_options(token)}
+        # Tags that kept the token use its own class; every other tag stays
+        # reachable through its UNK slot.
+        cell = {label: (logp, ()) for label, logp in model._exact.get(key, ())}
+        for label, logp in model._unk:
+            cell.setdefault(label, (logp, ()))
         _close_unaries(model, cell)
         model._lex_cells[key] = cell
     return cell
@@ -464,22 +455,17 @@ def parse(model, sentence):
     return PseudoTree(sentence, tree, confidence)
 
 
-def parse_pool(model, sentences):
-    """Parse many sentences in one process, in order."""
-    return [parse(model, s) for s in sentences]
-
-
 class PcfgBackend:
     """The pluggable parsing interface: train(trees) and parse(model, sentence).
 
     These two are all a self-training backend needs; parsing runs in one
     process, one sentence at a time.
 
-    ``train`` keeps the tree list and counts of its last call.  A list that
-    extends that one (the same tree objects first) folds in only its new
-    trees, as the self-training loop's growing training set does; any other
-    list is counted from scratch.  Either way the model equals a fresh
-    ``train`` of the whole list.
+    ``train`` keeps the tree list and counts of its last successful call.  A
+    list that extends that one (the same tree objects first) folds in only
+    its new trees, as the self-training loop's growing training set does;
+    any other list, or any list after a failing call, is counted from
+    scratch.  Either way the model equals a fresh count of the whole list.
     """
 
     name = "pcfg"
@@ -491,13 +477,13 @@ class PcfgBackend:
     def train(self, treebank):
         trees = list(treebank)
         counts, new = _TrainCounts(), trees
-        if self._last is not None:
-            last_trees, last_counts = self._last
+        last, self._last = self._last, None     # a failing call leaves no cache
+        if last is not None:
+            last_trees, last_counts = last
             if len(last_trees) <= len(trees) and all(
                 a is b for a, b in zip(last_trees, trees)
             ):
-                # A copy, so a tree that fails to count leaves the cache intact.
-                counts, new = last_counts.copy(), trees[len(last_trees):]
+                counts, new = last_counts, trees[len(last_trees):]
         counts.add(new)
         model = counts.model(self.config)
         self._last = (trees, counts)
@@ -507,9 +493,10 @@ class PcfgBackend:
         return parse(model, sentence)
 
     def parse_pool(self, model, sentences, jobs=1):
-        """``parse_pool``; ``jobs`` stays for existing callers and must be 1."""
+        """Parse many sentences in order; ``jobs`` stays for existing callers
+        and must be 1."""
         if jobs != 1:
             raise ValueError(
                 f"jobs must be 1 (parsing runs in one process), got {jobs!r}"
             )
-        return parse_pool(model, sentences)
+        return [parse(model, s) for s in sentences]

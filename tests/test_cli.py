@@ -379,6 +379,34 @@ class TestPipeline:
         assert f"{raw}:3: bad token '(va)'" in capsys.readouterr().err
         assert not parsed.exists()
 
+    def test_parse_rejects_a_model_file_that_is_no_object(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("[]", encoding="utf-8")
+        raw = tmp_path / "raw.txt"
+        raw.write_text("na va\n", encoding="utf-8")
+        parsed = tmp_path / "parsed.txt"
+        code = main(["parse", "--model", str(model), "--input", str(raw), "--output", str(parsed)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err and str(model) in err
+        assert not parsed.exists()
+
+    def test_train_names_the_line_of_a_label_outside_the_inventory(self, tmp_path, capsys):
+        source = tmp_path / "source.txt"
+        source.write_text("(s (subj (n a)))\n(s (zz (n b)))\n", encoding="utf-8")
+        inventory = tmp_path / "inv.json"
+        inventory.write_text(
+            json.dumps({"sps_labels": ["s", "subj"], "pos_labels": ["n"]}), encoding="utf-8"
+        )
+        model = tmp_path / "model.json"
+        assert main(
+            ["train", "--input", str(source), "--inventory", str(inventory),
+             "--output", str(model)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err and "zz" in err and "line 2" in err
+        assert not model.exists()
+
     def test_generate_with_mock_backend(self, tmp_path, capsys):
         stats_treebank = tmp_path / "stats.txt"
         write_treebank(sample_corpus(source_grammar(), 50, seed=3, name="cli-stats"), stats_treebank)

@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import pytest
 
 from spskit import parser as parser_module
-from spskit.errors import LabelError, ModelFormatError
+from spskit.errors import ModelFormatError
 from spskit.evaluation import score_corpus
 from spskit.generator import Pcfg
 from spskit.parser import (
@@ -18,7 +19,6 @@ from spskit.parser import (
     TrainConfig,
     _smooth,
     parse,
-    parse_pool,
     train,
 )
 from spskit.rules import SyntacticRule
@@ -73,17 +73,13 @@ class TestTrain:
 
     def test_self_consistency_on_synthetic_treebank(self):
         trees = sample_corpus(source_grammar(), 50, seed=7, name="selfcheck")
-        model = train(trees, inventory=demo_inventory())
+        model = train(trees)
         preds = [parse(model, t.sentence()).tree for t in trees]
         assert score_corpus(preds, trees).f1 >= 95.0
 
     def test_empty_treebank_is_an_error(self):
         with pytest.raises(ValueError):
             train([])
-
-    def test_inventory_violation_is_an_error(self):
-        with pytest.raises(LabelError):
-            train([parse_bracketed("(zz (x a))")], inventory=demo_inventory())
 
     def test_reserved_label_characters_rejected(self):
         with pytest.raises(ValueError):
@@ -103,7 +99,7 @@ class TestTrain:
         # hello occurs once under x (folds to UNK) and twice under z (kept)
         assert ("x", "hello") not in model.lexical
         assert ("z", "hello") in model.lexical
-        options = dict(model.lexical_options("hello"))
+        options = dict(ref_lexical_options(model, "hello"))
         assert "z" in options and "x" in options and "y" in options
 
 
@@ -157,8 +153,7 @@ class TestParse:
     def test_debinarization_removes_intermediates_and_validates(self):
         inventory = demo_inventory()
         trees = sample_corpus(source_grammar(), 60, seed=5, name="debin")
-        model = train(trees, inventory=inventory)
-        from spskit.treebank import validate_tree
+        model = train(trees)
 
         for gold in sample_corpus(source_grammar(), 20, seed=6, name="debin-dev"):
             result = parse(model, gold.sentence())
@@ -208,6 +203,22 @@ class TestParse:
             assert parse(m1, gold.sentence()) == parse(m2, gold.sentence())
 
 
+def ref_lexical_options(model, token):
+    """(preterminal, logprob) choices for one token, read off ``model.lexical``:
+    the token's own class under each tag that kept it, then UNK under the
+    rest, each part sorted."""
+    own = sorted(
+        (label, math.log(p)) for (label, cls), p in model.lexical.items() if cls == token
+    )
+    kept = {label for label, _ in own}
+    unk = sorted(
+        (label, math.log(p))
+        for (label, cls), p in model.lexical.items()
+        if cls == UNK and label not in kept
+    )
+    return own + unk
+
+
 def enumerate_derivations(model, tokens, max_unary_chain=3):
     """All derivations of the token span, as (logprob, serialized tree) pairs.
 
@@ -244,7 +255,7 @@ def enumerate_derivations(model, tokens, max_unary_chain=3):
     def span(i, j):
         if j - i == 1:
             base = {}
-            for label, logp in model.lexical_options(tokens[i]):
+            for label, logp in ref_lexical_options(model, tokens[i]):
                 base.setdefault(label, []).append((logp, f"({label} {tokens[i]})"))
             return close(base)
         combined = {}
@@ -317,13 +328,11 @@ def ref_check_standard_form(tree):
             )
 
 
-def ref_train(treebank, config=TrainConfig(), inventory=None):
+def ref_train(treebank, config=TrainConfig()):
     """(roots, rules, lexical, fallback_root, fallback_pos) of a treebank."""
     root_counts, rule_counts, tag_token_counts = {}, {}, {}
     for tree in treebank:
         ref_check_standard_form(tree)
-        if inventory is not None:
-            validate_tree(tree, inventory)
         prepared = ref_binarize(tree)
         root_counts[prepared.label] = root_counts.get(prepared.label, 0) + 1
         for node in prepared.subtrees():
@@ -394,7 +403,7 @@ def ref_parse(model, tokens):
     chart = {}
     for i, token in enumerate(tokens):
         cell = {}
-        for label, logp in model.lexical_options(token):
+        for label, logp in ref_lexical_options(model, token):
             cell[label] = (logp, (0, "", ""), ("lex",))
         ref_close_unaries(by_unary_child, cell)
         chart[(i, i + 1)] = cell
@@ -492,20 +501,64 @@ class TestModelPersistence:
         sentence = Sentence(("a", "b"))
         assert parse(loaded, sentence) == parse(model, sentence)
 
-    def test_load_validates_probabilities(self, tmp_path):
-        model = train(skewed_treebank())
+    @staticmethod
+    def saved_with(tmp_path, keys, value):
+        """The path of a saved model whose JSON has ``value`` at ``keys``."""
         path = tmp_path / "model.json"
-        model.save(path)
+        train(skewed_treebank()).save(path)
         data = json.loads(path.read_text(encoding="utf-8"))
-        data["rules"][0][-1] = 0.9999  # break the family sum
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
         path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(ModelFormatError):
+        return path
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("rules", 0, -1), 0.9999),
+            (("rules", 0, -1), float("nan")),
+            (("lexical", 0, -1), float("inf")),
+            (("roots", "s"), True),
+            (("rules", 0, -1), "0.5"),
+        ],
+        ids=["family-sum", "nan", "inf", "bool", "string"],
+    )
+    def test_load_validates_probabilities(self, tmp_path, keys, value):
+        path = self.saved_with(tmp_path, keys, value)
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))):
+            ParserModel.load(path)
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("rules", 0, 0), 5),
+            (("rules", 0, 1), ["x", ""]),
+            (("lexical", 0, 1), None),
+            (("roots",), {"": 1.0}),
+            (("fallback_root",), 5),
+            (("fallback_pos",), ""),
+        ],
+        ids=["int-parent", "empty-child", "null-token", "empty-root", "int-fallback-root",
+             "empty-fallback-pos"],
+    )
+    def test_load_rejects_a_label_that_is_no_string(self, tmp_path, keys, value):
+        path = self.saved_with(tmp_path, keys, value)
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))):
             ParserModel.load(path)
 
     def test_load_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"version": 99}', encoding="utf-8")
         with pytest.raises(ModelFormatError):
+            ParserModel.load(path)
+
+    @pytest.mark.parametrize("text", ["[]", '"model"', "1", "{"])
+    def test_load_rejects_a_file_that_is_no_object(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))):
             ParserModel.load(path)
 
 
@@ -529,9 +582,9 @@ class TestBackend:
         model = train(trees)
         sentences = [t.sentence() for t in sample_corpus(target_grammar(), 12, seed=5, name="pool-dev")]
         expected = [parse(model, s) for s in sentences]
-        for results in (parse_pool(model, sentences), PcfgBackend().parse_pool(model, sentences)):
-            assert [r.tree for r in results] == [r.tree for r in expected]
-            assert [r.confidence.hex() for r in results] == [r.confidence.hex() for r in expected]
+        results = PcfgBackend().parse_pool(model, sentences)
+        assert [r.tree for r in results] == [r.tree for r in expected]
+        assert [r.confidence.hex() for r in results] == [r.confidence.hex() for r in expected]
         with pytest.raises(ValueError, match="jobs"):
             PcfgBackend().parse_pool(model, sentences, jobs=2)
 
@@ -601,11 +654,6 @@ class TestReferenceParity:
         ]
         for trees in corpora:
             assert_model_matches_reference(train(trees, config), ref_train(trees, config))
-        trees = corpora[1]
-        assert_model_matches_reference(
-            train(trees, config, inventory=demo_inventory()),
-            ref_train(trees, config, inventory=demo_inventory()),
-        )
 
     @pytest.mark.parametrize(
         "bad",
@@ -705,40 +753,6 @@ class TestReferenceParity:
 
 
 class TestLexicalCellCache:
-    def test_reindex_after_editing_the_tables_takes_effect(self):
-        model = train(skewed_treebank())
-        sentence = Sentence(("a", "b"))
-        assert serialize(parse(model, sentence).tree) == "(s (x a) (y b))"
-
-        # x now rarely emits "a", so (s (z a) (y b)) wins.
-        model.lexical[("x", "a")], model.lexical[("x", UNK)] = (
-            model.lexical[("x", UNK)],
-            model.lexical[("x", "a")],
-        )
-        model.reindex()
-        assert serialize(parse(model, sentence).tree) == "(s (z a) (y b))"
-
-        # and back, through the rule table this time
-        xy, zy = SyntacticRule("s", ("x", "y")), SyntacticRule("s", ("z", "y"))
-        model.rules[xy], model.rules[zy] = 0.999, 0.001
-        model.lexical[("x", "a")], model.lexical[("x", UNK)] = (
-            model.lexical[("x", UNK)],
-            model.lexical[("x", "a")],
-        )
-        model.reindex()
-        result = parse(model, sentence)
-        assert serialize(result.tree) == "(s (x a) (y b))"
-        fresh = ParserModel(
-            roots=dict(model.roots),
-            rules=dict(model.rules),
-            lexical=dict(model.lexical),
-            unk_threshold=model.unk_threshold,
-            alpha=model.alpha,
-            fallback_root=model.fallback_root,
-            fallback_pos=model.fallback_pos,
-        )
-        assert parse(fresh, sentence) == result
-
     def test_cache_is_bounded_by_the_lexicon(self):
         model = train(sample_corpus(source_grammar(), 80, seed=26, name="cache"))
         bound = len(model._exact) + 1
@@ -763,10 +777,10 @@ class TestIncrementalTraining:
         sizes = []
         add = parser_module._TrainCounts.add
 
-        def counting(self, trees, inventory=None):
+        def counting(self, trees):
             trees = list(trees)
             sizes.append(len(trees))
-            return add(self, trees, inventory)
+            return add(self, trees)
 
         monkeypatch.setattr(parser_module._TrainCounts, "add", counting)
         return sizes
@@ -813,12 +827,12 @@ class TestIncrementalTraining:
     @pytest.mark.parametrize(
         "bad", [ParseTree("s", (ParseTree("n", ("a", "b")),))], ids=["several-tokens"]
     )
-    def test_a_failing_tail_leaves_the_last_counts(self, tmp_path, counted, bad):
+    def test_a_failing_call_drops_the_cache(self, tmp_path, counted, bad):
         trees = self.trees()
         backend = PcfgBackend(self.CONFIG)
         backend.train(trees[:40])
         with pytest.raises(ValueError):
             backend.train(trees[:50] + [bad] + trees[50:60])
         model = backend.train(trees[:70])
-        assert counted == [40, 21, 30]
+        assert counted == [40, 21, 70]
         self.assert_fresh(model, trees[:70], tmp_path)
