@@ -32,19 +32,17 @@ for before, after in zip(corpus, out):
 print("merged:", report.merged, " split:", report.split)
 print("unmatched:", report.unmatched_logged)
 
-# Merges are reversible: the report records each merged leaf's parts and
-# their original POS labels.
+# Each surviving merge is recorded with its parts and their original POS
+# labels.
 for record in report.merges:
     print("merge record:", record.surface, "<-", record.parts, record.pos_labels)
 
-# Ambiguity: a word that is also a prefix of a longer word.  The greedy pass
-# merges; the word-first pass disagrees and the conflict is surfaced.
-from spskit import merge_pass, resolve_ambiguous
-
+# Ambiguity: a word that is also a prefix of a longer word.  The greedy merge
+# makes 中国人; the word-first resolve disagrees, undoes the merge and
+# surfaces the conflict as a misaligned (tree, leaf, surface) entry.
 ambiguous_lexicon = Lexicon(["中国", "中国人", "人"])
 tree = parse_bracketed("(s (n 中国) (n 人))")
-merged, first = merge_pass(tree, ambiguous_lexicon)
-final, second = resolve_ambiguous(merged, ambiguous_lexicon, merges=first.merges)
-print("greedy pass:    ", serialize(merged))
-print("word-first pass:", serialize(final))
-print("flagged for annotation:", second.misaligned)
+(final,), ambiguous = transfer_corpus([tree], ambiguous_lexicon)
+print("transferred:", serialize(final))
+print("merged:", ambiguous.merged, " split back:", ambiguous.split)
+print("flagged for annotation:", ambiguous.misaligned)

@@ -33,9 +33,6 @@ from .segmentation import (
     Lexicon,
     SplitTable,
     TransferReport,
-    merge_pass,
-    resolve_ambiguous,
-    split_finest,
     transfer_corpus,
 )
 from .selection import CriterionConfig, SelectionRefs, select, select_top_k

@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ModelFormatError, int_at_least, non_negative_number
+from .errors import ConfigError, ModelFormatError, int_at_least, non_negative_number
 from .rules import SyntacticRule
 from .treebank import ParseTree, Sentence, write_text_atomic
 
@@ -175,23 +175,26 @@ class ParserModel:
                 raise TypeError("not a JSON object")
             if data.get("version") != MODEL_VERSION:
                 raise ValueError(f"unsupported model version {data.get('version')!r}")
+            config = TrainConfig(alpha=data["alpha"], unk_threshold=data["unk_threshold"])
             model = cls(
                 roots={_string(k): _prob(p) for k, p in data["roots"].items()},
                 rules={
-                    SyntacticRule(_string(p), tuple(map(_string, kids))): _prob(prob)
+                    SyntacticRule(_string(p), _children(kids)): _prob(prob)
                     for p, kids, prob in data["rules"]
                 },
                 lexical={
                     (_string(label), _string(cls)): _prob(p)
                     for label, cls, p in data["lexical"]
                 },
-                unk_threshold=data["unk_threshold"],
-                alpha=data["alpha"],
+                unk_threshold=config.unk_threshold,
+                alpha=config.alpha,
                 fallback_root=_string(data["fallback_root"]),
                 fallback_pos=_string(data["fallback_pos"]),
             )
             model.validate()
-        except (AttributeError, KeyError, TypeError, ValueError, ModelFormatError) as e:
+        except (
+            AttributeError, ConfigError, KeyError, TypeError, ValueError, ModelFormatError
+        ) as e:
             raise ModelFormatError(f"malformed model file {path}: {e}") from e
         return model
 
@@ -200,6 +203,13 @@ def _string(value):
     if not isinstance(value, str) or not value:
         raise ValueError(f"{value!r} is not a non-empty string")
     return value
+
+
+def _children(value):
+    """A rule's children: the chart reads only unary and binary rules."""
+    if not isinstance(value, list) or not 1 <= len(value) <= 2:
+        raise ValueError(f"rule children {value!r} are not a list of one or two labels")
+    return tuple(map(_string, value))
 
 
 def _prob(value):

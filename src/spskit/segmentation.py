@@ -1,25 +1,28 @@
 """Word-segmentation granularity transfer between treebank conventions.
 
-The transfer runs in three stages over each tree:
+``transfer_corpus`` brings a treebank to a target lexicon's word granularity
+in three steps over each tree:
 
-1. ``split_finest`` breaks coarse tokens into their finest parts using a
-   user-supplied decomposition table (the treebank's dynamic-word annotations).
-2. ``merge_pass`` greedily re-merges adjacent leaves into target-lexicon words,
-   prefix status checked before word status.  Failed merge attempts and
-   unknown tokens are never repaired silently; they are flagged in the report.
-3. ``resolve_ambiguous`` re-examines the flagged leaves and the committed
-   merges with the reversed precedence (word status first).  Merges the two
-   policies disagree on are undone and surfaced as misalignments for human
-   review; flags that the word-first reading clears disappear.
+1. Split: coarse tokens listed in a user-supplied decomposition table (the
+   treebank's dynamic-word annotations) are broken into their finest parts.
+2. Greedy merge: adjacent leaves are re-merged into target-lexicon words,
+   prefix status checked before word status, in sweeps repeated until no
+   merge commits.
+3. Word-first resolve: merges whose first part is itself a lexicon word,
+   where word-first precedence disagrees with the greedy pass, are undone
+   into the word-first segmentation of their parts and surfaced as
+   misaligned for human review.  Word-first sweeps then run to fixpoint; a
+   leaf that still cannot be placed is flagged, a failed merge attempt as
+   misaligned and a token that is neither word nor prefix as unmatched.
+   Nothing is repaired silently.
 
-Each stage edits one mutable working tree in place, and merged leaves carry
-their provenance on it.  One walk over the input yields both the working tree
-and its leaf list, each leaf paired with its parent; every stage keeps that
-list in step with the tree as it splits, merges and undoes leaves, so no stage
-walks the tree again.  ``transfer_corpus`` converts each tree to that form
-once, runs all three stages on it and converts it back once; the public stage
-functions convert only at their own boundary.  Converting back returns the
-input's own node for every subtree the stages left unchanged.
+All three steps edit one mutable working tree in place, and merged leaves
+carry their provenance on it.  One walk over the input yields both the
+working tree and its leaf list, each leaf paired with its parent; every step
+keeps that list in step with the tree as it splits, merges and undoes leaves,
+so no step walks the tree again.  Each tree is converted to that form once
+and back once; converting back returns the input's own node for every
+subtree the steps left unchanged.
 
 All operations require standard treebank form: every token sits alone under a
 preterminal node.  Merges only join leaves whose preterminals share a parent,
@@ -39,9 +42,6 @@ __all__ = [
     "SplitTable",
     "TransferReport",
     "MergeRecord",
-    "split_finest",
-    "merge_pass",
-    "resolve_ambiguous",
     "transfer_corpus",
 ]
 
@@ -83,23 +83,19 @@ class Lexicon:
                 word = line.strip()
                 if word:
                     words.append(word)
-        return cls(words)
+        try:
+            return cls(words)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 class SplitTable:
     """Decomposition table: coarse word -> ordered finest-granularity parts."""
 
     def __init__(self, entries):
-        self.entries = {}
-        for word, parts in entries.items():
-            parts = tuple(parts)
-            if not parts or any(not p for p in parts):
-                raise ValueError(f"entry {word!r} has empty parts")
-            if "".join(parts) != word:
-                raise ValueError(
-                    f"entry {word!r}: parts {parts!r} do not concatenate to the key"
-                )
-            self.entries[word] = parts
+        self.entries = {
+            word: _checked_parts(word, parts) for word, parts in entries.items()
+        }
 
     def __contains__(self, word):
         return word in self.entries
@@ -113,25 +109,38 @@ class SplitTable:
     @classmethod
     def from_file(cls, path):
         """Two-column TSV: word TAB space-joined parts."""
-        entries = {}
+        table = cls({})
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.rstrip("\n")
                 if not line.strip():
                     continue
+                fields = line.split("\t")
                 try:
-                    word, parts = line.split("\t")
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 'word<TAB>parts'"
-                    ) from None
-                entries[word] = tuple(parts.split())
-        return cls(entries)
+                    if len(fields) != 2:
+                        raise ValueError("expected 'word<TAB>parts'")
+                    word, parts = fields
+                    table.entries[word] = _checked_parts(word, parts.split())
+                except ValueError as e:
+                    raise ValueError(f"{path}:{lineno}: {e}") from None
+        return table
+
+
+def _checked_parts(word, parts):
+    """``parts`` as a tuple, if non-empty parts that concatenate to ``word``."""
+    parts = tuple(parts)
+    if not parts or any(not p for p in parts):
+        raise ValueError(f"entry {word!r} has empty parts")
+    if "".join(parts) != word:
+        raise ValueError(
+            f"entry {word!r}: parts {parts!r} do not concatenate to the key"
+        )
+    return parts
 
 
 @dataclass(frozen=True)
 class MergeRecord:
-    """Provenance of one committed merge, enough to reverse it."""
+    """One merged leaf of the output: its parts and their POS labels."""
 
     tree_index: int
     leaf_index: int
@@ -316,17 +325,15 @@ def _edit_sweeps(units, lex, lookahead, word_first):
             return merged
 
 
-def _flag_sweep(units, lex, lookahead, word_first, tree_index, report):
-    """Collect flags and merge records from a tree's units at merge fixpoint."""
+def _flag_sweep(units, lex, lookahead, tree_index, report):
+    """Collect flags and merge records at merge fixpoint; words are never flagged."""
     for i, (unit, _) in enumerate(units):
         token = unit.token
         if unit.parts is not None:
             report.merges.append(MergeRecord(tree_index, i, unit.parts, unit.part_pos))
-        is_word = token in lex
-        is_prefix = lex.is_strict_prefix(token)
-        if is_word and (word_first or not is_prefix):
+        if token in lex:
             continue
-        if is_prefix:
+        if lex.is_strict_prefix(token):
             extra, attempted = _attempt_merge(units, i, lex, lookahead)
             if extra == 0 and attempted != token:
                 # A same-parent neighbor allowed an attempt that never
@@ -384,109 +391,31 @@ def _word_first_segment(parts, part_pos, lex, lookahead):
     return pieces
 
 
-def _resolve(units, lex, lookahead, tree_index, report, origins):
+def _resolve(units, lex, lookahead, tree_index, report):
     """The word-first pass on a tree whose merged units carry provenance.
 
     Undoes every merged unit whose first part is a lexicon word, last unit
     first so that leaf indices stay valid, then runs the word-first sweeps
     and the flag sweep.  ``units`` (from _to_mutable) is kept in step with the
-    tree throughout.  An undone merge is reported under the tree index
-    ``origins`` gives for its leaf, else ``tree_index``.  Returns the number
-    of merges the sweeps commit.
+    tree throughout.  Returns the number of merges the sweeps commit.
     """
     for i in range(len(units) - 1, -1, -1):
         unit, container = units[i]
         if unit.parts is None or unit.parts[0] not in lex:
             continue
-        report.misaligned.append((origins.get(i, tree_index), i, unit.token))
-        if container is None:
-            raise ValueError("cannot split back a single-node tree")
+        report.misaligned.append((tree_index, i, unit.token))
+        # Merges join only leaves that share a parent: container is a branch.
         pieces = _word_first_segment(unit.parts, unit.part_pos, lex, lookahead)
         pos = container.children.index(unit)
         container.children[pos:pos + 1] = pieces
         units[i:i + 1] = [(piece, container) for piece in pieces]
         report.split += 1
     merged = _edit_sweeps(units, lex, lookahead, word_first=True)
-    _flag_sweep(units, lex, lookahead, True, tree_index, report)
+    _flag_sweep(units, lex, lookahead, tree_index, report)
     return merged
 
 
-def _check_lookahead(lookahead):
-    if lookahead < 1:
-        raise ValueError(f"lookahead must be >= 1, got {lookahead}")
-
-
-def split_finest(tree, table):
-    """Replace every leaf listed in the table by one leaf per part.
-
-    The preterminal is replicated for each part, so POS labels are kept.
-    Leaves without a table entry are untouched.
-    """
-    units = []
-    root = _to_mutable(tree, units)
-    _split(units, table)
-    return _to_tree(root)
-
-
-def merge_pass(tree, lex, tree_index=0, lookahead=DEFAULT_LOOKAHEAD):
-    """First merge pass: prefix status checked before word status.
-
-    A leaf that is a strict prefix of some lexicon word and has a same-parent
-    right neighbor is greedily extended (longest match within ``lookahead``
-    extra leaves); the merge commits only when the concatenation is a lexicon
-    word.  Attempts that never reach a word are reported as misaligned; leaves
-    that are neither words nor prefixes are logged as unmatched.  Sweeps repeat
-    until no merge commits.
-    """
-    _check_lookahead(lookahead)
-    units = []
-    root = _to_mutable(tree, units)
-    report = TransferReport()
-    report.merged = _edit_sweeps(units, lex, lookahead, word_first=False)
-    _flag_sweep(units, lex, lookahead, False, tree_index, report)
-    return _to_tree(root), report
-
-
-def resolve_ambiguous(
-    tree, lex, merges=(), tree_index=0, lookahead=DEFAULT_LOOKAHEAD
-):
-    """Second pass with reversed precedence: word status before prefix status.
-
-    Committed merges whose first constituent is itself a lexicon word are the
-    ambiguous cases: the word-first reading disagrees with the greedy one.
-    Such merges are undone in favor of the word-first segmentation of their
-    parts and surfaced as misaligned for human annotation.  Remaining flagged
-    leaves are then re-examined word-first; whatever still cannot be placed is
-    a residual conflict (misaligned) or an unknown term (unmatched).
-    """
-    _check_lookahead(lookahead)
-    units = []
-    root = _to_mutable(tree, units)
-    origins = {}
-    # Highest leaf index first: of several bad records, the one furthest
-    # right is reported.
-    for record in sorted(merges, key=lambda r: -r.leaf_index):
-        if not 0 <= record.leaf_index < len(units):
-            raise ValueError(f"merge record index {record.leaf_index} out of range")
-        if record.leaf_index in origins:
-            raise ValueError(f"two merge records for leaf {record.leaf_index}")
-        unit = units[record.leaf_index][0]
-        if unit.token != record.surface:
-            raise ValueError(
-                f"merge record at leaf {record.leaf_index} does not match the "
-                f"tree: {record.surface!r} vs {unit.token!r}"
-            )
-        unit.parts = tuple(record.parts)
-        unit.part_pos = tuple(record.pos_labels)
-        origins[record.leaf_index] = record.tree_index
-    report = TransferReport()
-    report.merged = _resolve(units, lex, lookahead, tree_index, report, origins)
-    return _to_tree(root), report
-
-
-def transfer_corpus(
-    trees, lex, split_table=None, lookahead=DEFAULT_LOOKAHEAD
-):
+def transfer_corpus(trees, lex, split_table=None, lookahead=DEFAULT_LOOKAHEAD):
     """Full granularity transfer over a corpus; reports are merged per tree.
 
     Per tree, on one working tree: split to the finest granularity, merge
@@ -494,7 +423,8 @@ def transfer_corpus(
     carries the final flags (post-resolution) and one merge record per
     surviving merged leaf.
     """
-    _check_lookahead(lookahead)
+    if lookahead < 1:
+        raise ValueError(f"lookahead must be >= 1, got {lookahead}")
     out = []
     report = TransferReport()
     for index, tree in enumerate(trees):
@@ -503,6 +433,6 @@ def transfer_corpus(
         if split_table is not None:
             report.split += _split(units, split_table)
         report.merged += _edit_sweeps(units, lex, lookahead, word_first=False)
-        report.merged += _resolve(units, lex, lookahead, index, report, {})
+        report.merged += _resolve(units, lex, lookahead, index, report)
         out.append(_to_tree(root))
     return out, report

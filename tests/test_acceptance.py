@@ -17,7 +17,7 @@ from spskit.generator import MockPcfgGenerator, PromptConfig, corpus_stats, samp
 from spskit.parser import PseudoTree
 from spskit.rules import RuleDistribution, extract_corpus_rules, js_divergence, token_counts
 from spskit.seeding import substream
-from spskit.segmentation import Lexicon, SplitTable, merge_pass, split_finest
+from spskit.segmentation import Lexicon, SplitTable, transfer_corpus
 from spskit.selection import CriterionConfig, SelectionRefs, score, select_top_k
 from spskit.selftrain import run_multiseed
 from spskit.synthetic import (
@@ -111,17 +111,20 @@ def test_criterion_4_golden_conversions():
 
     lexicon = Lexicon(["圣诞节", "武侠", "小说", "火儿"])
     # merge row
-    merged, _ = merge_pass(parse_bracketed("(s (n 圣诞) (n 节))"), lexicon)
+    (merged,), _ = transfer_corpus([parse_bracketed("(s (n 圣诞) (n 节))")], lexicon)
     assert serialize(merged) == "(s (n 圣诞节))"
     # split row
-    split = split_finest(
-        parse_bracketed("(obj (n 武侠小说))"), SplitTable({"武侠小说": ["武侠", "小说"]})
+    (split,), _ = transfer_corpus(
+        [parse_bracketed("(obj (n 武侠小说))")],
+        lexicon,
+        split_table=SplitTable({"武侠小说": ["武侠", "小说"]}),
     )
     assert serialize(split) == "(obj (n 武侠) (n 小说))"
     # misalignment row: split to finest parts then re-merge by the lexicon
     table = SplitTable({"惹火": ["惹", "火"], "儿了": ["儿", "了"]})
-    finest = split_finest(parse_bracketed("(vp (v 惹火) (u 儿了))"), table)
-    resolved, _ = merge_pass(finest, lexicon)
+    (resolved,), _ = transfer_corpus(
+        [parse_bracketed("(vp (v 惹火) (u 儿了))")], lexicon, split_table=table
+    )
     assert serialize(resolved) == "(vp (v 惹) (v 火儿) (u 了))"
     report(4, "normalization figure and all three segmentation rows reproduce byte-exactly")
 

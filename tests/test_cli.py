@@ -185,6 +185,36 @@ class TestTransferSeg:
         assert "spskit: error:" in err and "lookahead" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "lexicon_text, split_text, named",
+        [("圣诞节\n", "ab\t\n", "split.tsv:1:"), ("\n", "", "lex.txt")],
+        ids=["split-entry-with-empty-parts", "empty-lexicon"],
+    )
+    def test_a_bad_input_file_is_named(
+        self, tmp_path, capsys, lexicon_text, split_text, named
+    ):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("(s (n 圣诞) (n 节))\n", encoding="utf-8")
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text(lexicon_text, encoding="utf-8")
+        split = tmp_path / "split.tsv"
+        split.write_text(split_text, encoding="utf-8")
+        out = tmp_path / "out.txt"
+        code = main(
+            [
+                "transfer-seg",
+                "--input", str(corpus),
+                "--lexicon", str(lexicon),
+                "--split-table", str(split),
+                "--output", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "spskit: error:" in err
+        assert str(tmp_path / named) in err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_convert_normalize_extract(self, tmp_path, capsys):

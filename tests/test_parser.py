@@ -539,11 +539,28 @@ class TestModelPersistence:
             (("roots",), {"": 1.0}),
             (("fallback_root",), 5),
             (("fallback_pos",), ""),
+            (("rules", 0, 1), ["x", "y", "y"]),
+            (("rules", 0, 1), "xy"),
         ],
         ids=["int-parent", "empty-child", "null-token", "empty-root", "int-fallback-root",
-             "empty-fallback-pos"],
+             "empty-fallback-pos", "three-children", "string-children"],
     )
     def test_load_rejects_a_label_that_is_no_string(self, tmp_path, keys, value):
+        path = self.saved_with(tmp_path, keys, value)
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))):
+            ParserModel.load(path)
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("alpha",), "x"),
+            (("alpha",), -0.5),
+            (("unk_threshold",), None),
+            (("unk_threshold",), 1.5),
+        ],
+        ids=["string-alpha", "negative-alpha", "null-unk-threshold", "float-unk-threshold"],
+    )
+    def test_load_checks_the_training_config(self, tmp_path, keys, value):
         path = self.saved_with(tmp_path, keys, value)
         with pytest.raises(ModelFormatError, match=re.escape(str(path))):
             ParserModel.load(path)

@@ -9,16 +9,7 @@ from hypothesis import strategies as st
 
 from spskit import segmentation
 from spskit.errors import RootPromotionError
-from spskit.segmentation import (
-    Lexicon,
-    MergeRecord,
-    SplitTable,
-    TransferReport,
-    merge_pass,
-    resolve_ambiguous,
-    split_finest,
-    transfer_corpus,
-)
+from spskit.segmentation import Lexicon, SplitTable, transfer_corpus
 from spskit.treebank import (
     LabelInventory,
     ParseTree,
@@ -97,35 +88,48 @@ class TestSplitTable:
         assert "1" in str(err.value)
 
 
-class TestSplitFinest:
-    def test_table_3_split_row(self):
+def transfer_one(tree, lex, **options):
+    """The transferred tree and the report of a one-tree corpus."""
+    (out,), report = transfer_corpus([tree], lex, **options)
+    return out, report
+
+
+class TestSplit:
+    def test_table_3_split_row(self, toy_lexicon):
         table = SplitTable({"武侠小说": ["武侠", "小说"]})
         tree = parse_bracketed("(obj (n 武侠小说))")
-        out = split_finest(tree, table)
+        out, report = transfer_one(tree, toy_lexicon, split_table=table)
         assert serialize(out) == "(obj (n 武侠) (n 小说))"
+        assert report.split == 1
 
     def test_no_matching_keys_is_identity(self, toy_lexicon):
         table = SplitTable({"武侠小说": ["武侠", "小说"]})
         tree = parse_bracketed("(s (n 圣诞节))")
-        assert split_finest(tree, table) == tree
+        out, report = transfer_one(tree, toy_lexicon, split_table=table)
+        assert out == tree
+        assert report.split == 0
 
-    def test_misalignment_row_decomposition(self):
+    def test_misalignment_row_decomposition(self, toy_lexicon):
+        # Split to 惹 火 儿 了, each part under a copy of its preterminal;
+        # the merge then crosses the old token boundary.
         table = SplitTable({"惹火": ["惹", "火"], "儿了": ["儿", "了"]})
         tree = parse_bracketed("(vp (v 惹火) (u 儿了))")
-        out = split_finest(tree, table)
-        assert out.leaves() == ["惹", "火", "儿", "了"]
-        assert serialize(out) == "(vp (v 惹) (v 火) (u 儿) (u 了))"
+        out, report = transfer_one(tree, toy_lexicon, split_table=table)
+        assert serialize(out) == "(vp (v 惹) (v 火儿) (u 了))"
+        assert report.split == 2
+        assert report.merges[0].parts == ("火", "儿")
+        assert report.merges[0].pos_labels == ("v", "u")
 
-    def test_single_preterminal_root_with_entry_errors(self):
+    def test_single_preterminal_root_with_entry_errors(self, toy_lexicon):
         table = SplitTable({"ab": ["a", "b"]})
-        with pytest.raises(ValueError):
-            split_finest(parse_bracketed("(n ab)"), table)
+        with pytest.raises(ValueError, match="single-node tree"):
+            transfer_one(parse_bracketed("(n ab)"), toy_lexicon, split_table=table)
 
 
-class TestMergePass:
+class TestGreedyMerge:
     def test_table_3_merge_row(self, toy_lexicon):
         tree = parse_bracketed("(s (n 圣诞) (n 节))")
-        out, report = merge_pass(tree, toy_lexicon)
+        out, report = transfer_one(tree, toy_lexicon)
         assert serialize(out) == "(s (n 圣诞节))"
         assert report.merged == 1
         assert report.misaligned == [] and report.unmatched_logged == []
@@ -134,27 +138,27 @@ class TestMergePass:
 
     def test_different_parents_block_the_merge(self, toy_lexicon):
         tree = parse_bracketed("(s (x (n 圣诞)) (y (n 节)))")
-        out, report = merge_pass(tree, toy_lexicon)
+        out, report = transfer_one(tree, toy_lexicon)
         assert out == tree
         assert report.merged == 0
         assert report.misaligned == []
 
     def test_unmatched_token_is_logged_and_kept(self, toy_lexicon):
         tree = parse_bracketed("(s (n qq) (n 武侠))")
-        out, report = merge_pass(tree, toy_lexicon)
+        out, report = transfer_one(tree, toy_lexicon)
         assert out == tree
         assert report.unmatched_logged == [(0, "qq")]
 
     def test_failed_attempt_is_misaligned(self):
         lex = Lexicon(["圣诞节", "武侠", "小说", "惹火上身"])
         tree = parse_bracketed("(vp (v 惹火) (u 儿了))")
-        out, report = merge_pass(tree, lex)
+        out, report = transfer_one(tree, lex)
         assert out == tree
         assert report.misaligned == [(0, 0, "惹火儿了")]
 
     def test_word_that_is_not_a_prefix_is_kept_silently(self, toy_lexicon):
         tree = parse_bracketed("(s (n 武侠) (n 小说))")
-        out, report = merge_pass(tree, toy_lexicon)
+        out, report = transfer_one(tree, toy_lexicon)
         assert out == tree
         assert report.merged == 0
         assert report.misaligned == [] and report.unmatched_logged == []
@@ -162,15 +166,15 @@ class TestMergePass:
     def test_merged_leaf_inherits_first_pos_label(self):
         lex = Lexicon(["ab"])
         tree = parse_bracketed("(s (x a) (y b))")
-        out, _ = merge_pass(tree, lex)
+        out, _ = transfer_one(tree, lex)
         assert serialize(out) == "(s (x ab))"
 
     def test_lookahead_bounds_multi_leaf_merges(self):
         lex = Lexicon(["abcd"])
         tree = parse_bracketed("(s (n a) (n b) (n c) (n d))")
-        out, report = merge_pass(tree, lex, lookahead=3)
+        out, report = transfer_one(tree, lex, lookahead=3)
         assert serialize(out) == "(s (n abcd))"
-        short, report_short = merge_pass(tree, lex, lookahead=1)
+        short, report_short = transfer_one(tree, lex, lookahead=1)
         assert short == tree
         assert report_short.merged == 0
 
@@ -179,115 +183,81 @@ class TestMergePass:
         # sweep can extend it to abc.
         lex = Lexicon(["ab", "abc"])
         tree = parse_bracketed("(s (n a) (n b) (n c))")
-        out, report = merge_pass(tree, lex, lookahead=1)
+        out, report = transfer_one(tree, lex, lookahead=1)
         assert serialize(out) == "(s (n abc))"
         assert report.merged == 2
         assert report.merges[0].parts == ("a", "b", "c")
 
     def test_attempt_stops_at_the_first_non_prefix(self):
         lex = Lexicon(["ab"])
-        _, report = merge_pass(parse_bracketed("(s (n a) (n c) (n b))"), lex)
+        _, report = transfer_one(parse_bracketed("(s (n a) (n c) (n b))"), lex)
         assert report.misaligned == [(0, 0, "ac")]
         assert report.unmatched_logged == [(0, "c"), (0, "b")]
 
     def test_fixpoint_idempotence(self, toy_lexicon):
         tree = parse_bracketed("(s (n 圣诞) (n 节) (n 武侠))")
-        once, first = merge_pass(tree, toy_lexicon)
-        twice, second = merge_pass(once, toy_lexicon)
+        once, _ = transfer_one(tree, toy_lexicon)
+        twice, second = transfer_one(once, toy_lexicon)
         assert twice == once
         assert second.merged == 0
 
     def test_rejects_non_standard_form(self, toy_lexicon):
-        from spskit.treebank import ParseTree
+        tree = ParseTree("s", ("a", ParseTree("n", ("b",))))
+        with pytest.raises(ValueError, match="one token per preterminal"):
+            transfer_one(tree, toy_lexicon)
 
-        with pytest.raises(ValueError):
-            merge_pass(ParseTree("s", ("a", ParseTree("n", ("b",)))), toy_lexicon)
 
-
-class TestResolveAmbiguous:
+class TestWordFirstResolve:
     def test_prefix_and_word_ambiguity_is_surfaced(self):
+        # The greedy pass merges 中国人; word-first precedence keeps 中国
+        # standalone and flags the conflict.
         lex = Lexicon(["中国", "中国人", "人"])
         tree = parse_bracketed("(s (n 中国) (n 人))")
-        merged, first = merge_pass(tree, lex)
-        assert serialize(merged) == "(s (n 中国人))"  # greedy pass merges
-        final, second = resolve_ambiguous(merged, lex, merges=first.merges)
-        # word-first precedence keeps 中国 standalone and flags the conflict
+        final, report = transfer_one(tree, lex)
         assert serialize(final) == "(s (n 中国) (n 人))"
-        assert len(second.misaligned) == 1
-        assert second.split == 1
+        assert report.misaligned == [(0, 0, "中国人")]
+        assert report.merged == 1
+        assert report.split == 1
 
     def test_unambiguous_merge_is_kept(self, toy_lexicon):
         tree = parse_bracketed("(s (n 圣诞) (n 节))")
-        merged, first = merge_pass(tree, toy_lexicon)
-        final, second = resolve_ambiguous(merged, toy_lexicon, merges=first.merges)
-        assert final == merged
-        assert second.misaligned == []
-        assert [r.parts for r in second.merges] == [("圣诞", "节")]
+        final, report = transfer_one(tree, toy_lexicon)
+        assert serialize(final) == "(s (n 圣诞节))"
+        assert report.misaligned == []
+        assert [r.parts for r in report.merges] == [("圣诞", "节")]
 
     def test_no_flags_no_entries(self, toy_lexicon):
         tree = parse_bracketed("(s (n 武侠) (n 小说))")
-        out, report = resolve_ambiguous(tree, toy_lexicon)
+        out, report = transfer_one(tree, toy_lexicon)
         assert out == tree
         assert report.misaligned == []
         assert report.unmatched_logged == []
         assert report.merged == 0 and report.split == 0
 
     def test_word_first_clears_first_pass_flags(self):
-        # 中国 is a word AND a prefix; with no viable continuation the first
-        # pass flags the failed attempt, the second pass accepts the word.
+        # 中国 is a word AND a prefix with no viable continuation: the greedy
+        # reading would flag the attempt 中国是, the word-first one accepts 中国.
         lex = Lexicon(["中国", "中国人", "是"])
         tree = parse_bracketed("(s (n 中国) (v 是))")
-        merged, first = merge_pass(tree, lex)
-        assert merged == tree
-        assert first.misaligned == [(0, 0, "中国是")]
-        final, second = resolve_ambiguous(merged, lex, merges=first.merges)
+        final, report = transfer_one(tree, lex)
         assert final == tree
-        assert second.misaligned == []
+        assert report.misaligned == []
 
     def test_split_back_residue_logged_exactly_once(self):
         # 人 is neither a word nor a prefix here, so the split-back leaves it
         # verbatim and it appears once in the unmatched log.
         lex = Lexicon(["中国", "中国人"])
         tree = parse_bracketed("(s (n 中国) (n 人))")
-        merged, first = merge_pass(tree, lex)
-        final, second = resolve_ambiguous(merged, lex, merges=first.merges)
+        final, report = transfer_one(tree, lex)
         assert serialize(final) == "(s (n 中国) (n 人))"
-        assert second.unmatched_logged == [(0, "人")]
+        assert report.unmatched_logged == [(0, "人")]
 
     def test_merges_are_undone_last_leaf_first(self):
         lex = Lexicon(["中国", "中国人", "人"])
         tree = parse_bracketed("(s (n 中国) (n 人) (n 中国) (n 人))")
-        merged, first = merge_pass(tree, lex)
-        final, second = resolve_ambiguous(merged, lex, merges=first.merges)
+        final, report = transfer_one(tree, lex)
         assert final == tree
-        assert second.misaligned == [(0, 1, "中国人"), (0, 0, "中国人")]
-
-    @pytest.mark.parametrize("leaf_index", [1, -1])
-    def test_record_index_out_of_range_is_rejected(self, toy_lexicon, leaf_index):
-        tree = parse_bracketed("(s (n 圣诞节))")
-        record = MergeRecord(0, leaf_index, ("圣诞", "节"), ("n", "n"))
-        with pytest.raises(ValueError, match="out of range"):
-            resolve_ambiguous(tree, toy_lexicon, merges=[record])
-
-    def test_record_surface_mismatch_is_rejected(self, toy_lexicon):
-        tree = parse_bracketed("(s (n 圣诞节) (n 武侠))")
-        record = MergeRecord(0, 1, ("圣诞", "节"), ("n", "n"))
-        with pytest.raises(ValueError, match="does not match"):
-            resolve_ambiguous(tree, toy_lexicon, merges=[record])
-
-    def test_two_records_for_one_leaf_are_rejected(self, toy_lexicon):
-        tree = parse_bracketed("(s (n 圣诞节))")
-        record = MergeRecord(0, 0, ("圣诞", "节"), ("n", "n"))
-        with pytest.raises(ValueError, match="two merge records"):
-            resolve_ambiguous(tree, toy_lexicon, merges=[record, record])
-
-    def test_undone_merge_keeps_the_record_tree_index(self):
-        lex = Lexicon(["中国", "中国人", "人"])
-        tree = parse_bracketed("(s (n 中国人) (n 人))")
-        record = MergeRecord(5, 0, ("中国", "人"), ("n", "n"))
-        _, report = resolve_ambiguous(tree, lex, merges=[record], tree_index=2)
-        assert report.misaligned == [(5, 0, "中国人")]
-        assert report.split == 1
+        assert report.misaligned == [(0, 1, "中国人"), (0, 0, "中国人")]
 
     def test_three_token_chain_matches_exhaustive_oracle(self):
         lex = Lexicon(["ab", "abc", "c"])
@@ -349,14 +319,9 @@ class TestTransferCorpus:
         lex = Lexicon(["圣诞节", "到"])
         tree = parse_bracketed("(s (n 圣诞) (n 节) (v 到))")
         assert transfer_corpus([tree], lex, lookahead=1)[1].merged == 1
-        for stage in (
-            lambda: transfer_corpus([tree], lex, lookahead=lookahead),
-            lambda: transfer_corpus([], lex, lookahead=lookahead),
-            lambda: merge_pass(tree, lex, lookahead=lookahead),
-            lambda: resolve_ambiguous(tree, lex, lookahead=lookahead),
-        ):
-            with pytest.raises(ValueError, match="lookahead"):
-                stage()
+        for trees in ([tree], []):
+            with pytest.raises(ValueError, match="lookahead must be >= 1"):
+                transfer_corpus(trees, lex, lookahead=lookahead)
 
     @settings(deadline=None)
     @given(
@@ -469,27 +434,6 @@ def nested_trees(depth):
     return st.one_of(preterminal, branch)
 
 
-def staged_transfer(trees, lex, split_table, lookahead):
-    """transfer_corpus as the three public stages, run per tree."""
-    out = []
-    report = TransferReport()
-    for index, tree in enumerate(trees):
-        if split_table is not None:
-            report.split += sum(1 for leaf in tree.leaves() if leaf in split_table)
-            tree = split_finest(tree, split_table)
-        tree, first = merge_pass(tree, lex, tree_index=index, lookahead=lookahead)
-        tree, second = resolve_ambiguous(
-            tree, lex, merges=first.merges, tree_index=index, lookahead=lookahead
-        )
-        out.append(tree)
-        report.merged += first.merged + second.merged
-        report.split += second.split
-        report.misaligned += second.misaligned
-        report.unmatched_logged += second.unmatched_logged
-        report.merges += second.merges
-    return out, report
-
-
 def split_tables(data, trees):
     """A drawn split table over the trees' leaves, or None."""
     if not data.draw(st.booleans()):
@@ -508,31 +452,6 @@ def outcome(fn):
         return fn()
     except ValueError as e:
         return f"ValueError: {e}"
-
-
-class TestTransferMatchesStagedPasses:
-    @settings(deadline=None, max_examples=200)
-    @given(
-        st.lists(nested_trees(3), min_size=1, max_size=3),
-        st.sets(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=6),
-        st.integers(min_value=1, max_value=3),
-        st.data(),
-    )
-    def test_same_trees_and_report(self, trees, words, lookahead, data):
-        lex = Lexicon(words)
-        split_table = split_tables(data, trees)
-
-        def actual():
-            out, report = transfer_corpus(
-                trees, lex, split_table=split_table, lookahead=lookahead
-            )
-            return out, report.to_dict()
-
-        def expected():
-            out, report = staged_transfer(trees, lex, split_table, lookahead)
-            return out, report.to_dict()
-
-        assert outcome(actual) == outcome(expected)
 
 
 def rebuilt_tree(node):
@@ -572,21 +491,11 @@ def rebuilt_normalization(tree, inventory):
 
 
 def every_transfer(trees, lex, split_table, lookahead):
-    """Serialized trees and reports of transfer_corpus and each public stage."""
+    """Serialized trees and report of transfer_corpus."""
     out, report = transfer_corpus(
         trees, lex, split_table=split_table, lookahead=lookahead
     )
-    results = [[serialize(t) for t in out], report.to_dict()]
-    for index, tree in enumerate(trees):
-        if split_table is not None:
-            tree = split_finest(tree, split_table)
-            results.append(serialize(tree))
-        merged, first = merge_pass(tree, lex, tree_index=index, lookahead=lookahead)
-        final, second = resolve_ambiguous(
-            merged, lex, merges=first.merges, tree_index=index, lookahead=lookahead
-        )
-        results += [serialize(merged), first.to_dict(), serialize(final), second.to_dict()]
-    return results
+    return [[serialize(t) for t in out], report.to_dict()]
 
 
 class TestTransformsShareUnchangedNodes:
@@ -642,17 +551,13 @@ class TestTransformsShareUnchangedNodes:
         tree = parse_bracketed("(s (x (n 武侠小说)) (x (v 惹)))")
         split_in, untouched = tree.children
         table = SplitTable({"武侠小说": ["武侠", "小说"]})
-        out = split_finest(tree, table)
+        (out,), _ = transfer_corpus([tree], toy_lexicon, split_table=table)
         assert serialize(out) == "(s (x (n 武侠) (n 小说)) (x (v 惹)))"
         assert out.children[1] is untouched
         assert out is not tree and out.children[0] is not split_in
-        (transferred,), _ = transfer_corpus([tree], toy_lexicon, split_table=table)
-        assert transferred.children[1] is untouched
 
     def test_a_tree_no_stage_changes_is_returned_as_it_is(self, toy_lexicon):
         tree = parse_bracketed("(s (x (n 武侠) (v 惹)) (n 到))")
         assert transfer_corpus([tree], toy_lexicon)[0][0] is tree
-        assert split_finest(tree, SplitTable({})) is tree
-        merged, first = merge_pass(tree, toy_lexicon)
-        assert merged is tree
-        assert resolve_ambiguous(tree, toy_lexicon, merges=first.merges)[0] is tree
+        table = SplitTable({})
+        assert transfer_corpus([tree], toy_lexicon, split_table=table)[0][0] is tree
