@@ -41,27 +41,28 @@ class ScoreOptions:
 def spans(tree, opts=ScoreOptions()):
     """Multiset of counted (label, start, end) spans of one tree."""
     out = Counter()
-
-    def walk(node, start, is_root):
-        end = start
-        for child in node.children:
-            if isinstance(child, str):
-                end += 1
-            else:
-                end = walk(child, end, False)
-        counted = True
-        if is_root and not opts.include_root:
-            counted = False
-        if node.is_preterminal and not opts.include_pos:
-            counted = False
-        if node.label in opts.exclude_labels:
-            counted = False
-        if counted:
-            out[(node.label, start, end)] += 1
-        return end
-
-    walk(tree, 0, True)
+    _count_spans(tree, 0, True, opts, out)
     return out
+
+
+def _count_spans(node, start, is_root, opts, out):
+    """Count the spans of ``node``'s subtree, from ``start``, into ``out`` in
+    postorder; returns the node's end."""
+    end = start
+    preterminal = True
+    for child in node.children:
+        if isinstance(child, str):
+            end += 1
+        else:
+            preterminal = False
+            end = _count_spans(child, end, False, opts, out)
+    if not (
+        (is_root and not opts.include_root)
+        or (preterminal and not opts.include_pos)
+        or node.label in opts.exclude_labels
+    ):
+        out[(node.label, start, end)] += 1
+    return end
 
 
 def _prf(matched, predicted, gold):

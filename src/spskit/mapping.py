@@ -206,33 +206,34 @@ def convert(tree, table, report=None):
         report = ConversionReport()
     report.trees += 1
 
-    def walk(node, assigned):
-        rule = table.best_match(node)
-        label = assigned
-        if label is None and rule is not None:
-            label = rule.parent_rewrite
-        if label is None:
-            if table.strict:
-                raise UnmappedNodeError(
-                    f"no rule assigns a label to node {node.label!r}"
-                )
-            label = table.default_label
-            report.fallback_count += 1
-            report.fallbacks_by_label[node.label] += 1
+    return _convert_node(tree, None, table, report)
 
-        child_assignments = [None] * len(node.children)
-        if rule is not None and rule.child_rewrites is not None:
-            child_assignments = list(rule.child_rewrites)
 
-        new_children = []
-        for child, child_assigned in zip(node.children, child_assignments):
-            if isinstance(child, str):
-                new_children.append(child)
-            else:
-                new_children.append(walk(child, child_assigned))
-        return ParseTree(label, tuple(new_children))
+def _convert_node(node, assigned, table, report):
+    """The relabeled copy of ``node``'s subtree; ``assigned`` is the label
+    its parent's rule gave its position, if any."""
+    rule = table.best_match(node)
+    label = assigned
+    if label is None and rule is not None:
+        label = rule.parent_rewrite
+    if label is None:
+        if table.strict:
+            raise UnmappedNodeError(f"no rule assigns a label to node {node.label!r}")
+        label = table.default_label
+        report.fallback_count += 1
+        report.fallbacks_by_label[node.label] += 1
 
-    return walk(tree, None)
+    child_assignments = [None] * len(node.children)
+    if rule is not None and rule.child_rewrites is not None:
+        child_assignments = list(rule.child_rewrites)
+
+    new_children = []
+    for child, child_assigned in zip(node.children, child_assignments):
+        if isinstance(child, str):
+            new_children.append(child)
+        else:
+            new_children.append(_convert_node(child, child_assigned, table, report))
+    return ParseTree(label, tuple(new_children))
 
 
 def convert_corpus(trees, table):

@@ -225,6 +225,39 @@ def _smooth(counts, alpha):
     return {item: (c / total + alpha) / denom for item, c in counts.items()}
 
 
+def _count_node(node, rule_counts, tag_token_counts):
+    """Check a node, then count its right-binarized productions in preorder:
+    A -> c1 c2 .. ck (k > 2) counts as A -> c1 A|<c2,..,ck>,
+    A|<c2,..,ck> -> c2 A|<c3,..,ck>, .., A|<c(k-1),ck> -> c(k-1) ck."""
+    label = node.label
+    children = node.children
+    if len(children) > 1 and any(isinstance(c, str) for c in children):
+        raise ValueError(
+            f"node {label!r} mixes tokens and subtrees or holds several "
+            "tokens; the parser requires one token per preterminal"
+        )
+    if any(marker in label for marker in RESERVED):
+        raise ValueError(
+            f"label {label!r} uses a reserved character ({RESERVED})"
+        )
+    if isinstance(children[0], str):
+        counts = tag_token_counts.setdefault(label, {})
+        counts[children[0]] = counts.get(children[0], 0) + 1
+        return
+    labels = [c.label for c in children]
+    parent = label
+    for i in range(len(children) - 2):
+        tail = label + BIN_OPEN + ",".join(labels[i + 1:]) + BIN_CLOSE
+        key = (parent, (labels[i], tail))
+        rule_counts[key] = rule_counts.get(key, 0) + 1
+        _count_node(children[i], rule_counts, tag_token_counts)
+        parent = tail
+    key = (parent, tuple(labels[-2:]))
+    rule_counts[key] = rule_counts.get(key, 0) + 1
+    for child in children[-2:]:
+        _count_node(child, rule_counts, tag_token_counts)
+
+
 class _TrainCounts:
     """The integer counts a model is estimated from, keys in first-seen order.
 
@@ -243,45 +276,9 @@ class _TrainCounts:
         Raises ValueError at the first tree the parser cannot train on,
         leaving the counts partly updated.
         """
-        root_counts = self.roots
-        rule_counts = self.rules
-        tag_token_counts = self.tags
-
-        def walk(node):
-            """Check a node, then count its right-binarized productions in
-            preorder: A -> c1 c2 .. ck (k > 2) counts as A -> c1 A|<c2,..,ck>,
-            A|<c2,..,ck> -> c2 A|<c3,..,ck>, .., A|<c(k-1),ck> -> c(k-1) ck."""
-            label = node.label
-            children = node.children
-            if len(children) > 1 and any(isinstance(c, str) for c in children):
-                raise ValueError(
-                    f"node {label!r} mixes tokens and subtrees or holds several "
-                    "tokens; the parser requires one token per preterminal"
-                )
-            if any(marker in label for marker in RESERVED):
-                raise ValueError(
-                    f"label {label!r} uses a reserved character ({RESERVED})"
-                )
-            if isinstance(children[0], str):
-                counts = tag_token_counts.setdefault(label, {})
-                counts[children[0]] = counts.get(children[0], 0) + 1
-                return
-            labels = [c.label for c in children]
-            parent = label
-            for i in range(len(children) - 2):
-                tail = label + BIN_OPEN + ",".join(labels[i + 1:]) + BIN_CLOSE
-                key = (parent, (labels[i], tail))
-                rule_counts[key] = rule_counts.get(key, 0) + 1
-                walk(children[i])
-                parent = tail
-            key = (parent, tuple(labels[-2:]))
-            rule_counts[key] = rule_counts.get(key, 0) + 1
-            for child in children[-2:]:
-                walk(child)
-
         for tree in trees:
-            walk(tree)
-            root_counts[tree.label] = root_counts.get(tree.label, 0) + 1
+            _count_node(tree, self.rules, self.tags)
+            self.roots[tree.label] = self.roots.get(tree.label, 0) + 1
 
     def model(self, config):
         """The smoothed PCFG of these counts."""
@@ -382,6 +379,26 @@ def _lexical_cell(model, token):
     return cell
 
 
+def _read_back(chart, tokens, label, start, end):
+    """The children of ``label``'s node over the span, with the children of
+    every binarization node spliced in its place."""
+    back = chart[start][end][label][1]
+    if not back:
+        return (tokens[start],)
+    if len(back) == 1:
+        spans = ((back[0], start, end),)
+    else:
+        split, left, right = back
+        spans = ((left, start, split), (right, split, end))
+    out = []
+    for child, lo, hi in spans:
+        if BIN_OPEN in child:
+            out.extend(_read_back(chart, tokens, child, lo, hi))
+        else:
+            out.append(ParseTree(child, _read_back(chart, tokens, child, lo, hi)))
+    return tuple(out)
+
+
 def parse(model, sentence):
     """Viterbi-parse one sentence; never raises on coverage gaps.
 
@@ -441,26 +458,7 @@ def parse(model, sentence):
     if best is None:
         return PseudoTree(sentence, _fallback_tree(model, sentence), 0.0)
 
-    def children(label, start, end):
-        """The children of ``label``'s node over the span, with the children
-        of every binarization node spliced in its place."""
-        back = chart[start][end][label][1]
-        if not back:
-            return (tokens[start],)
-        if len(back) == 1:
-            spans = ((back[0], start, end),)
-        else:
-            split, left, right = back
-            spans = ((left, start, split), (right, split, end))
-        out = []
-        for child, lo, hi in spans:
-            if BIN_OPEN in child:
-                out.extend(children(child, lo, hi))
-            else:
-                out.append(ParseTree(child, children(child, lo, hi)))
-        return tuple(out)
-
-    tree = ParseTree(best[1], children(best[1], 0, n))
+    tree = ParseTree(best[1], _read_back(chart, tokens, best[1], 0, n))
     confidence = math.exp(best[0] / n)
     return PseudoTree(sentence, tree, confidence)
 

@@ -58,29 +58,49 @@ def extract_rules(tree, exclude_labels=()):
     (lexical) productions contribute nothing.  A child node contributes its
     label, a bare token child contributes TOKEN_MARKER.  Children whose label
     is in ``exclude_labels`` (e.g. punctuation ``w``) are omitted; a rule whose
-    children are all omitted is dropped.
+    children are all omitted is dropped.  Rules are counted in first-seen
+    order, nodes in preorder.
     """
-    exclude = frozenset(exclude_labels)
-    counts = Counter()
-    for node in tree.subtrees():
-        if node.is_preterminal:
-            continue
-        children = []
-        for child in node.children:
-            label = TOKEN_MARKER if isinstance(child, str) else child.label
-            if label not in exclude:
-                children.append(label)
-        if children:
-            counts[SyntacticRule(node.label, tuple(children))] += 1
-    return counts
+    return _count_rules((tree,), exclude_labels)
 
 
 def extract_corpus_rules(trees, exclude_labels=()):
-    """Aggregate rule counts over a corpus."""
-    counts = Counter()
+    """Aggregate rule counts over a corpus, in first-seen order across it."""
+    return _count_rules(trees, exclude_labels)
+
+
+def _count_rules(trees, exclude_labels):
+    """The rule Counter of ``trees``, walked in preorder with one stack.
+
+    Counts (parent, child labels) keys and builds each SyntacticRule once
+    per distinct key.
+    """
+    exclude = frozenset(exclude_labels)
+    keys = {}
     for tree in trees:
-        counts.update(extract_rules(tree, exclude_labels=exclude_labels))
-    return counts
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            children = node.children
+            labels = []
+            preterminal = True
+            for child in children:
+                if isinstance(child, str):
+                    label = TOKEN_MARKER
+                else:
+                    label = child.label
+                    preterminal = False
+                if label not in exclude:
+                    labels.append(label)
+            if preterminal:
+                continue
+            if labels:
+                key = (node.label, tuple(labels))
+                keys[key] = keys.get(key, 0) + 1
+            stack.extend(c for c in reversed(children) if not isinstance(c, str))
+    return Counter(
+        {SyntacticRule(parent, labels): n for (parent, labels), n in keys.items()}
+    )
 
 
 def token_counts(trees):

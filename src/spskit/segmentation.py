@@ -108,8 +108,9 @@ class SplitTable:
 
     @classmethod
     def from_file(cls, path):
-        """Two-column TSV: word TAB space-joined parts."""
+        """Two-column TSV: word TAB space-joined parts, one line per word."""
         table = cls({})
+        first_lines = {}
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.rstrip("\n")
@@ -120,9 +121,15 @@ class SplitTable:
                     if len(fields) != 2:
                         raise ValueError("expected 'word<TAB>parts'")
                     word, parts = fields
-                    table.entries[word] = _checked_parts(word, parts.split())
+                    parts = _checked_parts(word, parts.split())
+                    if word in first_lines:
+                        raise ValueError(
+                            f"duplicate entry {word!r} (first on line {first_lines[word]})"
+                        )
                 except ValueError as e:
                     raise ValueError(f"{path}:{lineno}: {e}") from None
+                table.entries[word] = parts
+                first_lines[word] = lineno
         return table
 
 
@@ -346,13 +353,14 @@ def _flag_sweep(units, lex, lookahead, tree_index, report):
 def _split(units, table):
     """Split every unit listed in the table in place; returns how many.
 
-    ``units`` (from _to_mutable) is kept in step with the tree.
+    A one-part entry splits nothing, so its unit is left alone and not
+    counted.  ``units`` (from _to_mutable) is kept in step with the tree.
     """
     out = []
     split = 0
     for unit, container in units:
         parts = table.entries.get(unit.token)
-        if parts is None:
+        if parts is None or len(parts) == 1:
             out.append((unit, container))
             continue
         if container is None:

@@ -117,15 +117,17 @@ MAX_DEPTH = 30  # past which a derivation is abandoned and drawn again
 
 
 def sample_tree(grammar, rng):
-    def expand(symbol, depth):
-        if depth > MAX_DEPTH:
-            raise RecursionError("derivation exceeded MAX_DEPTH")
-        if symbol in grammar.lexicon:
-            return ParseTree(symbol, (_choose(rng, grammar.lexicon[symbol]),))
-        rhs = _choose(rng, grammar.rules[symbol])
-        return ParseTree(symbol, tuple(expand(s, depth + 1) for s in rhs))
+    return _expand(grammar, rng, grammar.start, 0)
 
-    return expand(grammar.start, 0)
+
+def _expand(grammar, rng, symbol, depth):
+    """A tree drawn top-down from ``symbol``, children left to right."""
+    if depth > MAX_DEPTH:
+        raise RecursionError("derivation exceeded MAX_DEPTH")
+    if symbol in grammar.lexicon:
+        return ParseTree(symbol, (_choose(rng, grammar.lexicon[symbol]),))
+    rhs = _choose(rng, grammar.rules[symbol])
+    return ParseTree(symbol, tuple(_expand(grammar, rng, s, depth + 1) for s in rhs))
 
 
 def sample_corpus(grammar, n, seed, name="corpus"):

@@ -218,34 +218,36 @@ def _parse_bracketed(text, inventory, line, strings):
     ]
     if not tokens:
         raise TreeSyntaxError("empty input", line)
-
+    if tokens[0] != "(":
+        raise TreeSyntaxError(f"expected '(' but found {tokens[0]!r}", line)
+    end = len(tokens)
+    enclosing = []      # (label, children) of the unclosed nodes around the current one
+    children = None
     pos = 0
-
-    def parse_node():
-        nonlocal pos
-        if tokens[pos] != "(":
-            raise TreeSyntaxError(f"expected '(' but found {tokens[pos]!r}", line)
-        pos += 1
-        if pos >= len(tokens) or tokens[pos] in "()":
-            raise TreeSyntaxError("node is missing a label", line)
-        label = tokens[pos]
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            if tokens[pos] == "(":
-                children.append(parse_node())
-            else:
-                children.append(tokens[pos])
-                pos += 1
-        if pos >= len(tokens):
+    while True:
+        if pos >= end:
             raise TreeSyntaxError("unbalanced brackets: missing ')'", line)
-        pos += 1  # consume ')'
-        if not children:
-            raise TreeSyntaxError(f"node {label!r} has no children", line)
-        return ParseTree(label, tuple(children))
-
-    tree = parse_node()
-    if pos != len(tokens):
+        token = tokens[pos]
+        pos += 1
+        if token == "(":
+            if pos >= end or tokens[pos] in "()":
+                raise TreeSyntaxError("node is missing a label", line)
+            if children is not None:
+                enclosing.append((label, children))
+            label = tokens[pos]
+            children = []
+            pos += 1
+        elif token == ")":
+            if not children:
+                raise TreeSyntaxError(f"node {label!r} has no children", line)
+            tree = ParseTree(label, tuple(children))
+            if not enclosing:
+                break
+            label, children = enclosing.pop()
+            children.append(tree)
+        else:
+            children.append(token)
+    if pos != end:
         raise TreeSyntaxError("unbalanced brackets: trailing input", line)
     if inventory is not None:
         validate_tree(tree, inventory, line=line)
@@ -282,30 +284,9 @@ def normalize_pos_nodes(tree, inventory):
     several children there is nowhere to promote them, which is an error.
     Subtrees with nothing to splice are returned as they are, not copied.
     """
-
-    def deletable(node):
-        return node.label in inventory.pos_labels and not any(
-            isinstance(c, str) for c in node.children
-        )
-
-    def walk(node):
-        new_children = []
-        changed = False
-        for child in node.children:
-            if isinstance(child, str):
-                new_children.append(child)
-                continue
-            new = walk(child)
-            if deletable(new):
-                new_children.extend(new.children)
-                changed = True
-            else:
-                new_children.append(new)
-                changed = changed or new is not child
-        return ParseTree(node.label, tuple(new_children)) if changed else node
-
-    root = walk(tree)
-    while deletable(root):
+    pos_labels = inventory.pos_labels
+    root = _splice(tree, pos_labels)
+    while _deletable(root, pos_labels):
         if len(root.children) > 1:
             raise RootPromotionError(
                 f"root {root.label!r} is a deletable POS node with "
@@ -313,6 +294,31 @@ def normalize_pos_nodes(tree, inventory):
             )
         root = root.children[0]
     return root
+
+
+def _deletable(node, pos_labels):
+    return node.label in pos_labels and not any(
+        isinstance(c, str) for c in node.children
+    )
+
+
+def _splice(node, pos_labels):
+    """``node`` with every deletable POS node below it spliced out, bottom-up;
+    ``node`` itself when nothing below it changes."""
+    new_children = []
+    changed = False
+    for child in node.children:
+        if isinstance(child, str):
+            new_children.append(child)
+            continue
+        new = _splice(child, pos_labels)
+        if _deletable(new, pos_labels):
+            new_children.extend(new.children)
+            changed = True
+        else:
+            new_children.append(new)
+            changed = changed or new is not child
+    return ParseTree(node.label, tuple(new_children)) if changed else node
 
 
 def read_treebank(path, inventory=None):

@@ -187,8 +187,12 @@ class TestTransferSeg:
 
     @pytest.mark.parametrize(
         "lexicon_text, split_text, named",
-        [("圣诞节\n", "ab\t\n", "split.tsv:1:"), ("\n", "", "lex.txt")],
-        ids=["split-entry-with-empty-parts", "empty-lexicon"],
+        [
+            ("圣诞节\n", "ab\t\n", "split.tsv:1:"),
+            ("圣诞节\n", "ab\ta b\nab\tab\n", "split.tsv:2:"),
+            ("\n", "", "lex.txt"),
+        ],
+        ids=["split-entry-with-empty-parts", "duplicate-split-entry", "empty-lexicon"],
     )
     def test_a_bad_input_file_is_named(
         self, tmp_path, capsys, lexicon_text, split_text, named

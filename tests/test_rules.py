@@ -19,6 +19,7 @@ from spskit.rules import (
     js_divergence,
     token_counts,
 )
+from spskit.synthetic import sample_corpus, source_grammar, target_grammar
 from spskit.treebank import ParseTree, parse_bracketed
 
 
@@ -53,6 +54,29 @@ counts_strategy = st.dictionaries(
     st.sampled_from("abcdefgh"), st.integers(min_value=1, max_value=50),
     min_size=1, max_size=8,
 )
+
+
+def merged_tree_counts(trees, exclude_labels):
+    """Reference rule counts: one Counter per tree over ``subtrees()``,
+    merged into the corpus Counter tree by tree."""
+    exclude = frozenset(exclude_labels)
+    counts = Counter()
+    for tree in trees:
+        tree_counts = Counter()
+        for node in tree.subtrees():
+            if node.is_preterminal:
+                continue
+            children = tuple(
+                label
+                for label in (
+                    "<tok>" if isinstance(c, str) else c.label for c in node.children
+                )
+                if label not in exclude
+            )
+            if children:
+                tree_counts[SyntacticRule(node.label, children)] += 1
+        counts.update(tree_counts)
+    return counts
 
 
 class TestExtractRules:
@@ -95,6 +119,26 @@ class TestExtractRules:
         tree = ParseTree("a", ("b", ParseTree("c", ("d",))))
         (rule,) = extract_rules(tree)
         assert rule == SyntacticRule("a", ("<tok>", "c"))
+
+    @pytest.mark.parametrize("exclude_labels", [(), ("w", "n"), ("subj", "v")])
+    def test_corpus_count_matches_a_per_tree_merge_in_order(self, exclude_labels):
+        trees = (
+            sample_corpus(source_grammar(), 40, 5, "rules-src")
+            + sample_corpus(target_grammar(), 40, 5, "rules-tgt")
+            + [
+                parse_bracketed("(s (subj (n a) (w ，)) (pred (v b)))"),
+                ParseTree("a", ("b", ParseTree("c", ("d",)))),
+                parse_bracketed("(x a)"),
+            ]
+        )
+        expected = merged_tree_counts(trees, exclude_labels)
+        assert list(extract_corpus_rules(trees, exclude_labels).items()) == list(
+            expected.items()
+        )
+        for tree in trees:
+            assert list(extract_rules(tree, exclude_labels).items()) == list(
+                merged_tree_counts([tree], exclude_labels).items()
+            )
 
     def test_export_sorted_text(self, tmp_path):
         counts = extract_corpus_rules(

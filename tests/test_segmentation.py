@@ -80,6 +80,13 @@ class TestSplitTable:
         assert table["武侠小说"] == ("武侠", "小说")
         assert len(table) == 2
 
+    def test_a_second_line_for_one_word_is_an_error(self, tmp_path):
+        path = tmp_path / "split.tsv"
+        path.write_text("ab\ta b\n惹火\t惹 火\n\nab\tab\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            SplitTable.from_file(path)
+        assert str(err.value) == f"{path}:4: duplicate entry 'ab' (first on line 1)"
+
     def test_bad_line_reports_location(self, tmp_path):
         path = tmp_path / "split.tsv"
         path.write_text("no-tab-here\n", encoding="utf-8")
@@ -108,6 +115,14 @@ class TestSplit:
         out, report = transfer_one(tree, toy_lexicon, split_table=table)
         assert out == tree
         assert report.split == 0
+
+    def test_a_one_part_entry_is_no_split(self, toy_lexicon):
+        table = SplitTable({"ab": ["ab"]})
+        for text in ("(s (n ab) (n c))", "(n ab)"):
+            tree = parse_bracketed(text)
+            out, report = transfer_one(tree, toy_lexicon, split_table=table)
+            assert out is tree
+            assert report.split == 0
 
     def test_misalignment_row_decomposition(self, toy_lexicon):
         # Split to 惹 火 儿 了, each part under a copy of its preterminal;
