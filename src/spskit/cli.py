@@ -54,6 +54,11 @@ def _seed_of(args):
     return args.seed if args.seed is not None else 0
 
 
+def _given(args, *names):
+    """The named flags that were given: a flag left out leaves its class's default."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _check_inputs(*paths):
     for path in paths:
         if path is None:
@@ -99,7 +104,7 @@ def cmd_convert(args):
     converted, report = convert_corpus(trees, table)
     write_treebank(converted, args.output)
     if args.report:
-        write_json(args.report, report.to_dict())
+        write_json(args.report, report)
     _summary(
         "convert",
         trees=report.trees,
@@ -126,11 +131,11 @@ def cmd_transfer_seg(args):
     lexicon = Lexicon.from_file(args.lexicon)
     split_table = SplitTable.from_file(args.split_table) if args.split_table else None
     out, report = transfer_corpus(
-        trees, lexicon, split_table=split_table, lookahead=args.lookahead
+        trees, lexicon, split_table=split_table, **_given(args, "lookahead")
     )
     write_treebank(out, args.output)
     if args.report:
-        write_json(args.report, report.to_dict())
+        write_json(args.report, report)
     _summary(
         "transfer-seg",
         trees=len(trees),
@@ -171,7 +176,7 @@ def cmd_generate(args):
             raise SpsError("--backend mock requires --mock-treebank")
         grammar = pcfg_from_treebank(read_treebank(args.mock_treebank))
         backend = MockPcfgGenerator(
-            grammar, seed=_seed_of(args), batch_size=args.batch_size, template=template
+            grammar, seed=_seed_of(args), template=template, **_given(args, "batch_size")
         )
     else:
         if not args.endpoint:
@@ -184,7 +189,7 @@ def cmd_generate(args):
         examples,
         args.count,
         substream(_seed_of(args), "cli-generate"),
-        PromptConfig(example_count=args.example_count),
+        PromptConfig(**_given(args, "example_count")),
         excluded=frozenset(),
     )
     if not sentences:
@@ -205,8 +210,7 @@ def cmd_train(args):
     _check_inputs(args.input, args.inventory)
     inventory = LabelInventory.from_json(args.inventory) if args.inventory else None
     trees = read_treebank(args.input, inventory=inventory)
-    config = TrainConfig(alpha=args.alpha, unk_threshold=args.unk_threshold)
-    model = train(trees, config=config)
+    model = train(trees, config=TrainConfig(**_given(args, "alpha", "unk_threshold")))
     model.save(args.output)
     _summary(
         "train",
@@ -256,9 +260,7 @@ def cmd_select(args):
             raise SpsError(f"{args.confidences}:{lineno}: {e}") from e
 
     cfg = CriterionConfig(
-        kind=args.criterion,
-        k=args.k,
-        prefilter_multiplier=args.prefilter_multiplier,
+        kind=args.criterion, k=args.k, **_given(args, "prefilter_multiplier")
     )
     refs = selftrain.build_refs(
         cfg,
@@ -306,7 +308,7 @@ def cmd_eval(args):
     print(report.table())
     print(f"F1 {report.f1:.2f}")
     if args.json:
-        write_json(args.json, report.to_dict())
+        write_json(args.json, report)
     _summary(
         "eval",
         pairs=len(preds),
@@ -492,6 +494,13 @@ def cmd_report(args):
     return 0
 
 
+def _class_default(parser, flag, kind, owner):
+    """Add ``flag``, which when left out leaves the default that ``owner`` holds."""
+    parser.add_argument(
+        flag, type=kind, default=argparse.SUPPRESS, help=f"default: {owner}'s"
+    )
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spskit",
@@ -534,7 +543,7 @@ def build_parser():
     p.add_argument("--split-table", help="TSV: word TAB space-joined parts")
     p.add_argument("--output", required=True)
     p.add_argument("--report", help="transfer report JSON")
-    p.add_argument("--lookahead", type=int, default=3)
+    _class_default(p, "--lookahead", int, "transfer_corpus")
     p.set_defaults(func=cmd_transfer_seg)
 
     p = add_parser("extract-rules", help="export syntactic rules as text")
@@ -551,16 +560,16 @@ def build_parser():
     p.add_argument("--mock-treebank", help="treebank defining the mock grammar")
     p.add_argument("--endpoint", help="completion service URL")
     p.add_argument("--template", help="prompt template file")
-    p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--example-count", type=int, default=3)
+    _class_default(p, "--batch-size", int, "MockPcfgGenerator")
+    _class_default(p, "--example-count", int, "PromptConfig")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = add_parser("train", help="train the PCFG parser backend")
     p.add_argument("--input", required=True)
     p.add_argument("--inventory")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--unk-threshold", type=int, default=1)
+    _class_default(p, "--alpha", float, "TrainConfig")
+    _class_default(p, "--unk-threshold", int, "TrainConfig")
     p.add_argument("--output", required=True, help="model JSON")
     p.set_defaults(func=cmd_train)
 
@@ -580,7 +589,7 @@ def build_parser():
         choices=list(KINDS),
     )
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prefilter-multiplier", type=int, default=2)
+    _class_default(p, "--prefilter-multiplier", int, "CriterionConfig")
     p.add_argument("--source", help="source treebank for token/srs references")
     p.add_argument("--converted-target", help="converted target treebank for csrs")
     p.add_argument("--output", required=True)

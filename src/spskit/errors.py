@@ -7,21 +7,11 @@ class SpsError(Exception):
     """Base class for all toolkit errors."""
 
 
-class _LineError(SpsError):
-    """An error in a corpus file, prefixed with its 1-based ``line`` when known."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-class TreeSyntaxError(_LineError):
+class TreeSyntaxError(SpsError):
     """Malformed bracketed tree text (unbalanced brackets, empty node, ...)."""
 
 
-class LabelError(_LineError):
+class LabelError(SpsError):
     """A label is missing from the inventory, or the inventory is inconsistent."""
 
 

@@ -73,7 +73,7 @@ def _prf(matched, predicted, gold):
         if precision + recall > 0
         else 0.0
     )
-    return precision, recall, f1
+    return {"precision": precision, "recall": recall, "f1": f1}
 
 
 @dataclass
@@ -84,28 +84,13 @@ class ScoreReport:
     matched: int
     predicted: int
     gold: int
-    per_label: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "matched": self.matched,
-            "predicted": self.predicted,
-            "gold": self.gold,
-            "per_label": {
-                label: {"precision": p, "recall": r, "f1": f}
-                for label, (p, r, f) in sorted(self.per_label.items())
-            },
-        }
+    per_label: dict = field(default_factory=dict)  # label -> {precision, recall, f1}
 
     def table(self):
-        lines = [
-            f"{'label':<12} {'P':>7} {'R':>7} {'F1':>7}",
-            f"{'ALL':<12} {self.precision:7.2f} {self.recall:7.2f} {self.f1:7.2f}",
-        ]
-        for label, (p, r, f) in sorted(self.per_label.items()):
+        lines = [f"{'label':<12} {'P':>7} {'R':>7} {'F1':>7}"]
+        overall = {"precision": self.precision, "recall": self.recall, "f1": self.f1}
+        for label, scores in [("ALL", overall), *sorted(self.per_label.items())]:
+            p, r, f = scores["precision"], scores["recall"], scores["f1"]
             lines.append(f"{label:<12} {p:7.2f} {r:7.2f} {f:7.2f}")
         return "\n".join(lines)
 
@@ -152,14 +137,10 @@ def score_corpus(preds, golds, opts=ScoreOptions(), *, gold_spans=None):
             m, p, g = by_label[label]
             by_label[label] = (m + c, p, g)
 
-    precision, recall, f1 = _prf(matched, predicted, gold_total)
-    per_label = {label: _prf(m, p, g) for label, (m, p, g) in by_label.items()}
     return ScoreReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
+        **_prf(matched, predicted, gold_total),
         matched=matched,
         predicted=predicted,
         gold=gold_total,
-        per_label=per_label,
+        per_label={label: _prf(m, p, g) for label, (m, p, g) in by_label.items()},
     )

@@ -211,6 +211,24 @@ def render_prompt(spec, template=None):
     )
 
 
+def _checked_template(template):
+    """``template`` if None or a template render_prompt can fill, else a
+    ConfigError naming 'template' and the placeholder it cannot fill."""
+    try:
+        if template is not None:
+            string.Template(template).substitute(
+                rules="", examples="", length="", rule_count=""
+            )
+    except KeyError as e:
+        raise ConfigError(
+            f"'template' has an unknown placeholder ${{{e.args[0]}}}"
+        ) from None
+    except ValueError as e:  # a '$' that starts no placeholder, as in '$5'
+        where = str(e).rpartition(": ")[2]  # "... in string: line 1, col 7"
+        raise ConfigError(f"'template' has an invalid placeholder at {where}") from None
+    return template
+
+
 def prompt_hash(spec, template=None):
     return hashlib.sha256(render_prompt(spec, template).encode("utf-8")).hexdigest()
 
@@ -334,7 +352,7 @@ class MockPcfgGenerator:
         self.batch_size = int_at_least("batch_size", batch_size, 1)
         self.guide_probability = probability("guide_probability", guide_probability)
         self.length_tolerance = non_negative_number("length_tolerance", length_tolerance)
-        self.template = template
+        self.template = _checked_template(template)
         self._grammar_rules = grammar.rule_set()
 
     def length_bounds(self, target):
@@ -463,7 +481,7 @@ class ServiceGenerator:
                 f"'endpoint' must be an http or https URL, got {endpoint!r}"
             )
         self.endpoint = endpoint
-        self.template = template
+        self.template = _checked_template(template)
         self.seed = seed if seed is None else int_at_least("seed", seed)
         self.max_attempts = int_at_least("max_attempts", max_attempts, 1)
         self.requests_per_minute = non_negative_number(

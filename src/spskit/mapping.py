@@ -187,13 +187,6 @@ class ConversionReport:
     fallback_count: int = 0
     fallbacks_by_label: Counter = field(default_factory=Counter)
 
-    def to_dict(self):
-        return {
-            "trees": self.trees,
-            "fallback_count": self.fallback_count,
-            "fallbacks_by_label": dict(self.fallbacks_by_label),
-        }
-
 
 def convert(tree, table, report=None):
     """Relabel a constituency tree into an SPS tree using the rule table.

@@ -167,23 +167,6 @@ class TransferReport:
     unmatched_logged: list = field(default_factory=list)
     merges: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "merged": self.merged,
-            "split": self.split,
-            "misaligned": [list(entry) for entry in self.misaligned],
-            "unmatched_logged": [list(entry) for entry in self.unmatched_logged],
-            "merges": [
-                {
-                    "tree_index": r.tree_index,
-                    "leaf_index": r.leaf_index,
-                    "parts": list(r.parts),
-                    "pos_labels": list(r.pos_labels),
-                }
-                for r in self.merges
-            ],
-        }
-
 # Mutable working form: _Unit is a preterminal (POS label over one token) and
 # carries merge provenance; _Branch mirrors internal structure.  Both keep the
 # ParseTree they were read from (``source``; None for units a split or the

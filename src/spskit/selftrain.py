@@ -135,9 +135,6 @@ class IterationRecord:
     dev_f1_target: float | None
     seed: int
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class RunManifest:
@@ -146,18 +143,6 @@ class RunManifest:
     artifacts: dict = field(default_factory=dict)
     status: str = "running"
     version: int = MANIFEST_VERSION
-
-    def to_dict(self):
-        return {
-            "version": self.version,
-            "status": self.status,
-            "config": self.config,
-            "records": [r.to_dict() for r in self.records],
-            "artifacts": self.artifacts,
-        }
-
-    def save(self, path):
-        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
@@ -342,7 +327,7 @@ def run(experiment, resume=False):
     def save():
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
-            manifest.save(os.path.join(out_dir, MANIFEST_NAME))
+            write_json(os.path.join(out_dir, MANIFEST_NAME), manifest)
 
     if resume:
         if not out_dir:
@@ -516,5 +501,5 @@ def run_multiseed(experiment, seeds, resume=False):
         "per_seed": per_seed,
         "mean_target_f1": [mean_at("target_f1", i) for i in range(iterations)],
         "mean_source_f1": [mean_at("source_f1", i) for i in range(iterations)],
-        "manifests": {seed: m.to_dict() for seed, m in manifests.items()},
+        "manifests": manifests,
     }

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 
 from .errors import LabelError, RootPromotionError, TreeSyntaxError
@@ -197,16 +197,15 @@ def default_inventory():
     return _inventory(json.loads(text), "shipped inventory")
 
 
-def parse_bracketed(text, inventory=None, line=None):
+def parse_bracketed(text, inventory=None):
     """Parse one balanced bracketed expression into a ParseTree.
 
-    When ``inventory`` is given, every node label must belong to it.  ``line``
-    is only used to contextualize error messages when reading corpus files.
+    When ``inventory`` is given, every node label must belong to it.
     """
-    return _parse_bracketed(text, inventory, line, {})
+    return _parse_bracketed(text, inventory, {})
 
 
-def _parse_bracketed(text, inventory, line, strings):
+def _parse_bracketed(text, inventory, strings):
     """parse_bracketed, keeping one copy of each label and token in ``strings``.
 
     ``strings`` maps a string to the copy already in use, so equal labels and
@@ -217,21 +216,21 @@ def _parse_bracketed(text, inventory, line, strings):
         for token in text.replace("(", " ( ").replace(")", " ) ").split()
     ]
     if not tokens:
-        raise TreeSyntaxError("empty input", line)
+        raise TreeSyntaxError("empty input")
     if tokens[0] != "(":
-        raise TreeSyntaxError(f"expected '(' but found {tokens[0]!r}", line)
+        raise TreeSyntaxError(f"expected '(' but found {tokens[0]!r}")
     end = len(tokens)
     enclosing = []      # (label, children) of the unclosed nodes around the current one
     children = None
     pos = 0
     while True:
         if pos >= end:
-            raise TreeSyntaxError("unbalanced brackets: missing ')'", line)
+            raise TreeSyntaxError("unbalanced brackets: missing ')'")
         token = tokens[pos]
         pos += 1
         if token == "(":
             if pos >= end or tokens[pos] in "()":
-                raise TreeSyntaxError("node is missing a label", line)
+                raise TreeSyntaxError("node is missing a label")
             if children is not None:
                 enclosing.append((label, children))
             label = tokens[pos]
@@ -239,7 +238,7 @@ def _parse_bracketed(text, inventory, line, strings):
             pos += 1
         elif token == ")":
             if not children:
-                raise TreeSyntaxError(f"node {label!r} has no children", line)
+                raise TreeSyntaxError(f"node {label!r} has no children")
             tree = ParseTree(label, tuple(children))
             if not enclosing:
                 break
@@ -248,9 +247,9 @@ def _parse_bracketed(text, inventory, line, strings):
         else:
             children.append(token)
     if pos != end:
-        raise TreeSyntaxError("unbalanced brackets: trailing input", line)
+        raise TreeSyntaxError("unbalanced brackets: trailing input")
     if inventory is not None:
-        validate_tree(tree, inventory, line=line)
+        validate_tree(tree, inventory)
     return tree
 
 
@@ -265,13 +264,13 @@ def serialize(tree):
     return "(" + tree.label + " " + " ".join(parts) + ")"
 
 
-def validate_tree(tree, inventory, line=None):
+def validate_tree(tree, inventory):
     """Raise LabelError naming every node label absent from the inventory."""
     unknown = sorted(
         {node.label for node in tree.subtrees() if node.label not in inventory}
     )
     if unknown:
-        raise LabelError("unknown labels: " + ", ".join(unknown), line)
+        raise LabelError("unknown labels: " + ", ".join(unknown))
 
 
 def normalize_pos_nodes(tree, inventory):
@@ -324,8 +323,9 @@ def _splice(node, pos_labels):
 def read_treebank(path, inventory=None):
     """Read a one-tree-per-line file; blank lines are ignored.
 
-    Syntax and label errors are reported with their 1-based line number.
-    Equal labels and tokens are one string object across the file's trees.
+    A syntax or label error reads ``path:line: message``, with the 1-based
+    line.  Equal labels and tokens are one string object across the file's
+    trees.
     """
     trees = []
     strings = {}
@@ -334,7 +334,10 @@ def read_treebank(path, inventory=None):
             text = raw.strip()
             if not text:
                 continue
-            trees.append(_parse_bracketed(text, inventory, lineno, strings))
+            try:
+                trees.append(_parse_bracketed(text, inventory, strings))
+            except (TreeSyntaxError, LabelError) as e:
+                raise type(e)(f"{path}:{lineno}: {e}") from None
     return trees
 
 
@@ -369,6 +372,14 @@ def write_text_atomic(path, text):
 
 
 def write_json(path, data):
-    """Write ``data`` atomically as indented JSON with sorted keys."""
-    text = json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True)
+    """Write ``data`` atomically as indented JSON with sorted keys; a dataclass
+    anywhere in ``data`` is written as the object of its fields."""
+    text = json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True, default=_fields)
     write_text_atomic(path, text + "\n")
+
+
+def _fields(obj):
+    # Not dataclasses.asdict, which rebuilds a Counter field from its items.
+    if not is_dataclass(obj):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}

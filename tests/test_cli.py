@@ -82,6 +82,23 @@ class TestUsageAndHelp:
             if action.option_strings:
                 assert action.option_strings[0] in text
 
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["transfer-seg", "--input", "i", "--lexicon", "l", "--output", "o"],
+             ["lookahead"]),
+            (["generate", "--stats-from", "s", "--examples", "e", "--output", "o"],
+             ["batch_size", "example_count"]),
+            (["train", "--input", "i", "--output", "o"], ["alpha", "unk_threshold"]),
+            (["select", "--candidates", "c", "--confidences", "f", "--criterion", "srs",
+              "--k", "1", "--output", "o"], ["prefilter_multiplier"]),
+        ],
+        ids=["transfer-seg", "generate", "train", "select"],
+    )
+    def test_an_absent_flag_leaves_the_class_default(self, argv, names):
+        args = build_parser().parse_args(argv)
+        assert [name for name in names if hasattr(args, name)] == []
+
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exit_info:
             main(["frobnicate"])
@@ -438,8 +455,29 @@ class TestPipeline:
              "--output", str(model)]
         ) == 1
         err = capsys.readouterr().err
-        assert "spskit: error:" in err and "zz" in err and "line 2" in err
+        assert f"spskit: error: {source}:2: unknown labels: zz" in err
         assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["extract-rules", "eval", "select"])
+    def test_a_malformed_treebank_is_named(self, tmp_path, capsys, command):
+        good = tmp_path / "good.txt"
+        good.write_text("(s (subj (n a)) (pred (v b)))\n", encoding="utf-8")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("(s (subj (n a)) (pred (v b)))\n(s (n c)\n", encoding="utf-8")
+        conf = tmp_path / "conf.txt"
+        conf.write_text("0.5\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        argv = {
+            "extract-rules": ["--input", str(bad), "--output", str(out)],
+            "eval": ["--pred", str(good), "--gold", str(bad)],
+            "select": ["--candidates", str(good), "--confidences", str(conf),
+                       "--criterion", "srs", "--k", "1", "--source", str(bad),
+                       "--output", str(out)],
+        }[command]
+        assert main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert f"spskit: error: {bad}:2: unbalanced brackets: missing ')'" in err
+        assert not out.exists()
 
     def test_generate_with_mock_backend(self, tmp_path, capsys):
         stats_treebank = tmp_path / "stats.txt"
@@ -505,6 +543,31 @@ class TestPipeline:
         )
         assert code == 1
         assert "'endpoint'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "template", ["${foo} ${rules}", "$5 ${rules}"], ids=["unknown-name", "stray-dollar"]
+    )
+    def test_generate_refuses_a_bad_template_before_generating(
+        self, tmp_path, capsys, monkeypatch, template
+    ):
+        stats_treebank = tmp_path / "stats.txt"
+        write_treebank(sample_corpus(source_grammar(), 5, seed=3, name="cli-stats"), stats_treebank)
+        examples = tmp_path / "examples.txt"
+        examples.write_text("na va\n", encoding="utf-8")
+        template_file = tmp_path / "template.txt"
+        template_file.write_text(template, encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(selftrain, "build_pool", lambda *args, **kw: calls.append(args))
+        out = tmp_path / "sentences.txt"
+        code = main(
+            ["generate", "--stats-from", str(stats_treebank), "--examples", str(examples),
+             "--mock-treebank", str(stats_treebank), "--template", str(template_file),
+             "--output", str(out)]
+        )
+        assert code == 1
+        assert "spskit: error: 'template' has an" in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
     def test_generate_writes_no_duplicate_sentence(self, tmp_path, capsys):
@@ -921,6 +984,17 @@ class TestSelfTrainCommand:
         assert repr(named) in err
         assert not (tmp_path / "run").exists()
 
+    def test_a_bad_template_leaves_no_run_directory(self, tmp_path, capsys):
+        path = self.make_config(tmp_path)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        template = tmp_path / "template.txt"
+        template.write_text("${rules}\n${foo}\n", encoding="utf-8")
+        config["generator"]["template"] = str(template)
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["self-train", "--config", str(path)]) == 1
+        assert "'template' has an unknown placeholder ${foo}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("config", [[], "run", None])
     def test_a_run_config_that_is_no_object_is_a_data_error(
         self, tmp_path, capsys, config
@@ -992,6 +1066,79 @@ class TestSelfTrainCommand:
         text = capsys.readouterr().out
         assert "tgt F1" in text
         assert "spskit:summary" in text
+
+
+# The sha256 of every JSON file the CLI writes in one small session, and of
+# eval's printed table: how reports and manifests are serialized may change,
+# but not one byte of what lands on disk.
+OUTPUT_DIGESTS = {
+    "convert-report.json": "62c0bc90f8b3550c267cfe890176295fb90edc0684c9e455aad5110cc88c9d3a",
+    "transfer-report.json": "5932f614aee8364d9411358c991780bd41754787ad653e3f971ffe46f69149e5",
+    "select-sidecar.json": "2e6e048817d1ac4d30df7af8f7575d0887fd7408ce5e21dd911b6616751ed388",
+    "eval.json": "5caba669d6c2ff09680a5d3dce3b4b7df0f2257f75532419061e23474b11c053",
+    "eval-table.txt": "f82f929b856d8148f3ae233f8fbe09a8ca0288c27d42b7532ea1299111d4e91a",
+    "run/seed_1/manifest.json": "a604c748892e9c97e618756d1e4b6f78abf190230150b246538595ea72c2ae5f",
+    "run/seed_2/manifest.json": "56838384027d74d67b07ffc6636b2e29049abd5ab3e9b86af7f64c45c5b18178",
+    "run/aggregate.json": "2a67497ba5d6885426e2b47b30a6082331a657bacef255b36bfe03fe35a5ab32",
+}
+
+
+def test_every_json_output_keeps_its_bytes(tmp_path, capsys):
+    const = tmp_path / "const.txt"
+    const.write_text(
+        "(IP (NP (NN 指标)) (VP (VV 高于) (NP (NN 均值))))\n(IP (NP (NN 价格)) (VP (VV 跌)))\n",
+        encoding="utf-8",
+    )
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"default_label": "att", "rules": [{
+        "pattern": {"parent": "IP", "children": ["NP", "VP"]},
+        "rewrite": {"parent": "s", "children": ["subject", "predicate"]},
+        "priority": 10,
+    }]}), encoding="utf-8")
+    assert main(["convert", "--input", str(const), "--table", str(table),
+                 "--output", str(tmp_path / "sps.txt"),
+                 "--report", str(tmp_path / "convert-report.json")]) == 0
+
+    seg = tmp_path / "seg.txt"
+    seg.write_text(
+        "(s (n 圣诞) (n 节))\n(s (n 武侠小说))\n(vp (v 惹火) (u 儿了))\n", encoding="utf-8"
+    )
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text("圣诞节\n武侠\n小说\n火儿\n惹火上身\n", encoding="utf-8")
+    split = tmp_path / "split.tsv"
+    split.write_text("武侠小说\t武侠 小说\n惹火\t惹 火\n儿了\t儿 了\n", encoding="utf-8")
+    assert main(["transfer-seg", "--input", str(seg), "--lexicon", str(lexicon),
+                 "--split-table", str(split), "--output", str(tmp_path / "seg-out.txt"),
+                 "--report", str(tmp_path / "transfer-report.json")]) == 0
+
+    source = tmp_path / "source.txt"
+    write_treebank(sample_corpus(source_grammar(), 60, seed=1, name="pin-src"), source)
+    gold = tmp_path / "gold.txt"
+    write_treebank(sample_corpus(target_grammar(), 12, seed=2, name="pin-gold"), gold)
+    raw = tmp_path / "raw.txt"
+    raw.write_text(
+        "".join(" ".join(t.leaves()) + "\n" for t in read_treebank(gold)), encoding="utf-8"
+    )
+    model, parsed, confidences = (tmp_path / n for n in ("model.json", "parsed.txt", "conf.txt"))
+    assert main(["train", "--input", str(source), "--output", str(model)]) == 0
+    assert main(["parse", "--model", str(model), "--input", str(raw), "--output", str(parsed),
+                 "--confidences", str(confidences)]) == 0
+    assert main(["select", "--candidates", str(parsed), "--confidences", str(confidences),
+                 "--criterion", "srs", "--k", "4", "--source", str(source),
+                 "--output", str(tmp_path / "selected.txt"),
+                 "--sidecar", str(tmp_path / "select-sidecar.json")]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(parsed), "--gold", str(gold),
+                 "--json", str(tmp_path / "eval.json")]) == 0
+    table_text = capsys.readouterr().out.split("spskit:summary ")[0]
+    (tmp_path / "eval-table.txt").write_text(table_text, encoding="utf-8")
+
+    run_dir = tmp_path / "self-train"
+    run_dir.mkdir()
+    config = TestSelfTrainCommand.make_config(run_dir, seeds=[1, 2])
+    assert main(["self-train", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == 0
+
+    assert {name: sha(tmp_path / name) for name in OUTPUT_DIGESTS} == OUTPUT_DIGESTS
 
 
 def run_python(code, *args):

@@ -1,10 +1,11 @@
+import json
 import random
 
 import pytest
 
 from spskit.errors import TokenMismatchError
 from spskit.evaluation import ScoreOptions, score_corpus, spans
-from spskit.treebank import ParseTree, parse_bracketed
+from spskit.treebank import ParseTree, parse_bracketed, write_json
 
 
 def random_bracketing(tokens, rng, labels=("A", "B", "C")):
@@ -106,9 +107,10 @@ class TestScoreCorpus:
         gold = parse_bracketed("(s (subj (n a)) (pred (v b)))")
         pred = parse_bracketed("(s (subj (n a)) (x (v b)))")
         report = score_corpus([pred], [gold])
-        assert report.per_label["subj"] == (100.0, 100.0, 100.0)
-        p, r, f = report.per_label["pred"]
-        assert (p, r) == (0.0, 0.0)
+        perfect = {"precision": 100.0, "recall": 100.0, "f1": 100.0}
+        assert report.per_label["subj"] == perfect
+        pred = report.per_label["pred"]
+        assert (pred["precision"], pred["recall"]) == (0.0, 0.0)
 
     def test_swap_swaps_precision_and_recall(self):
         rng = random.Random(5)
@@ -159,7 +161,7 @@ class TestScoreCorpus:
         plain = score_corpus(preds, golds, opts)
         for _ in range(2):
             report = score_corpus(preds, golds, opts, gold_spans=gold_spans)
-            assert report.to_dict() == plain.to_dict()
+            assert report == plain
         assert [dict(s) for s in gold_spans] == kept
 
     def test_precomputed_gold_spans_still_check_tokens_and_length(self):
@@ -170,8 +172,10 @@ class TestScoreCorpus:
         with pytest.raises(ValueError):
             score_corpus([gold], [gold], gold_spans=[])
 
-    def test_report_serialization(self):
+    def test_report_serialization(self, tmp_path):
         gold = parse_bracketed("(s (subj (n a)) (pred (v b)))")
         report = score_corpus([gold], [gold])
-        assert report.to_dict()["f1"] == 100.0
+        path = tmp_path / "report.json"
+        write_json(path, report)
+        assert json.loads(path.read_text(encoding="utf-8"))["f1"] == 100.0
         assert "ALL" in report.table()

@@ -142,6 +142,23 @@ class TestPromptRendering:
         assert text.startswith(f"len={spec.target_length}")
         assert prompt_hash(spec, custom) != prompt_hash(spec, default_template())
 
+    @pytest.mark.parametrize(
+        "template, named",
+        [("len=${foo}", "${foo}"), ("prompt $5 ${rules}", "invalid placeholder at line 1, col 8")],
+        ids=["unknown-name", "stray-dollar"],
+    )
+    def test_a_bad_template_is_refused_when_the_generator_is_built(self, template, named):
+        builders = [
+            lambda: MockPcfgGenerator(target_grammar(), template=template),
+            lambda: ServiceGenerator(
+                "http://stub/complete", template=template, session=object()
+            ),
+        ]
+        for build in builders:
+            with pytest.raises(ConfigError, match="'template'") as err:
+                build()
+            assert named in str(err.value)
+
 
 class TestPcfg:
     def test_probabilities_must_sum_to_one(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -322,9 +323,7 @@ class TestTransferCorpus:
     def test_report_json_round_trip(self, toy_lexicon):
         trees = [parse_bracketed("(s (n 圣诞) (n 节))")]
         _, report = transfer_corpus(trees, toy_lexicon)
-        import json
-
-        data = json.loads(json.dumps(report.to_dict()))
+        data = json.loads(json.dumps(dataclasses.asdict(report)))
         assert data["merged"] == 1
         assert data["merges"][0]["parts"] == ["圣诞", "节"]
 
@@ -426,7 +425,7 @@ class TestTransferGolden:
         assert report.merges
         assert report.misaligned
         assert report.unmatched_logged
-        summary = json.dumps([[serialize(t) for t in out], report.to_dict()])
+        summary = json.dumps([[serialize(t) for t in out], dataclasses.asdict(report)])
         assert hashlib.sha256(summary.encode("utf-8")).hexdigest() == (
             "b6d9b49106f9f7c95c2181905927a56ece8abff5e54b99f55e456b22bedce1fd"
         )
@@ -510,7 +509,7 @@ def every_transfer(trees, lex, split_table, lookahead):
     out, report = transfer_corpus(
         trees, lex, split_table=split_table, lookahead=lookahead
     )
-    return [[serialize(t) for t in out], report.to_dict()]
+    return [[serialize(t) for t in out], dataclasses.asdict(report)]
 
 
 class TestTransformsShareUnchangedNodes:

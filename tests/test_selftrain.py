@@ -137,12 +137,12 @@ class TestDeterminism:
     def test_same_seed_identical_manifests(self):
         m1 = run(small_experiment(seed=5, iterations=2))
         m2 = run(small_experiment(seed=5, iterations=2))
-        assert m1.to_dict() == m2.to_dict()
+        assert m1 == m2
 
     def test_different_seeds_differ(self):
         m1 = run(small_experiment(seed=5, iterations=1))
         m2 = run(small_experiment(seed=6, iterations=1))
-        assert m1.to_dict() != m2.to_dict()
+        assert m1 != m2
 
     @pytest.mark.parametrize(
         "kind, update_reference", [("csrs", False), ("srs", True)],
@@ -439,7 +439,7 @@ class TestPersistenceAndResume:
             assert len(sidecar) == 10
             assert {"id", "kind", "score", "confidence"} <= set(sidecar[0])
         reloaded = RunManifest.load(tmp_path / "manifest.json")
-        assert reloaded.to_dict() == manifest.to_dict()
+        assert reloaded == manifest
 
     def test_aborted_run_persists_completed_iterations(self, tmp_path):
         exp = small_experiment(iterations=3, out_dir=str(tmp_path))
@@ -524,7 +524,7 @@ class TestPersistenceAndResume:
 
         resumed = run(exp, resume=True)
         assert resumed.status == "complete"
-        assert resumed.to_dict()["records"] == straight.to_dict()["records"]
+        assert resumed.records == straight.records
         for name, data in files.items():
             if name != "manifest.json":
                 assert (resumable_dir / name).read_bytes() == data
@@ -553,7 +553,7 @@ class TestPersistenceAndResume:
         counting = CountingParser(exp.parser_backend)
         resumed = run(dataclasses.replace(exp, parser_backend=counting), resume=True)
         assert counting.trains == 0
-        assert resumed.to_dict() == finished.to_dict()
+        assert resumed == finished
 
     def test_resume_with_mismatched_config_is_rejected(self, tmp_path):
         exp = small_experiment(seed=1, iterations=1, out_dir=str(tmp_path))

@@ -20,6 +20,7 @@ from spskit.treebank import (
     read_treebank,
     serialize,
     validate_tree,
+    write_json,
     write_text_atomic,
     write_treebank,
 )
@@ -183,19 +184,19 @@ class TestTreebankFiles:
         write_treebank(trees, out)
         assert read_treebank(out) == trees
 
-    def test_bad_label_reported_with_line_number(self, tmp_path, fig_inventory):
+    def test_bad_label_reported_with_path_and_line_number(self, tmp_path, fig_inventory):
         path = tmp_path / "trees.txt"
         path.write_text("(adv (t a))\n(adv (zz b))\n", encoding="utf-8")
         with pytest.raises(LabelError) as err:
             read_treebank(path, inventory=fig_inventory)
-        assert "line 2" in str(err.value)
+        assert str(err.value) == f"{path}:2: unknown labels: zz"
 
-    def test_syntax_error_reported_with_line_number(self, tmp_path):
+    def test_syntax_error_reported_with_path_and_line_number(self, tmp_path):
         path = tmp_path / "trees.txt"
         path.write_text("(adv (t a))\n\n(adv (t b\n", encoding="utf-8")
         with pytest.raises(TreeSyntaxError) as err:
             read_treebank(path)
-        assert "line 3" in str(err.value)
+        assert str(err.value) == f"{path}:3: unbalanced brackets: missing ')'"
 
     def test_equal_strings_of_one_file_are_one_object(self, tmp_path):
         lines = ["(subj (n 指标) (n 指标))", "(subj (v 高于) (n 指标))"]
@@ -218,7 +219,7 @@ class TestTreebankFiles:
 WRITERS = {
     "write_treebank": lambda path: write_treebank([parse_bracketed("(s (n a))")], path),
     "ParserModel.save": lambda path: train([parse_bracketed("(s (n a))")]).save(path),
-    "RunManifest.save": lambda path: RunManifest(config={}).save(path),
+    "write_json": lambda path: write_json(path, RunManifest(config={})),
 }
 
 
