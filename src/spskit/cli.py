@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import selftrain
-from .errors import ConfigError, SpsError
+from .errors import ConfigError, SpsError, probability
 from .evaluation import ScoreOptions, score_corpus
 from .generator import (
     MockPcfgGenerator,
@@ -39,6 +39,9 @@ from .treebank import (
     Sentence,
     default_inventory,
     normalize_pos_nodes,
+    read_json,
+    read_lines,
+    read_text,
     read_treebank,
     write_json,
     write_text_atomic,
@@ -70,25 +73,7 @@ def _check_inputs(*paths):
 
 
 def _read_sentences(path):
-    sentences = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                sentences.append(Sentence.from_text(line))
-            except ValueError as e:
-                raise SpsError(f"{path}:{lineno}: {e}") from e
-    return sentences
-
-
-def _read_template(path):
-    if not path:
-        return None
-    _check_inputs(path)
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    return read_lines(path, lambda _, line: Sentence.from_text(line))
 
 
 def _load_inventory(path):
@@ -96,7 +81,6 @@ def _load_inventory(path):
 
 
 def cmd_convert(args):
-    _check_inputs(args.input, args.table)
     trees = read_treebank(args.input)
     table = MappingTable.from_json(args.table)
     if args.strict:
@@ -115,7 +99,6 @@ def cmd_convert(args):
 
 
 def cmd_normalize(args):
-    _check_inputs(args.input, args.inventory)
     inventory = _load_inventory(args.inventory)
     trees = read_treebank(args.input, inventory=inventory)
     normalized = [normalize_pos_nodes(t, inventory) for t in trees]
@@ -126,7 +109,6 @@ def cmd_normalize(args):
 
 
 def cmd_transfer_seg(args):
-    _check_inputs(args.input, args.lexicon, args.split_table)
     trees = read_treebank(args.input)
     lexicon = Lexicon.from_file(args.lexicon)
     split_table = SplitTable.from_file(args.split_table) if args.split_table else None
@@ -149,7 +131,6 @@ def cmd_transfer_seg(args):
 
 
 def cmd_extract_rules(args):
-    _check_inputs(args.input)
     trees = read_treebank(args.input)
     counts = extract_corpus_rules(
         trees, exclude_labels=tuple(args.exclude_labels or ())
@@ -166,10 +147,9 @@ def cmd_extract_rules(args):
 
 
 def cmd_generate(args):
-    _check_inputs(args.stats_from, args.examples, args.mock_treebank)
     stats = corpus_stats(read_treebank(args.stats_from))
     examples = _read_sentences(args.examples)
-    template = _read_template(args.template)
+    template = read_text(args.template) if args.template else None
 
     if args.backend == "mock":
         if not args.mock_treebank:
@@ -207,7 +187,6 @@ def cmd_generate(args):
 
 
 def cmd_train(args):
-    _check_inputs(args.input, args.inventory)
     inventory = LabelInventory.from_json(args.inventory) if args.inventory else None
     trees = read_treebank(args.input, inventory=inventory)
     model = train(trees, config=TrainConfig(**_given(args, "alpha", "unk_threshold")))
@@ -223,7 +202,6 @@ def cmd_train(args):
 
 
 def cmd_parse(args):
-    _check_inputs(args.model, args.input)
     model = ParserModel.load(args.model)
     sentences = _read_sentences(args.input)
     results = [parse(model, s) for s in sentences]
@@ -244,20 +222,16 @@ def cmd_parse(args):
 
 
 def cmd_select(args):
-    _check_inputs(
-        args.candidates, args.confidences, args.source, args.converted_target
-    )
     trees = read_treebank(args.candidates)
-    with open(args.confidences, encoding="utf-8") as f:
-        lines = [(n, text.strip()) for n, text in enumerate(f, 1) if text.strip()]
-    if len(lines) != len(trees):
-        raise SpsError(f"{len(trees)} candidate trees but {len(lines)} confidences")
-    candidates = []
-    for (lineno, line), tree in zip(lines, trees):
-        try:
-            candidates.append(PseudoTree(tree.sentence(), tree, float(line)))
-        except ValueError as e:
-            raise SpsError(f"{args.confidences}:{lineno}: {e}") from e
+    confidences = read_lines(
+        args.confidences, lambda _, line: probability("confidence", float(line))
+    )
+    if len(confidences) != len(trees):
+        raise SpsError(f"{len(trees)} candidate trees but {len(confidences)} confidences")
+    candidates = [
+        PseudoTree(tree.sentence(), tree, confidence)
+        for tree, confidence in zip(trees, confidences)
+    ]
 
     cfg = CriterionConfig(
         kind=args.criterion, k=args.k, **_given(args, "prefilter_multiplier")
@@ -296,7 +270,6 @@ def cmd_select(args):
 
 
 def cmd_eval(args):
-    _check_inputs(args.pred, args.gold)
     preds = read_treebank(args.pred)
     golds = read_treebank(args.gold)
     opts = ScoreOptions(
@@ -403,7 +376,7 @@ def _build_experiment(config, seed_override=None, out_dir_override=None):
         return read_treebank(paths[key]) if paths[key] else None
 
     seed = seed_override if seed_override is not None else config.get("seed", 0)
-    template = _read_template(paths["generator.template"])
+    template = paths["generator.template"] and read_text(paths["generator.template"])
     options = {k: v for k, v in gen_cfg.items() if k in _GENERATOR_KEYS[backend]}
     if backend == "service":
         generator = ServiceGenerator(template=template, **options)
@@ -437,9 +410,7 @@ def _build_experiment(config, seed_override=None, out_dir_override=None):
 
 
 def cmd_self_train(args):
-    _check_inputs(args.config)
-    with open(args.config, encoding="utf-8") as f:
-        config = json.load(f)
+    config = read_json(args.config)
     experiment = _build_experiment(
         config, seed_override=args.seed, out_dir_override=args.out_dir
     )
@@ -476,7 +447,6 @@ def cmd_self_train(args):
 def cmd_report(args):
     rows = []
     for path in args.manifest:
-        _check_inputs(path)
         manifest = selftrain.RunManifest.load(path)
         for record in manifest.records:
             rows.append((path, record))

@@ -38,11 +38,6 @@ class TokenMismatchError(SpsError):
 class GenerationError(SpsError):
     """Sentence generation failed (empty or garbled backend reply)."""
 
-    def __init__(self, message, attempts=1, retriable=False):
-        super().__init__(message)
-        self.attempts = attempts
-        self.retriable = retriable
-
 
 class ModelFormatError(SpsError):
     """A persisted parser model fails validation on load."""

@@ -13,8 +13,9 @@ length and rule count) and asks a backend for sentences.  Two backends ship:
 * ``ServiceGenerator`` POSTs a rendered prompt to a text-completion endpoint
   and splits the reply into sentences at whitespace.  Timeouts, connection
   errors and 5xx replies retry up to a cap and then surface, at one place, as
-  a retriable error; an empty or garbled reply is an ``empty_generation``
-  error.  Callers treat both as a smaller pool, never a crashed run.
+  an error naming the attempt count; an empty or garbled reply is an
+  ``empty_generation`` error.  Callers treat both as a smaller pool, never a
+  crashed run.
 """
 
 from __future__ import annotations
@@ -107,13 +108,10 @@ class PromptSpec:
     rules: tuple
     examples: tuple
     target_length: int
-    rule_count: int
 
     def __post_init__(self):
         if len(self.rules) < 1:
             raise ValueError("a prompt needs at least one rule")
-        if self.rule_count != len(self.rules):
-            raise ValueError("rule_count must equal the number of rules")
         if self.target_length < 2:
             raise ValueError("target_length must be at least 2")
         if not self.examples:
@@ -186,7 +184,6 @@ def sample_prompt(source_stats, target_examples, rng, config=None):
         rules=tuple(rules),
         examples=tuple(examples),
         target_length=target_length,
-        rule_count=len(rules),
     )
 
 
@@ -207,7 +204,7 @@ def render_prompt(spec, template=None):
         rules="\n".join(format_rule(r) for r in spec.rules),
         examples="\n".join(s.text() for s in spec.examples),
         length=str(spec.target_length),
-        rule_count=str(spec.rule_count),
+        rule_count=str(len(spec.rules)),
     )
 
 
@@ -426,8 +423,7 @@ class MockPcfgGenerator:
         if not sentences:
             raise GenerationError(
                 f"no derivation of length {lo}..{hi} found in "
-                f"{MAX_ATTEMPTS} attempts per sentence",
-                attempts=MAX_ATTEMPTS,
+                f"{MAX_ATTEMPTS} attempts per sentence"
             )
         return GenerationBatch(
             sentences=tuple(sentences),
@@ -545,12 +541,11 @@ class ServiceGenerator:
                 continue
             if response.status_code != 200:
                 raise GenerationError(
-                    f"service refused the request: {response.status_code}",
-                    attempts=attempt,
+                    f"service refused the request: {response.status_code}"
                 )
             break
         else:
-            raise GenerationError(failure, attempts=attempt, retriable=True) from cause
+            raise GenerationError(failure) from cause
 
         try:
             text = response.json()["text"]

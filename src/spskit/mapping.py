@@ -12,12 +12,11 @@ label, or raise in strict mode.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import MappingTableError, UnmappedNodeError
-from .treebank import ParseTree
+from .treebank import ParseTree, read_json
 
 __all__ = ["MappingRule", "MappingTable", "convert", "convert_corpus", "ConversionReport"]
 
@@ -96,8 +95,7 @@ class MappingTable:
         A value of the wrong type is a MappingTableError naming the key, and
         the rule's index for a rule's key.
         """
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+        data = read_json(path)
         table = f"mapping table {path}"
         _object(table, "the file", data)
         try:

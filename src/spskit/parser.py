@@ -27,13 +27,12 @@ the backpointers straight into the debinarized tree.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ModelFormatError, int_at_least, non_negative_number
 from .rules import SyntacticRule
-from .treebank import ParseTree, Sentence, write_text_atomic
+from .treebank import ParseTree, Sentence, read_json, write_json
 
 __all__ = [
     "TrainConfig",
@@ -153,7 +152,7 @@ class ParserModel:
             "unk_threshold": self.unk_threshold,
             "fallback_root": self.fallback_root,
             "fallback_pos": self.fallback_pos,
-            "roots": dict(sorted(self.roots.items())),
+            "roots": self.roots,
             "rules": [
                 [r.parent, list(r.children), p] for r, p in sorted(self.rules.items())
             ],
@@ -161,16 +160,14 @@ class ParserModel:
                 [label, cls, p] for (label, cls), p in sorted(self.lexical.items())
             ],
         }
-        write_text_atomic(path, json.dumps(data, ensure_ascii=False, indent=1) + "\n")
+        write_json(path, data)
 
     @classmethod
     def load(cls, path):
         """Read a model saved by ``save``; ModelFormatError names the path of
         a file that is not one."""
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+        data = read_json(path, ModelFormatError)
         try:
-            data = json.loads(text)
             if not isinstance(data, dict):
                 raise TypeError("not a JSON object")
             if data.get("version") != MODEL_VERSION:

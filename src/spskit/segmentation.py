@@ -35,7 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .treebank import ParseTree
+from .treebank import ParseTree, read_lines
 
 __all__ = [
     "Lexicon",
@@ -77,12 +77,7 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path):
-        words = []
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                word = line.strip()
-                if word:
-                    words.append(word)
+        words = read_lines(path, lambda _, word: word)
         try:
             return cls(words)
         except ValueError as e:
@@ -109,28 +104,22 @@ class SplitTable:
     @classmethod
     def from_file(cls, path):
         """Two-column TSV: word TAB space-joined parts, one line per word."""
-        table = cls({})
         first_lines = {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                fields = line.split("\t")
-                try:
-                    if len(fields) != 2:
-                        raise ValueError("expected 'word<TAB>parts'")
-                    word, parts = fields
-                    parts = _checked_parts(word, parts.split())
-                    if word in first_lines:
-                        raise ValueError(
-                            f"duplicate entry {word!r} (first on line {first_lines[word]})"
-                        )
-                except ValueError as e:
-                    raise ValueError(f"{path}:{lineno}: {e}") from None
-                table.entries[word] = parts
-                first_lines[word] = lineno
-        return table
+
+        def entry(lineno, line):
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError("expected 'word<TAB>parts'")
+            word, parts = fields
+            parts = _checked_parts(word, parts.split())
+            if word in first_lines:
+                raise ValueError(
+                    f"duplicate entry {word!r} (first on line {first_lines[word]})"
+                )
+            first_lines[word] = lineno
+            return word, parts
+
+        return cls(dict(read_lines(path, entry)))
 
 
 def _checked_parts(word, parts):

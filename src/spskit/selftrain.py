@@ -31,13 +31,13 @@ import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ConfigError, GenerationError, boolean, int_at_least
+from .errors import ConfigError, GenerationError, SpsError, boolean, int_at_least
 from .evaluation import ScoreOptions, score_corpus, spans
 from .generator import PromptConfig, corpus_stats, sample_prompt
 from .rules import RuleDistribution, extract_corpus_rules, token_counts
 from .seeding import substream
 from .selection import CriterionConfig, SelectionRefs, score, select_top_k
-from .treebank import read_treebank, write_json, write_treebank
+from .treebank import read_json, read_treebank, write_json, write_treebank
 
 __all__ = [
     "Experiment", "IterationRecord", "RunManifest", "build_pool", "build_refs",
@@ -146,11 +146,14 @@ class RunManifest:
 
     @classmethod
     def load(cls, path):
-        """Read a manifest; a ConfigError naming ``path`` if its version is
-        not ``MANIFEST_VERSION``, a key is missing, or a record's keys are
-        not exactly ``IterationRecord``'s fields."""
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+        """Read a manifest; a ConfigError naming ``path`` if it cannot be
+        read or is no JSON object, its version is not ``MANIFEST_VERSION``, a
+        key is missing, or a record's keys are not exactly ``IterationRecord``'s
+        fields.  So a damaged manifest stops ``run_multiseed``."""
+        try:
+            data = read_json(path)
+        except SpsError as e:
+            raise ConfigError(str(e)) from None
         if not isinstance(data, dict):
             raise ConfigError(f"manifest {path} is not a JSON object")
         missing = [f.name for f in dataclasses.fields(cls) if f.name not in data]

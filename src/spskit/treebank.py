@@ -9,7 +9,8 @@ format is Penn-style bracketing, one tree per line, UTF-8, single-space
 separated.  Tokens must not contain whitespace or ASCII parentheses (CJK
 corpora use the full-width variants, so this costs nothing in practice);
 ParseTree and Sentence reject such tokens, so every tree re-reads from its
-bracketing.
+bracketing.  Every input file is opened by ``read_text`` here, and every
+output written by ``write_text_atomic``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import tempfile
 from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 
-from .errors import LabelError, RootPromotionError, TreeSyntaxError
+from .errors import LabelError, RootPromotionError, SpsError, TreeSyntaxError
 
 __all__ = [
     "ParseTree",
@@ -30,6 +31,9 @@ __all__ = [
     "serialize",
     "normalize_pos_nodes",
     "validate_tree",
+    "read_text",
+    "read_json",
+    "read_lines",
     "read_treebank",
     "write_treebank",
     "write_text_atomic",
@@ -164,8 +168,7 @@ class LabelInventory:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return _inventory(json.load(f), f"inventory file {path}")
+        return _inventory(read_json(path), f"inventory file {path}")
 
 
 def _inventory(data, where):
@@ -320,25 +323,67 @@ def _splice(node, pos_labels):
     return ParseTree(node.label, tuple(new_children)) if changed else node
 
 
+def read_text(path):
+    """The text of input file ``path``, every line ending read as ``\\n``.
+
+    A path that is missing or a directory, a file that cannot be read, and
+    one that is not UTF-8 are each an SpsError naming ``path``.
+    """
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise SpsError(f"input file not found: {path}") from None
+    except OSError:
+        raise SpsError(f"input file not readable: {path}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SpsError(
+            f"input file not UTF-8: {path} ({e.reason} at byte {e.start})"
+        ) from None
+    # What reading in text mode does: "\r\n" and a lone "\r" end a line.
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_json(path, error=SpsError):
+    """The parsed JSON of input file ``path``; text that is no JSON is an
+    ``error`` naming ``path``."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(f"{path} is not JSON: {e}") from None
+
+
+def read_lines(path, parse):
+    """``parse(lineno, line)`` of each non-blank line of input file ``path``,
+    stripped, in order; ``lineno`` is 1-based.
+
+    Lines end at ``"\\n"`` only: ``str.splitlines`` would also end one at
+    ``\\x1c`` or ``\\u2028``, say, which a tree line may hold as whitespace.
+    An SpsError or ValueError that ``parse`` raises is raised again as the
+    same type, reading ``path:lineno: message``.
+    """
+    out = []
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if line:
+            try:
+                out.append(parse(lineno, line))
+            except (SpsError, ValueError) as e:
+                raise type(e)(f"{path}:{lineno}: {e}") from None
+    return out
+
+
 def read_treebank(path, inventory=None):
     """Read a one-tree-per-line file; blank lines are ignored.
 
-    A syntax or label error reads ``path:line: message``, with the 1-based
-    line.  Equal labels and tokens are one string object across the file's
-    trees.
+    A syntax or label error reads ``path:line: message``.  Equal labels and
+    tokens are one string object across the file's trees.
     """
-    trees = []
     strings = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                trees.append(_parse_bracketed(text, inventory, strings))
-            except (TreeSyntaxError, LabelError) as e:
-                raise type(e)(f"{path}:{lineno}: {e}") from None
-    return trees
+    return read_lines(path, lambda _, text: _parse_bracketed(text, inventory, strings))
 
 
 def write_treebank(trees, path):
@@ -356,18 +401,22 @@ def write_text_atomic(path, text):
     """Write UTF-8 ``text`` to ``path`` through a temporary file and a rename.
 
     Readers see the old contents or the new ones, never a partial file; on
-    failure the temporary file is removed and ``path`` is left untouched.
+    failure the temporary file is removed and ``path`` is left untouched.  An
+    OSError about a file names ``path``, not the temporary file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             os.fchmod(f.fileno(), 0o666 & ~_UMASK)
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.errno is not None:
+            raise type(e)(e.errno, e.strerror, os.fspath(path)) from None
         raise
 
 

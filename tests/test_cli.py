@@ -14,10 +14,10 @@ from spskit import cli, selftrain
 from spskit.cli import build_parser, main
 from spskit.evaluation import ScoreOptions
 from spskit.generator import PromptConfig
-from spskit.parser import PcfgBackend, TrainConfig
+from spskit.parser import PcfgBackend, TrainConfig, train
 from spskit.selection import CriterionConfig
 from spskit.synthetic import sample_corpus, source_grammar, target_grammar
-from spskit.treebank import read_treebank, write_json, write_treebank
+from spskit.treebank import parse_bracketed, read_treebank, write_json, write_treebank
 
 SUBCOMMANDS = [
     "convert",
@@ -849,6 +849,24 @@ class TestSelfTrainCommand:
         assert str(manifest_path) in err
         assert (tmp_path / "run" / "aggregate.json").read_bytes() == aggregate
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff\n", b'{"config": '], ids=["not-utf-8", "truncated-json"]
+    )
+    def test_an_unreadable_seed_manifest_stops_a_multiseed_resume(
+        self, tmp_path, capsys, content
+    ):
+        path = self.make_config(tmp_path, seeds=[1, 2])
+        assert main(["self-train", "--config", str(path)]) == 0
+        manifest_path = tmp_path / "run" / "seed_2" / "manifest.json"
+        manifest_path.write_bytes(content)
+        aggregate = (tmp_path / "run" / "aggregate.json").read_bytes()
+        capsys.readouterr()
+        assert main(["self-train", "--config", str(path), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spskit: error: ")
+        assert err.count(str(manifest_path)) == 1
+        assert (tmp_path / "run" / "aggregate.json").read_bytes() == aggregate
+
     @pytest.mark.parametrize("command", ["resume", "report"])
     @pytest.mark.parametrize("damage", ["version-99", "missing-key", "extra-record-key"])
     def test_a_bad_manifest_is_a_data_error(self, tmp_path, capsys, command, damage):
@@ -1139,6 +1157,124 @@ def test_every_json_output_keeps_its_bytes(tmp_path, capsys):
     assert main(["self-train", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == 0
 
     assert {name: sha(tmp_path / name) for name in OUTPUT_DIGESTS} == OUTPUT_DIGESTS
+
+
+# Every input flag of every subcommand, and whether the file it names is JSON.
+INPUT_FLAGS = {
+    "convert": {"--input": False, "--table": True},
+    "normalize": {"--input": False, "--inventory": True},
+    "transfer-seg": {"--input": False, "--lexicon": False, "--split-table": False},
+    "extract-rules": {"--input": False},
+    "generate": {"--stats-from": False, "--examples": False, "--mock-treebank": False,
+                 "--template": False},
+    "train": {"--input": False, "--inventory": True},
+    "parse": {"--model": True, "--input": False},
+    "select": {"--candidates": False, "--confidences": False, "--source": False,
+               "--converted-target": False},
+    "self-train": {"--config": True},
+    "eval": {"--pred": False, "--gold": False},
+    "report": {"--manifest": True},
+}
+# What each case puts at the flag's path (None: nothing), and what the error
+# says about it.
+BAD_INPUTS = {
+    "missing": (None, "input file not found"),
+    "a-directory": ("directory", "input file not found"),
+    "not-utf-8": (b"(s (n \xff))\n", "input file not UTF-8"),
+    "truncated-json": (b'{"default_label": ', "is not JSON"),
+}
+READER_CASES = [
+    (subcommand, flag, case)
+    for subcommand, flags in INPUT_FLAGS.items()
+    for flag, is_json in flags.items()
+    for case in BAD_INPUTS
+    if is_json or case != "truncated-json"
+]
+
+
+def reader_argv(tmp_path, subcommand):
+    """Good inputs in ``tmp_path/in`` and every output of ``subcommand`` in
+    ``tmp_path/out``, as its argv."""
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    tree = "(s (subj (n a)) (pred (v b)))"
+    files = {
+        "tree.txt": tree + "\n",
+        "table.json": json.dumps({"default_label": "att", "rules": [
+            {"pattern": {"parent": "s"}, "rewrite": {"parent": "s"}, "priority": 1}
+        ]}),
+        "inv.json": json.dumps({"sps_labels": ["s", "subj", "pred"],
+                                "pos_labels": ["n", "v"]}),
+        "lex.txt": "a\nb\n",
+        "split.tsv": "ab\ta b\n",
+        "examples.txt": "a b\n",
+        "template.txt": "${rules}\n${examples}\n",
+        "conf.txt": "0.5\n",
+    }
+    for name, text in files.items():
+        (inputs / name).write_text(text, encoding="utf-8")
+    train([parse_bracketed(tree)]).save(inputs / "model.json")
+    write_json(inputs / "manifest.json", selftrain.RunManifest(config={}))
+    config = TestSelfTrainCommand.make_config(inputs)
+    i = {name: str(inputs / name) for name in [*files, "model.json", "manifest.json"]}
+    o = str(out / "out.txt")
+    return {
+        "convert": ["--input", i["tree.txt"], "--table", i["table.json"], "--output", o,
+                    "--report", str(out / "report.json")],
+        "normalize": ["--input", i["tree.txt"], "--inventory", i["inv.json"], "--output", o],
+        "transfer-seg": ["--input", i["tree.txt"], "--lexicon", i["lex.txt"],
+                         "--split-table", i["split.tsv"], "--output", o,
+                         "--report", str(out / "report.json")],
+        "extract-rules": ["--input", i["tree.txt"], "--output", o],
+        "generate": ["--stats-from", i["tree.txt"], "--examples", i["examples.txt"],
+                     "--mock-treebank", i["tree.txt"], "--template", i["template.txt"],
+                     "--count", "1", "--output", o],
+        "train": ["--input", i["tree.txt"], "--inventory", i["inv.json"], "--output", o],
+        "parse": ["--model", i["model.json"], "--input", i["examples.txt"], "--output", o,
+                  "--confidences", str(out / "conf.txt")],
+        "select": ["--candidates", i["tree.txt"], "--confidences", i["conf.txt"],
+                   "--criterion", "csrs", "--k", "1", "--source", i["tree.txt"],
+                   "--converted-target", i["tree.txt"], "--output", o,
+                   "--sidecar", str(out / "sidecar.json")],
+        "self-train": ["--config", str(config), "--out-dir", str(out / "run")],
+        "eval": ["--pred", i["tree.txt"], "--gold", i["tree.txt"],
+                 "--json", str(out / "eval.json")],
+        "report": ["--manifest", i["manifest.json"]],
+    }[subcommand]
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_the_reader_table_runs_on_good_inputs(tmp_path, capsys, subcommand):
+    assert main([subcommand, *reader_argv(tmp_path, subcommand)]) == 0
+    assert summary_line(capsys)["subcommand"] == subcommand
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag, case", READER_CASES,
+    ids=[f"{subcommand}{flag}-{case}" for subcommand, flag, case in READER_CASES],
+)
+def test_every_input_flag_refuses_a_file_it_cannot_read(
+    tmp_path, capsys, subcommand, flag, case
+):
+    argv = reader_argv(tmp_path, subcommand)
+    content, reason = BAD_INPUTS[case]
+    bad = tmp_path / case
+    if content == "directory":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main([subcommand, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spskit: error: ")
+    assert reason in err
+    assert err.count(str(bad)) == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_the_reader_table_covers_every_subcommand():
+    assert sorted(INPUT_FLAGS) == sorted(SUBCOMMANDS)
 
 
 def run_python(code, *args):

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from spskit import parser as parser_module
-from spskit.errors import ModelFormatError
+from spskit.errors import ModelFormatError, SpsError
 from spskit.evaluation import score_corpus
 from spskit.generator import Pcfg
 from spskit.parser import (
@@ -500,6 +500,41 @@ class TestModelPersistence:
         assert loaded.roots == model.roots
         sentence = Sentence(("a", "b"))
         assert parse(loaded, sentence) == parse(model, sentence)
+
+    def test_save_writes_indented_json_with_sorted_keys(self, tmp_path):
+        path = tmp_path / "model.json"
+        train(skewed_treebank()).save(path)
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text)
+        assert text == json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+    def test_a_model_in_the_earlier_layout_loads(self, tmp_path):
+        # Models were written with indent=1 and the keys in this order.
+        model = train(skewed_treebank())
+        path = tmp_path / "model.json"
+        model.save(path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        keys = ("version", "alpha", "unk_threshold", "fallback_root", "fallback_pos",
+                "roots", "rules", "lexical")
+        old = json.dumps({key: data[key] for key in keys}, ensure_ascii=False, indent=1)
+        path.write_text(old + "\n", encoding="utf-8")
+        assert ParserModel.load(path) == model
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(None, "input file not found"), (b"{\xff}", "input file not UTF-8")],
+        ids=["missing", "not-utf-8"],
+    )
+    def test_a_file_that_cannot_be_read_is_not_called_malformed(
+        self, tmp_path, content, reason
+    ):
+        path = tmp_path / "model.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(SpsError) as err:
+            ParserModel.load(path)
+        assert not isinstance(err.value, ModelFormatError)
+        assert str(err.value).startswith(f"{reason}: {path}")
 
     @staticmethod
     def saved_with(tmp_path, keys, value):

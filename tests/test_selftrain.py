@@ -659,7 +659,7 @@ class TestGenerationDegradation:
             def generate(self, spec):
                 self.calls += 1
                 if self.calls % 2 == 0:
-                    raise GenerationError("transient", retriable=True)
+                    raise GenerationError("transient")
                 return self.inner.generate(spec)
 
         exp = dataclasses.replace(
@@ -677,7 +677,7 @@ class TestGenerationDegradation:
             name = "mock-pcfg"
 
             def generate(self, spec):
-                raise GenerationError("down", retriable=True)
+                raise GenerationError("down")
 
         exp = dataclasses.replace(exp, generator_backend=Dead())
         manifest = run(exp)

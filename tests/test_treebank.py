@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,23 @@ class TestTreebankFiles:
             read_treebank(path)
         assert str(err.value) == f"{path}:3: unbalanced brackets: missing ')'"
 
+    def test_a_crlf_file_reads_like_its_lf_twin(self, tmp_path):
+        lines = ["(adv (t 昨天) (t 晚上))", "", "(adv (t a))", "(adv (t b"]
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes("\n".join(lines[:3]).encode("utf-8") + b"\n")
+        crlf.write_bytes("\r\n".join(lines[:3]).encode("utf-8") + b"\r\n")
+        assert read_treebank(crlf) == read_treebank(lf)
+        assert len(read_treebank(lf)) == 2
+        crlf.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+        with pytest.raises(TreeSyntaxError, match=f"^{re.escape(str(crlf))}:4: "):
+            read_treebank(crlf)
+
+    @pytest.mark.parametrize("separator", ["\x1c", "\x85", "\u2028"])
+    def test_a_unicode_line_separator_does_not_end_a_tree(self, tmp_path, separator):
+        path = tmp_path / "trees.txt"
+        path.write_text(f"(adv (t a){separator}(t b))\n", encoding="utf-8")
+        assert read_treebank(path) == [parse_bracketed("(adv (t a) (t b))")]
+
     def test_equal_strings_of_one_file_are_one_object(self, tmp_path):
         lines = ["(subj (n 指标) (n 指标))", "(subj (v 高于) (n 指标))"]
         path = tmp_path / "trees.txt"
@@ -239,6 +257,16 @@ class TestAtomicWrites:
             WRITERS[writer](path)
         assert path.read_text(encoding="utf-8") == "previous\n"
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("target", ["no-directory/out.txt", "a-directory"])
+    def test_an_error_names_the_requested_path(self, tmp_path, target):
+        (tmp_path / "a-directory").mkdir()
+        path = tmp_path / target
+        with pytest.raises(OSError) as err:
+            write_text_atomic(path, "x\n")
+        assert str(err.value).endswith(f": {str(path)!r}")
+        assert ".tmp" not in str(err.value)
+        assert [p.name for p in tmp_path.rglob("*")] == ["a-directory"]
 
     def test_new_files_get_the_permissions_of_a_plain_open(self, tmp_path):
         plain = tmp_path / "plain.txt"
