@@ -76,8 +76,20 @@ def _read_sentences(path):
     return read_lines(path, lambda _, line: Sentence.from_text(line))
 
 
-def _load_inventory(path):
-    return LabelInventory.from_json(path) if path else default_inventory()
+def _optional(read, path):
+    """``read(path)``, or None for an input left out: only None leaves it
+    out, and any other path, "" included, names a file."""
+    return None if path is None else read(path)
+
+
+def _build_generator(backend, template, treebank=None, **options):
+    """The ``backend`` generator, with the prompt template read from the file
+    ``template`` names and, for the mock, its grammar from ``treebank``."""
+    template = _optional(read_text, template)
+    if backend == "service":
+        return ServiceGenerator(template=template, **options)
+    grammar = pcfg_from_treebank(read_treebank(treebank))
+    return MockPcfgGenerator(grammar, template=template, **options)
 
 
 def cmd_convert(args):
@@ -99,7 +111,7 @@ def cmd_convert(args):
 
 
 def cmd_normalize(args):
-    inventory = _load_inventory(args.inventory)
+    inventory = _optional(LabelInventory.from_json, args.inventory) or default_inventory()
     trees = read_treebank(args.input, inventory=inventory)
     normalized = [normalize_pos_nodes(t, inventory) for t in trees]
     changed = sum(1 for a, b in zip(trees, normalized) if a != b)
@@ -111,7 +123,7 @@ def cmd_normalize(args):
 def cmd_transfer_seg(args):
     trees = read_treebank(args.input)
     lexicon = Lexicon.from_file(args.lexicon)
-    split_table = SplitTable.from_file(args.split_table) if args.split_table else None
+    split_table = _optional(SplitTable.from_file, args.split_table)
     out, report = transfer_corpus(
         trees, lexicon, split_table=split_table, **_given(args, "lookahead")
     )
@@ -135,7 +147,7 @@ def cmd_extract_rules(args):
     counts = extract_corpus_rules(
         trees, exclude_labels=tuple(args.exclude_labels or ())
     )
-    export_rules(counts, path=args.output)
+    write_text_atomic(args.output, export_rules(counts))
     _summary(
         "extract-rules",
         trees=len(trees),
@@ -149,20 +161,16 @@ def cmd_extract_rules(args):
 def cmd_generate(args):
     stats = corpus_stats(read_treebank(args.stats_from))
     examples = _read_sentences(args.examples)
-    template = read_text(args.template) if args.template else None
-
     if args.backend == "mock":
-        if not args.mock_treebank:
+        if args.mock_treebank is None:
             raise SpsError("--backend mock requires --mock-treebank")
-        grammar = pcfg_from_treebank(read_treebank(args.mock_treebank))
-        backend = MockPcfgGenerator(
-            grammar, seed=_seed_of(args), template=template, **_given(args, "batch_size")
-        )
+        options = {"treebank": args.mock_treebank, "seed": _seed_of(args)}
+        options.update(_given(args, "batch_size"))
     else:
-        if not args.endpoint:
+        if args.endpoint is None:
             raise SpsError("--backend service requires --endpoint")
-        backend = ServiceGenerator(args.endpoint, template=template, seed=args.seed)
-
+        options = {"endpoint": args.endpoint, "seed": args.seed}
+    backend = _build_generator(args.backend, args.template, **options)
     sentences, provenance = selftrain.build_pool(
         backend,
         stats,
@@ -187,7 +195,7 @@ def cmd_generate(args):
 
 
 def cmd_train(args):
-    inventory = LabelInventory.from_json(args.inventory) if args.inventory else None
+    inventory = _optional(LabelInventory.from_json, args.inventory)
     trees = read_treebank(args.input, inventory=inventory)
     model = train(trees, config=TrainConfig(**_given(args, "alpha", "unk_threshold")))
     model.save(args.output)
@@ -238,8 +246,8 @@ def cmd_select(args):
     )
     refs = selftrain.build_refs(
         cfg,
-        read_treebank(args.source) if args.source else None,
-        read_treebank(args.converted_target) if args.converted_target else None,
+        _optional(read_treebank, args.source),
+        _optional(read_treebank, args.converted_target),
     )
     scored = score(candidates, cfg, refs)
     selected = select_top_k(scored, cfg)
@@ -372,19 +380,15 @@ def _build_experiment(config, seed_override=None, out_dir_override=None):
     del paths["generator.endpoint"]  # no file: ServiceGenerator checks the URL
     _check_inputs(*paths.values(), *exclude)
 
-    def optional_treebank(key):
-        return read_treebank(paths[key]) if paths[key] else None
-
     seed = seed_override if seed_override is not None else config.get("seed", 0)
-    template = paths["generator.template"] and read_text(paths["generator.template"])
     options = {k: v for k, v in gen_cfg.items() if k in _GENERATOR_KEYS[backend]}
-    if backend == "service":
-        generator = ServiceGenerator(template=template, **options)
-    else:
-        grammar = pcfg_from_treebank(read_treebank(options.pop("treebank")))
-        generator = MockPcfgGenerator(
-            grammar, template=template, **{"seed": seed, **options}
-        )
+    if backend == "mock":
+        options = {"seed": seed, **options}
+    generator = _build_generator(backend, paths["generator.template"], **options)
+
+    def optional_treebank(key):
+        return _optional(read_treebank, paths[key])
+
     return Experiment(
         source_trees=read_treebank(paths["source_treebank"]),
         target_examples=_read_sentences(paths["target_examples"]),
@@ -417,10 +421,8 @@ def cmd_self_train(args):
     seeds = config.get("seeds") if args.seed is None else None  # --seed: one run
     if seeds:
         aggregate = selftrain.run_multiseed(experiment, seeds, resume=args.resume)
-        out_dir = experiment.out_dir
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-            write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
+        if experiment.out_dir:
+            write_json(os.path.join(experiment.out_dir, "aggregate.json"), aggregate)
         _summary(
             "self-train",
             seeds=aggregate["seeds"],

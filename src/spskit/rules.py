@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyFeaturesError
-from .treebank import write_text_atomic
 
 __all__ = [
     "SyntacticRule",
@@ -186,14 +185,10 @@ def instance_distance(features, reference):
     return js_divergence(reference, reference.extended(features))
 
 
-def export_rules(counts, path=None):
+def export_rules(counts):
     """Render rule counts as sorted text, one ``parent -> children`` per line.
 
-    Returns the text; writes it to ``path`` when given.  Useful for prompt
-    construction and diffing rule inventories.
+    Useful for prompt construction and diffing rule inventories.
     """
     lines = [format_rule(rule) for rule in sorted(counts)]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if path is not None:
-        write_text_atomic(path, text)
-    return text
+    return "\n".join(lines) + ("\n" if lines else "")

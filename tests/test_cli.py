@@ -527,7 +527,7 @@ class TestPipeline:
         assert "'batch_size'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("endpoint", ["nohost", "ftp://host/complete", "http://"])
+    @pytest.mark.parametrize("endpoint", ["nohost", "ftp://host/complete", "http://", ""])
     def test_generate_refuses_an_endpoint_that_is_no_http_url(
         self, tmp_path, capsys, endpoint
     ):
@@ -1086,9 +1086,10 @@ class TestSelfTrainCommand:
         assert "spskit:summary" in text
 
 
-# The sha256 of every JSON file the CLI writes in one small session, and of
-# eval's printed table: how reports and manifests are serialized may change,
-# but not one byte of what lands on disk.
+# The sha256 of every JSON file the CLI writes in one small session, of
+# eval's printed table, of a mock generation's sentences and of the exported
+# rules: how outputs are built and serialized may change, but not one byte of
+# what lands on disk.
 OUTPUT_DIGESTS = {
     "convert-report.json": "62c0bc90f8b3550c267cfe890176295fb90edc0684c9e455aad5110cc88c9d3a",
     "transfer-report.json": "5932f614aee8364d9411358c991780bd41754787ad653e3f971ffe46f69149e5",
@@ -1098,6 +1099,9 @@ OUTPUT_DIGESTS = {
     "run/seed_1/manifest.json": "a604c748892e9c97e618756d1e4b6f78abf190230150b246538595ea72c2ae5f",
     "run/seed_2/manifest.json": "56838384027d74d67b07ffc6636b2e29049abd5ab3e9b86af7f64c45c5b18178",
     "run/aggregate.json": "2a67497ba5d6885426e2b47b30a6082331a657bacef255b36bfe03fe35a5ab32",
+    "generated.txt": "c40e68f68050e9dbbad49ac8c5edf847970bae288de6112a27c7a458ae4be9e7",
+    "generated.txt.provenance.json": "444f44383672c1a36ae41b1b01b27e5a3c827cea6c222a39438651c589fe0895",
+    "rules.txt": "a4fb91957f58a4d912330702297eb5a99fe69e8bd5924da6a87d44378edc7b62",
 }
 
 
@@ -1150,6 +1154,18 @@ def test_every_json_output_keeps_its_bytes(tmp_path, capsys):
                  "--json", str(tmp_path / "eval.json")]) == 0
     table_text = capsys.readouterr().out.split("spskit:summary ")[0]
     (tmp_path / "eval-table.txt").write_text(table_text, encoding="utf-8")
+
+    template = tmp_path / "template.txt"
+    template.write_text(
+        "Rules (${rule_count}):\n${rules}\nExamples:\n${examples}\nLength: ${length}\n",
+        encoding="utf-8",
+    )
+    assert main(["generate", "--seed", "3", "--stats-from", str(source),
+                 "--examples", str(raw), "--mock-treebank", str(gold),
+                 "--template", str(template), "--count", "20",
+                 "--output", str(tmp_path / "generated.txt")]) == 0
+    assert main(["extract-rules", "--input", str(source),
+                 "--output", str(tmp_path / "rules.txt")]) == 0
 
     run_dir = tmp_path / "self-train"
     run_dir.mkdir()
@@ -1270,6 +1286,20 @@ def test_every_input_flag_refuses_a_file_it_cannot_read(
     assert err.startswith("spskit: error: ")
     assert reason in err
     assert err.count(str(bad)) == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag",
+    [(subcommand, flag) for subcommand, flags in INPUT_FLAGS.items() for flag in flags],
+)
+def test_every_input_flag_refuses_an_empty_path(tmp_path, capsys, subcommand, flag):
+    # Only leaving a flag out leaves its input out: "" names a file, as it
+    # does for a required flag.
+    argv = reader_argv(tmp_path, subcommand)
+    argv[argv.index(flag) + 1] = ""
+    assert main([subcommand, *argv]) == 1
+    assert capsys.readouterr().err == "spskit: error: input file not found: \n"
     assert list((tmp_path / "out").iterdir()) == []
 
 
