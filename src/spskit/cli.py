@@ -72,6 +72,16 @@ def _check_inputs(*paths):
             raise SpsError(f"input file not readable: {path}")
 
 
+def _check_optional_output(path, flag):
+    """Refuse an empty optional output path before anything is written.
+
+    Only leaving ``flag`` out (None) leaves its output out, as for an input.
+    The writer refuses "" too, but only after the command's other outputs.
+    """
+    if path == "":
+        raise SpsError(f"{flag} is empty: it must name an output file")
+
+
 def _read_sentences(path):
     return read_lines(path, lambda _, line: Sentence.from_text(line))
 
@@ -93,13 +103,14 @@ def _build_generator(backend, template, treebank=None, **options):
 
 
 def cmd_convert(args):
+    _check_optional_output(args.report, "--report")
     trees = read_treebank(args.input)
     table = MappingTable.from_json(args.table)
     if args.strict:
         table.strict = True
     converted, report = convert_corpus(trees, table)
     write_treebank(converted, args.output)
-    if args.report:
+    if args.report is not None:
         write_json(args.report, report)
     _summary(
         "convert",
@@ -121,6 +132,7 @@ def cmd_normalize(args):
 
 
 def cmd_transfer_seg(args):
+    _check_optional_output(args.report, "--report")
     trees = read_treebank(args.input)
     lexicon = Lexicon.from_file(args.lexicon)
     split_table = _optional(SplitTable.from_file, args.split_table)
@@ -128,7 +140,7 @@ def cmd_transfer_seg(args):
         trees, lexicon, split_table=split_table, **_given(args, "lookahead")
     )
     write_treebank(out, args.output)
-    if args.report:
+    if args.report is not None:
         write_json(args.report, report)
     _summary(
         "transfer-seg",
@@ -210,11 +222,12 @@ def cmd_train(args):
 
 
 def cmd_parse(args):
+    _check_optional_output(args.confidences, "--confidences")
     model = ParserModel.load(args.model)
     sentences = _read_sentences(args.input)
     results = [parse(model, s) for s in sentences]
     write_treebank([r.tree for r in results], args.output)
-    if args.confidences:
+    if args.confidences is not None:
         write_text_atomic(
             args.confidences,
             "".join(f"{r.confidence:.12g}\n" for r in results),
@@ -230,6 +243,7 @@ def cmd_parse(args):
 
 
 def cmd_select(args):
+    _check_optional_output(args.sidecar, "--sidecar")
     trees = read_treebank(args.candidates)
     confidences = read_lines(
         args.confidences, lambda _, line: probability("confidence", float(line))
@@ -252,7 +266,7 @@ def cmd_select(args):
     scored = score(candidates, cfg, refs)
     selected = select_top_k(scored, cfg)
     write_treebank([p.tree for p in selected], args.output)
-    if args.sidecar:
+    if args.sidecar is not None:
         index = {id(c): i for i, c in enumerate(candidates)}
         chosen = {id(c) for c in selected}
         rows = [
@@ -278,6 +292,7 @@ def cmd_select(args):
 
 
 def cmd_eval(args):
+    _check_optional_output(args.json, "--json")
     preds = read_treebank(args.pred)
     golds = read_treebank(args.gold)
     opts = ScoreOptions(
@@ -288,7 +303,7 @@ def cmd_eval(args):
     report = score_corpus(preds, golds, opts)
     print(report.table())
     print(f"F1 {report.f1:.2f}")
-    if args.json:
+    if args.json is not None:
         write_json(args.json, report)
     _summary(
         "eval",
@@ -404,7 +419,7 @@ def _build_experiment(config, seed_override=None, out_dir_override=None):
         ),
         prompt_config=prompt_config,
         score_options=score_options,
-        out_dir=out_dir_override or config.get("out_dir"),
+        out_dir=config.get("out_dir") if out_dir_override is None else out_dir_override,
         **{
             key: config[key]
             for key in ("iterations", "pool_size", "update_reference")
@@ -421,7 +436,7 @@ def cmd_self_train(args):
     seeds = config.get("seeds") if args.seed is None else None  # --seed: one run
     if seeds:
         aggregate = selftrain.run_multiseed(experiment, seeds, resume=args.resume)
-        if experiment.out_dir:
+        if experiment.out_dir is not None:
             write_json(os.path.join(experiment.out_dir, "aggregate.json"), aggregate)
         _summary(
             "self-train",

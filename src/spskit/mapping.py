@@ -7,7 +7,13 @@ assigns an SPS label to the node itself and/or to each matched child
 position.  Conversion is a top-down relabeling: node shape and leaf tokens
 never change.  Labels assigned by the parent's rule win over the node's own
 rewrite; nodes left with no assignment fall back to the table's default
-label, or raise in strict mode.
+label, or raise in strict mode.  Every label a table holds must re-read from
+a tree's bracketing, as a token must.
+
+A one-token preterminal's conversion depends only on its label, its token
+and the label its parent's rule assigned it, so ``convert_corpus`` converts
+each distinct such triple once and hands the same node to every repeat,
+counting the repeat's fallback again.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import MappingTableError, UnmappedNodeError
-from .treebank import ParseTree, read_json
+from .treebank import ParseTree, _is_token, _preterminal, read_json
 
 __all__ = ["MappingRule", "MappingTable", "convert", "convert_corpus", "ConversionReport"]
 
@@ -156,12 +162,19 @@ def _object(where, key, value):
 
 
 def _label(where, key, value, nullable=False):
-    """``value`` if a non-empty string, or None when ``nullable``; else a
-    MappingTableError naming ``where`` and ``key``."""
-    if (isinstance(value, str) and value) or (nullable and value is None):
+    """``value`` if a label, or None when ``nullable``; else a
+    MappingTableError naming ``where`` and ``key``.
+
+    A label is a non-empty string with no whitespace and no ASCII parenthesis,
+    so that a tree holding it re-reads from its bracketing.
+    """
+    if (isinstance(value, str) and _is_token(value)) or (nullable and value is None):
         return value
-    expected = "a non-empty string or null" if nullable else "a non-empty string"
-    raise MappingTableError(f"{where}: {key} must be {expected}, got {value!r}")
+    expected = "a label or null" if nullable else "a label"
+    raise MappingTableError(
+        f"{where}: {key} must be {expected} (a non-empty string with no whitespace "
+        f"and no ASCII parenthesis), got {value!r}"
+    )
 
 
 def _child_labels(where, key, children, nullable=False):
@@ -196,44 +209,83 @@ def convert(tree, table, report=None):
     if report is None:
         report = ConversionReport()
     report.trees += 1
+    return _convert_node(tree, None, table, report, {})
 
-    return _convert_node(tree, None, table, report)
 
-
-def _convert_node(node, assigned, table, report):
+def _convert_node(node, assigned, table, report, preterminals):
     """The relabeled copy of ``node``'s subtree; ``assigned`` is the label
-    its parent's rule gave its position, if any."""
-    rule = table.best_match(node)
-    label = assigned
-    if label is None and rule is not None:
-        label = rule.parent_rewrite
-    if label is None:
-        if table.strict:
-            raise UnmappedNodeError(f"no rule assigns a label to node {node.label!r}")
-        label = table.default_label
-        report.fallback_count += 1
-        report.fallbacks_by_label[node.label] += 1
+    its parent's rule gave its position, if any.
 
-    child_assignments = [None] * len(node.children)
+    ``preterminals`` maps each one-token preterminal's (label, token,
+    assigned) to its copy and whether its label fell back to the default, so
+    a repeat skips the rule scan and the node build.  The copies themselves
+    are kept in it by ``treebank._preterminal``.
+    """
+    children = node.children
+    if len(children) == 1 and isinstance(children[0], str):
+        key = (node.label, children[0], assigned)
+        known = preterminals.get(key)
+        if known is None:
+            label, fell_back = _new_label(node, assigned, table.best_match(node), table)
+            known = preterminals[key] = (
+                _preterminal(preterminals, label, children[0]),
+                fell_back,
+            )
+        copy, fell_back = known
+        if fell_back:
+            _count_fallback(report, node.label)
+        return copy
+
+    rule = table.best_match(node)
+    label, fell_back = _new_label(node, assigned, rule, table)
+    if fell_back:
+        _count_fallback(report, node.label)
+    child_assignments = [None] * len(children)
     if rule is not None and rule.child_rewrites is not None:
         child_assignments = list(rule.child_rewrites)
 
     new_children = []
-    for child, child_assigned in zip(node.children, child_assignments):
+    for child, child_assigned in zip(children, child_assignments):
         if isinstance(child, str):
             new_children.append(child)
         else:
-            new_children.append(_convert_node(child, child_assigned, table, report))
+            new_children.append(
+                _convert_node(child, child_assigned, table, report, preterminals)
+            )
     return ParseTree(label, tuple(new_children))
 
 
+def _new_label(node, assigned, rule, table):
+    """``node``'s converted label and whether it fell back to the default;
+    UnmappedNodeError instead of a fallback in strict mode."""
+    label = assigned
+    if label is None and rule is not None:
+        label = rule.parent_rewrite
+    if label is not None:
+        return label, False
+    if table.strict:
+        raise UnmappedNodeError(f"no rule assigns a label to node {node.label!r}")
+    return table.default_label, True
+
+
+def _count_fallback(report, label):
+    report.fallback_count += 1
+    report.fallbacks_by_label[label] += 1
+
+
 def convert_corpus(trees, table):
-    """Element-wise convert; strict-mode errors carry the failing tree index."""
+    """Element-wise convert; strict-mode errors carry the failing tree index.
+
+    Each distinct one-token preterminal is converted once per call, and its
+    copy is one node wherever it repeats.
+    """
     report = ConversionReport()
+    preterminals = {}
     converted = []
     for index, tree in enumerate(trees):
+        report.trees += 1
         try:
-            converted.append(convert(tree, table, report=report))
+            converted.append(_convert_node(tree, None, table, report, preterminals))
         except UnmappedNodeError as e:
             raise UnmappedNodeError(f"tree {index}: {e}") from e
     return converted, report

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, ModelFormatError, int_at_least, non_negative_number
 from .rules import SyntacticRule
-from .treebank import ParseTree, Sentence, read_json, write_json
+from .treebank import ParseTree, Sentence, _is_token, read_json, write_json
 
 __all__ = [
     "TrainConfig",
@@ -197,8 +197,13 @@ class ParserModel:
 
 
 def _string(value):
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"{value!r} is not a non-empty string")
+    """``value`` if it can be a label or token of a tree: every string a model
+    holds is one or the other."""
+    if not (isinstance(value, str) and _is_token(value)):
+        raise ValueError(
+            f"{value!r} is not a non-empty string free of whitespace and ASCII "
+            "parentheses"
+        )
     return value
 
 

@@ -22,7 +22,9 @@ working tree and its leaf list, each leaf paired with its parent; every step
 keeps that list in step with the tree as it splits, merges and undoes leaves,
 so no step walks the tree again.  Each tree is converted to that form once
 and back once; converting back returns the input's own node for every
-subtree the steps left unchanged.
+subtree the steps left unchanged.  An input may hold one node at several
+positions (``treebank`` shares equal preterminals); the working form has one
+unit per position, so a step changes only the position it edits.
 
 All operations require standard treebank form: every token sits alone under a
 preterminal node.  Merges only join leaves whose preterminals share a parent,

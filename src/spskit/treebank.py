@@ -6,11 +6,19 @@ return the input's own nodes wherever they change nothing
 (``normalize_pos_nodes`` here, segmentation transfer in ``segmentation``), so
 outputs share their unchanged subtrees with their inputs.  The interchange
 format is Penn-style bracketing, one tree per line, UTF-8, single-space
-separated.  Tokens must not contain whitespace or ASCII parentheses (CJK
-corpora use the full-width variants, so this costs nothing in practice);
-ParseTree and Sentence reject such tokens, so every tree re-reads from its
-bracketing.  Every input file is opened by ``read_text`` here, and every
-output written by ``write_text_atomic``.
+separated.  Tokens and labels must not contain whitespace or ASCII
+parentheses (CJK corpora use the full-width variants, so this costs nothing
+in practice); ParseTree and Sentence reject such tokens, and ParseTree such
+labels, so every tree re-reads from its bracketing.  Every input file is
+opened by ``read_text`` here, and every output written by
+``write_text_atomic``.
+
+Because trees are immutable, equal nodes may be one object: within one pass
+over a corpus, ``read_treebank`` and ``mapping.convert_corpus`` each build
+one node per distinct one-token preterminal (``_preterminal``) and hand it
+to every position that holds it.  A node therefore stands for its value, not
+its position, and no caller may key anything on a node's identity; only
+``PseudoTree`` candidates are keyed by ``id``.
 """
 
 from __future__ import annotations
@@ -43,12 +51,21 @@ __all__ = [
 
 
 _TOKEN_RULE = "tokens must be non-empty, whitespace-free and hold no ASCII parenthesis"
+_LABEL_RULE = (
+    "labels, like tokens, must be non-empty, whitespace-free and hold no ASCII "
+    "parenthesis"
+)
 
 
 def _is_token(text):
-    """Whether ``text`` can be a leaf and still re-read from its bracketing."""
-    # str.split() splits at exactly the characters str.isspace() accepts.
-    return text.split() == [text] and "(" not in text and ")" not in text
+    """Whether ``text`` can be a leaf or a label and still re-read from its
+    bracketing."""
+    # No letter or digit is whitespace or a parenthesis, so most labels and
+    # tokens pass on isalnum() alone.  str.split() splits at exactly the
+    # characters str.isspace() accepts.
+    return text.isalnum() or (
+        text.split() == [text] and "(" not in text and ")" not in text
+    )
 
 
 # ParseTree, Sentence, PseudoTree and SyntacticRule are slotted: a corpus holds
@@ -71,8 +88,8 @@ class ParseTree:
     children: tuple
 
     def __post_init__(self):
-        if not self.label:
-            raise TreeSyntaxError("empty node label")
+        if not (isinstance(self.label, str) and _is_token(self.label)):
+            raise TreeSyntaxError(f"bad node label {self.label!r}: {_LABEL_RULE}")
         if not self.children:
             raise TreeSyntaxError(f"node {self.label!r} has no children")
         for child in self.children:
@@ -200,6 +217,20 @@ def default_inventory():
     return _inventory(json.loads(text), "shipped inventory")
 
 
+def _preterminal(table, label, token):
+    """The preterminal ``(label token)`` held in ``table`` under (label,
+    token), built and added on first use.
+
+    One pass over a corpus keeps one table, so it builds each distinct
+    preterminal once and hands that node to every position that holds it.
+    """
+    key = (label, token)
+    node = table.get(key)
+    if node is None:
+        node = table[key] = ParseTree(label, (token,))
+    return node
+
+
 def parse_bracketed(text, inventory=None):
     """Parse one balanced bracketed expression into a ParseTree.
 
@@ -211,8 +242,10 @@ def parse_bracketed(text, inventory=None):
 def _parse_bracketed(text, inventory, strings):
     """parse_bracketed, keeping one copy of each label and token in ``strings``.
 
-    ``strings`` maps a string to the copy already in use, so equal labels and
-    tokens across every tree parsed with the same dict are one object.
+    ``strings`` maps a string to the copy already in use, and a (label, token)
+    pair to the one-token preterminal already built, so equal labels, tokens
+    and such preterminals across every tree parsed with the same dict are one
+    object.
     """
     tokens = [
         strings.setdefault(token, token)
@@ -242,7 +275,10 @@ def _parse_bracketed(text, inventory, strings):
         elif token == ")":
             if not children:
                 raise TreeSyntaxError(f"node {label!r} has no children")
-            tree = ParseTree(label, tuple(children))
+            if len(children) == 1 and isinstance(children[0], str):
+                tree = _preterminal(strings, label, children[0])
+            else:
+                tree = ParseTree(label, tuple(children))
             if not enclosing:
                 break
             label, children = enclosing.pop()
@@ -380,7 +416,8 @@ def read_treebank(path, inventory=None):
     """Read a one-tree-per-line file; blank lines are ignored.
 
     A syntax or label error reads ``path:line: message``.  Equal labels and
-    tokens are one string object across the file's trees.
+    tokens are one string object, and equal one-token preterminals one node,
+    across the file's trees.
     """
     strings = {}
     return read_lines(path, lambda _, text: _parse_bracketed(text, inventory, strings))

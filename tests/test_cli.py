@@ -303,6 +303,25 @@ class TestPipeline:
         assert "spskit: error:" in err and "rule 0: 'priority'" in err
         assert not converted.exists()
 
+    def test_convert_rejects_a_label_that_would_not_re_read(self, tmp_path, capsys):
+        # "(s p (x a) (x b))" would read back as label "s" over a token "p".
+        treebank = tmp_path / "const.txt"
+        treebank.write_text("(s (n a) (v b))\n", encoding="utf-8")
+        table = tmp_path / "table.json"
+        rule = {"pattern": {"parent": "s"}, "rewrite": {"parent": "s p"}, "priority": 1}
+        table.write_text(
+            json.dumps({"default_label": "x", "rules": [rule]}), encoding="utf-8"
+        )
+        converted = tmp_path / "sps.txt"
+        assert main(
+            ["convert", "--input", str(treebank), "--table", str(table),
+             "--output", str(converted)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"spskit: error: mapping table {table} rule 0: ")
+        assert "rewrite 'parent' must be a label" in err and "'s p'" in err
+        assert not converted.exists()
+
     @pytest.mark.parametrize("key, value", [("default_label", 5), ("strict", "no")])
     def test_convert_rejects_a_table_value_of_the_wrong_type(
         self, tmp_path, capsys, key, value
@@ -1301,6 +1320,36 @@ def test_every_input_flag_refuses_an_empty_path(tmp_path, capsys, subcommand, fl
     assert main([subcommand, *argv]) == 1
     assert capsys.readouterr().err == "spskit: error: input file not found: \n"
     assert list((tmp_path / "out").iterdir()) == []
+
+
+# Every optional output flag, and what refusing an empty value says.
+OPTIONAL_OUTPUTS = {
+    ("convert", "--report"): "--report is empty",
+    ("transfer-seg", "--report"): "--report is empty",
+    ("parse", "--confidences"): "--confidences is empty",
+    ("select", "--sidecar"): "--sidecar is empty",
+    ("eval", "--json"): "--json is empty",
+    ("self-train", "--out-dir"): "'out_dir' must be a non-empty string",
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag", list(OPTIONAL_OUTPUTS), ids=[" ".join(k) for k in OPTIONAL_OUTPUTS]
+)
+def test_every_optional_output_flag_refuses_an_empty_path(
+    tmp_path, capsys, monkeypatch, subcommand, flag
+):
+    # Only leaving a flag out leaves its output out: "" is refused before
+    # anything is written, not read as "no report" or as the config's out_dir.
+    argv = reader_argv(tmp_path, subcommand)
+    argv[argv.index(flag) + 1] = ""
+    monkeypatch.chdir(tmp_path / "out")
+    assert main([subcommand, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spskit: error: ")
+    assert OPTIONAL_OUTPUTS[subcommand, flag] in err
+    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "in" / "run").exists()  # the config's out_dir
 
 
 def test_the_reader_table_covers_every_subcommand():

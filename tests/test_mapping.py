@@ -1,11 +1,18 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from spskit.errors import MappingTableError, UnmappedNodeError
-from spskit.mapping import MappingRule, MappingTable, convert, convert_corpus
+from spskit.mapping import (
+    ConversionReport,
+    MappingRule,
+    MappingTable,
+    convert,
+    convert_corpus,
+)
 from spskit.treebank import ParseTree, parse_bracketed, serialize
 
 tokens = st.text(alphabet="abc指标", min_size=1, max_size=3)
@@ -162,6 +169,56 @@ class TestConvertCorpus:
         assert out == list(corpus)
         assert report.fallback_count == 0
 
+    @given(st.lists(trees(), max_size=12))
+    def test_fallbacks_equal_the_per_tree_sums(self, corpus):
+        # A corpus repeats its preterminals, fallbacks among them, across
+        # trees; NN is assigned a label under NP [NN] and falls back elsewhere.
+        table = MappingTable(
+            rules=[
+                rule("IP", ["NP", "VP"], "sps", ["subject", "predicate"], priority=3),
+                rule("NP", ["NN"], "np", ["head"], priority=2),
+                rule("VV", None, "v", priority=1),
+            ],
+            default_label="att",
+        )
+        corpus = corpus + [parse_bracketed("(IP (NP (NN a)) (VP (XX a)))")] * 2
+        out, report = convert_corpus(corpus, table)
+        reports = [ConversionReport() for _ in corpus]
+        assert out == [convert(t, table, r) for t, r in zip(corpus, reports)]
+        assert report.trees == len(corpus)
+        assert report.fallback_count == sum(r.fallback_count for r in reports)
+        assert report.fallbacks_by_label == sum(
+            (r.fallbacks_by_label for r in reports), Counter()
+        )
+
+    def test_equal_preterminals_convert_to_one_node(self, subject_predicate_table):
+        clean = parse_bracketed("(IP (NP (NN 指标)) (VP (VV 高于)))")
+        again = parse_bracketed("(IP (NP (NN 指标)) (VP (VV 指标)))")
+        (first, second), report = convert_corpus([clean, again], subject_predicate_table)
+        assert report.fallback_count == 4
+        assert report.fallbacks_by_label == Counter({"NN": 2, "VV": 2})
+        assert first.children[0].children[0] is second.children[0].children[0]
+
+    def test_strict_error_names_the_first_failing_tree(self):
+        # NN converts under NP, whose rule assigns it a label, and fails
+        # alone: its earlier conversion must not be taken for the failing one.
+        table = MappingTable(
+            rules=[
+                rule("IP", None, "s", priority=1),
+                rule("NP", ["NN"], "np", ["head"], priority=2),
+            ],
+            default_label="att",
+            strict=True,
+        )
+        corpus = [
+            parse_bracketed("(IP (NP (NN a)))"),
+            parse_bracketed("(IP (NP (NN a)) (NP (NN a)))"),
+            parse_bracketed("(IP (NN a))"),
+            parse_bracketed("(IP (NN a))"),
+        ]
+        with pytest.raises(UnmappedNodeError, match="^tree 2: .*'NN'"):
+            convert_corpus(corpus, table)
+
     def test_strict_error_carries_tree_index(self):
         table = MappingTable(
             rules=[rule("IP", None, "s", priority=1)],
@@ -242,6 +299,12 @@ class TestMappingTable:
             ("rewrite", {"parent": ""}, "rewrite 'parent'"),
             ("rewrite", {"parent": "s", "children": "ab"}, "rewrite 'children'"),
             ("rewrite", {"parent": "s", "children": [1, None]}, "rewrite 'children'"),
+            # A label that would not re-read from a tree's bracketing.
+            ("pattern", {"parent": "I P"}, "pattern 'parent'"),
+            ("pattern", {"parent": "IP", "children": ["NP", "(VP"]}, "pattern 'children'"),
+            ("rewrite", {"parent": "s p"}, "rewrite 'parent'"),
+            ("rewrite", {"parent": "s)"}, "rewrite 'parent'"),
+            ("rewrite", {"parent": "s", "children": ["a\tb", None]}, "rewrite 'children'"),
         ],
     )
     def test_from_json_names_a_rule_value_of_the_wrong_type(
@@ -270,6 +333,8 @@ class TestMappingTable:
             ("default_label", 5),
             ("default_label", ""),
             ("default_label", None),
+            ("default_label", "a b"),
+            ("default_label", "(att"),
             ("strict", "no"),
             ("strict", 1),
             ("strict", None),

@@ -588,6 +588,23 @@ class TestModelPersistence:
     @pytest.mark.parametrize(
         "keys, value",
         [
+            (("rules", 0, 0), "su bj"),
+            (("roots",), {"su bj": 1.0}),
+            (("lexical", 0, 1), "a(b"),
+            (("fallback_pos",), "x)"),
+        ],
+        ids=["space-parent", "space-root", "paren-token", "paren-fallback-pos"],
+    )
+    def test_load_rejects_a_label_a_tree_could_not_re_read(self, tmp_path, keys, value):
+        # Caught at load, naming the file, not at the first parse.
+        path = self.saved_with(tmp_path, keys, value)
+        with pytest.raises(ModelFormatError, match=re.escape(str(path))) as err:
+            ParserModel.load(path)
+        assert "whitespace and ASCII parentheses" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
             (("alpha",), "x"),
             (("alpha",), -0.5),
             (("unk_threshold",), None),

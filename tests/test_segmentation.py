@@ -570,6 +570,15 @@ class TestTransformsShareUnchangedNodes:
         assert out.children[1] is untouched
         assert out is not tree and out.children[0] is not split_in
 
+    def test_one_node_at_two_positions_changes_at_one(self, toy_lexicon):
+        # A read tree holds one node per distinct preterminal.
+        tree = parse_bracketed("(s (n 节) (n 圣诞) (n 节))")
+        assert tree.children[0] is tree.children[2]
+        out, _ = transfer_corpus([tree], toy_lexicon)
+        assert serialize(out[0]) == "(s (n 节) (n 圣诞节))"
+        assert out[0].children[0] is tree.children[0]
+        assert serialize(tree) == "(s (n 节) (n 圣诞) (n 节))"
+
     def test_a_tree_no_stage_changes_is_returned_as_it_is(self, toy_lexicon):
         tree = parse_bracketed("(s (x (n 武侠) (v 惹)) (n 到))")
         assert transfer_corpus([tree], toy_lexicon)[0][0] is tree

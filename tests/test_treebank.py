@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from spskit.treebank import (
     LabelInventory,
     ParseTree,
     Sentence,
+    _is_token,
     default_inventory,
     normalize_pos_nodes,
     parse_bracketed,
@@ -227,6 +229,18 @@ class TestTreebankFiles:
         shared = {id(token) for tree in (first, second) for token in tree.leaves()}
         assert len(shared) == 2  # 指标 three times, 高于 once
 
+    def test_equal_preterminals_of_one_file_are_one_node(self, tmp_path):
+        lines = ["(subj (n 指标) (n 指标))", "(subj (v 指标) (n 指标))", "(n 指标)", "(n 指标)"]
+        path = tmp_path / "trees.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        trees = read_treebank(path)
+        # The repeated one-node tree still reads as two equal entries.
+        assert trees == [parse_bracketed(line) for line in lines]
+        first, second, third, fourth = trees
+        nodes = [first.children[0], first.children[1], second.children[1], third, fourth]
+        assert len({id(node) for node in nodes}) == 1
+        assert second.children[0] is not first.children[0]  # another label
+
     def test_unknown_labels_all_reported(self, fig_inventory):
         tree = parse_bracketed("(adv (zz a) (yy b))")
         with pytest.raises(LabelError) as err:
@@ -310,13 +324,34 @@ class TestDomainTypes:
         assert parse_bracketed(serialize(tree)) == tree
         assert Sentence((token,)).tokens == (token,)
 
+    def test_the_token_rule_matches_its_definition_on_every_character(self):
+        # _is_token passes letters and digits without splitting; no code point
+        # may make that shortcut disagree with the rule itself (a string is
+        # alphanumeric when each of its characters is).
+        for code in range(sys.maxunicode + 1):
+            char = chr(code)
+            expected = char.split() == [char] and char not in "()"
+            assert _is_token(char) == expected, hex(code)
+
     def test_node_invariants(self):
         with pytest.raises(TreeSyntaxError):
             ParseTree("a", ())
         with pytest.raises(TreeSyntaxError):
             ParseTree("a", ("tok en",))
-        with pytest.raises(TreeSyntaxError):
-            ParseTree("", ("x",))
+        for label in ("", "s p", "s\tp", "(s", "s)", None, 5):
+            with pytest.raises(TreeSyntaxError, match="bad node label"):
+                ParseTree(label, ("x",))
+
+    @given(st.text(alphabet="a(天) \u3000", min_size=1, max_size=4))
+    def test_a_label_is_rejected_or_re_reads(self, label):
+        # "s p" used to be written as "(s p (n a))", which reads back as
+        # label "s" over a stray token "p".
+        if label.split() != [label] or "(" in label or ")" in label:
+            with pytest.raises(TreeSyntaxError):
+                ParseTree(label, ("x",))
+            return
+        tree = ParseTree("s", (ParseTree(label, ("x",)),))
+        assert parse_bracketed(serialize(tree)) == tree
 
     def test_tree_helpers(self, flat_time_tree):
         assert flat_time_tree.sentence() == Sentence(("昨天", "晚上", "，"))
