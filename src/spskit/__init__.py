@@ -19,7 +19,7 @@ from .generator import (
     render_prompt,
     sample_prompt,
 )
-from .mapping import MappingRule, MappingTable, convert, convert_corpus
+from .mapping import MappingRule, MappingTable, convert_corpus
 from .parser import ParserModel, PcfgBackend, PseudoTree, TrainConfig, parse, train
 from .rules import (
     RuleDistribution,

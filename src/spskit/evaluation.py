@@ -4,8 +4,8 @@ Spans are (label, start, end) over token positions, micro-averaged across the
 corpus in the evalb convention.  By default the root span and preterminal
 (POS-level) spans are not counted; punctuation spans are counted unless their
 labels are listed in ``exclude_labels``.  Scores are on a 0..100 scale.
-``score_corpus`` accepts the gold trees' spans precomputed, for a caller that
-scores many predictions against the same gold trees.
+``score_corpus`` counts matched, predicted and gold spans per label; the
+corpus totals are their sums.
 """
 
 from __future__ import annotations
@@ -95,52 +95,36 @@ class ScoreReport:
         return "\n".join(lines)
 
 
-def score_corpus(preds, golds, opts=ScoreOptions(), *, gold_spans=None):
-    """Micro-averaged report over aligned prediction/gold corpora.
-
-    ``gold_spans``, when given, holds ``spans(gold, opts)`` for every gold
-    tree, so a caller scoring the same golds again and again builds them
-    once.  The leaves of every pair are still checked.
-    """
+def score_corpus(preds, golds, opts=ScoreOptions()):
+    """Micro-averaged report over aligned prediction/gold corpora."""
     preds = list(preds)
     golds = list(golds)
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} vs {len(golds)}")
     if not preds:
         raise ValueError("cannot score an empty corpus")
-    if gold_spans is not None and len(gold_spans) != len(golds):
-        raise ValueError(
-            f"length mismatch: {len(gold_spans)} gold span sets for {len(golds)} trees"
-        )
 
-    matched = predicted = gold_total = 0
-    by_label = {}
-    for index, (pred, gold) in enumerate(zip(preds, golds)):
-        if pred.leaves() != gold.leaves():
+    matched, predicted, gold = Counter(), Counter(), Counter()  # spans per label
+    for index, (pred_tree, gold_tree) in enumerate(zip(preds, golds)):
+        if pred_tree.leaves() != gold_tree.leaves():
             raise TokenMismatchError(
                 f"pair {index}: token sequences differ: "
-                f"{pred.leaves()!r} vs {gold.leaves()!r}"
+                f"{pred_tree.leaves()!r} vs {gold_tree.leaves()!r}"
             )
-        pred_spans = spans(pred, opts)
-        gold_counted = spans(gold, opts) if gold_spans is None else gold_spans[index]
-        hit = pred_spans & gold_counted
-        matched += sum(hit.values())
-        predicted += sum(pred_spans.values())
-        gold_total += sum(gold_counted.values())
+        pred_spans = spans(pred_tree, opts)
+        gold_spans = spans(gold_tree, opts)
         for (label, _, _), c in pred_spans.items():
-            m, p, g = by_label.get(label, (0, 0, 0))
-            by_label[label] = (m, p + c, g)
-        for (label, _, _), c in gold_counted.items():
-            m, p, g = by_label.get(label, (0, 0, 0))
-            by_label[label] = (m, p, g + c)
-        for (label, _, _), c in hit.items():
-            m, p, g = by_label[label]
-            by_label[label] = (m + c, p, g)
+            predicted[label] += c
+        for (label, _, _), c in gold_spans.items():
+            gold[label] += c
+        for (label, _, _), c in (pred_spans & gold_spans).items():
+            matched[label] += c
 
+    m, p, g = matched.total(), predicted.total(), gold.total()
     return ScoreReport(
-        **_prf(matched, predicted, gold_total),
-        matched=matched,
-        predicted=predicted,
-        gold=gold_total,
-        per_label={label: _prf(m, p, g) for label, (m, p, g) in by_label.items()},
+        **_prf(m, p, g), matched=m, predicted=p, gold=g,
+        per_label={
+            label: _prf(matched[label], predicted[label], gold[label])
+            for label in predicted | gold
+        },
     )

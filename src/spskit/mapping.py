@@ -10,10 +10,11 @@ rewrite; nodes left with no assignment fall back to the table's default
 label, or raise in strict mode.  Every label a table holds must re-read from
 a tree's bracketing, as a token must.
 
-A one-token preterminal's conversion depends only on its label, its token
-and the label its parent's rule assigned it, so ``convert_corpus`` converts
-each distinct such triple once and hands the same node to every repeat,
-counting the repeat's fallback again.
+``convert_corpus`` is the one entry point, for one tree as for a corpus.  A
+one-token preterminal's conversion depends only on its label, its token and
+the label its parent's rule assigned it, so it converts each distinct such
+triple once per call and hands the same node to every repeat, counting the
+repeat's fallback again.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from .errors import MappingTableError, UnmappedNodeError
 from .treebank import ParseTree, _is_token, _preterminal, read_json
 
-__all__ = ["MappingRule", "MappingTable", "convert", "convert_corpus", "ConversionReport"]
+__all__ = ["MappingRule", "MappingTable", "convert_corpus", "ConversionReport"]
 
 WILDCARD = "*"
 
@@ -199,19 +200,6 @@ class ConversionReport:
     fallbacks_by_label: Counter = field(default_factory=Counter)
 
 
-def convert(tree, table, report=None):
-    """Relabel a constituency tree into an SPS tree using the rule table.
-
-    Top-down: at each node the highest-priority matching rule (matched on the
-    original labels) relabels the node and its child positions.  Leaf tokens
-    are untouched and tree shape is preserved.
-    """
-    if report is None:
-        report = ConversionReport()
-    report.trees += 1
-    return _convert_node(tree, None, table, report, {})
-
-
 def _convert_node(node, assigned, table, report, preterminals):
     """The relabeled copy of ``node``'s subtree; ``assigned`` is the label
     its parent's rule gave its position, if any.
@@ -274,10 +262,12 @@ def _count_fallback(report, label):
 
 
 def convert_corpus(trees, table):
-    """Element-wise convert; strict-mode errors carry the failing tree index.
+    """(relabeled trees, ``ConversionReport``) of ``trees`` under the rule table.
 
-    Each distinct one-token preterminal is converted once per call, and its
-    copy is one node wherever it repeats.
+    Top-down: at each node the highest-priority matching rule (matched on the
+    original labels) relabels the node and its child positions.  Leaf tokens
+    are untouched and tree shape is preserved.  Strict-mode errors carry the
+    failing tree index.
     """
     report = ConversionReport()
     preterminals = {}

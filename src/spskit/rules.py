@@ -60,19 +60,14 @@ def extract_rules(tree, exclude_labels=()):
     children are all omitted is dropped.  Rules are counted in first-seen
     order, nodes in preorder.
     """
-    return _count_rules((tree,), exclude_labels)
+    return extract_corpus_rules((tree,), exclude_labels)
 
 
 def extract_corpus_rules(trees, exclude_labels=()):
-    """Aggregate rule counts over a corpus, in first-seen order across it."""
-    return _count_rules(trees, exclude_labels)
+    """Aggregate rule counts over a corpus, in first-seen order across it.
 
-
-def _count_rules(trees, exclude_labels):
-    """The rule Counter of ``trees``, walked in preorder with one stack.
-
-    Counts (parent, child labels) keys and builds each SyntacticRule once
-    per distinct key.
+    One preorder walk with one stack counts (parent, child labels) keys and
+    builds each SyntacticRule once per distinct key.
     """
     exclude = frozenset(exclude_labels)
     keys = {}

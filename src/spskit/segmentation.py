@@ -94,15 +94,6 @@ class SplitTable:
             word: _checked_parts(word, parts) for word, parts in entries.items()
         }
 
-    def __contains__(self, word):
-        return word in self.entries
-
-    def __getitem__(self, word):
-        return self.entries[word]
-
-    def __len__(self):
-        return len(self.entries)
-
     @classmethod
     def from_file(cls, path):
         """Two-column TSV: word TAB space-joined parts, one line per word."""
@@ -405,8 +396,8 @@ def transfer_corpus(trees, lex, split_table=None, lookahead=DEFAULT_LOOKAHEAD):
     carries the final flags (post-resolution) and one merge record per
     surviving merged leaf.
     """
-    if lookahead < 1:
-        raise ValueError(f"lookahead must be >= 1, got {lookahead}")
+    if isinstance(lookahead, bool) or not isinstance(lookahead, int) or lookahead < 1:
+        raise ValueError(f"lookahead must be >= 1 and an int, got {lookahead!r}")
     out = []
     report = TransferReport()
     for index, tree in enumerate(trees):

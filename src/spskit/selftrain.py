@@ -8,10 +8,10 @@ reference.  The iteration then generates a fresh candidate pool, parses it
 with the current parser, selects the top K under the configured criterion,
 retrains on the whole training set (the PCFG backend counts only the trees
 added since its last call, and gets the model a full recount would), and
-evaluates on the held-out dev sets, whose sentences and gold spans are built
-once per run.  Accepted pseudo-trees persist for all later iterations.  The
-parser backend needs only ``train(trees)`` and ``parse(model, sentence)``:
-the pool and the dev sets are parsed one sentence at a time, in this process.
+evaluates on the held-out dev sets, whose sentences are built once per run.
+Accepted pseudo-trees persist for all later iterations.  The parser backend
+needs only ``train(trees)`` and ``parse(model, sentence)``: the pool and the
+dev sets are parsed one sentence at a time, in this process.
 
 Dev and test sentences are barred from the prompt example pool and from the
 candidate pool by token-sequence hash, so they can never leak into training.
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConfigError, GenerationError, SpsError, boolean, int_at_least
-from .evaluation import ScoreOptions, score_corpus, spans
+from .evaluation import ScoreOptions, score_corpus
 from .generator import PromptConfig, corpus_stats, sample_prompt
 from .rules import RuleDistribution, extract_corpus_rules, token_counts
 from .seeding import substream
@@ -191,34 +191,36 @@ def build_refs(cfg, source_trees=None, converted_target_trees=None):
     Rules leave out ``cfg.exclude_labels``.  When the corpus is not given the
     reference stays None, so scoring fails with a ConfigError naming it.
     """
-    refs = SelectionRefs()
     name = cfg.reference_name
     corpus = source_trees
     if name == "converted_target_rules":
         corpus = converted_target_trees
-    if name and corpus:
-        if cfg.mode == "tokens":
-            counts = token_counts(corpus)
-        else:
-            counts = extract_corpus_rules(corpus, exclude_labels=cfg.exclude_labels)
-        setattr(refs, name, RuleDistribution(counts))
-    return refs
+    if not (name and corpus):
+        return SelectionRefs()
+    if cfg.mode == "tokens":
+        return _refs(cfg, token_counts(corpus))
+    return _refs(cfg, extract_corpus_rules(corpus, exclude_labels=cfg.exclude_labels))
+
+
+def _refs(cfg, counts):
+    """``SelectionRefs`` holding only ``cfg``'s reference, the distribution of
+    ``counts``."""
+    return SelectionRefs(**{cfg.reference_name: RuleDistribution(counts)})
 
 
 class _DevSet(NamedTuple):
-    """A dev set's gold trees with their sentences and gold spans, built once
-    per run and scored every iteration."""
+    """A dev set's gold trees with their sentences, built once per run and
+    scored every iteration."""
 
     golds: list
     sentences: list
-    gold_spans: list
 
 
-def _dev_set(golds, opts):
+def _dev_set(golds):
     """The ``_DevSet`` of ``golds``; None for a missing or empty set."""
     if not golds:
         return None
-    return _DevSet(golds, [g.sentence() for g in golds], [spans(g, opts) for g in golds])
+    return _DevSet(golds, [g.sentence() for g in golds])
 
 
 def _record(experiment, model, devs, **fields):
@@ -230,10 +232,7 @@ def _record(experiment, model, devs, **fields):
             return None
         backend = experiment.parser_backend
         preds = [backend.parse(model, sentence).tree for sentence in dev.sentences]
-        report = score_corpus(
-            preds, dev.golds, experiment.score_options, gold_spans=dev.gold_spans
-        )
-        return round(report.f1, 4)
+        return round(score_corpus(preds, dev.golds, experiment.score_options).f1, 4)
 
     source, target = devs
     return IterationRecord(
@@ -347,10 +346,7 @@ def run(experiment, resume=False):
                 train_set += read_treebank(os.path.join(out_dir, name))
             manifest.status = "running"
 
-    devs = tuple(
-        _dev_set(golds, experiment.score_options)
-        for golds in (experiment.source_dev, experiment.target_dev)
-    )
+    devs = (_dev_set(experiment.source_dev), _dev_set(experiment.target_dev))
     excluded = {s.tokens for dev in devs if dev for s in dev.sentences}
     excluded.update(s.tokens for s in experiment.exclude_sentences)
     example_pool = [s for s in experiment.target_examples if s.tokens not in excluded]
@@ -388,9 +384,9 @@ def run(experiment, resume=False):
             )
             if experiment.update_reference:
                 tokens = criterion.mode == "tokens"
-                counts = stats.token_counts if tokens else stats.rule_counts
-                refs = SelectionRefs()
-                setattr(refs, criterion.reference_name, RuleDistribution(counts))
+                refs = _refs(
+                    criterion, stats.token_counts if tokens else stats.rule_counts
+                )
             pool, _ = build_pool(
                 experiment.generator_backend,
                 stats,

@@ -360,7 +360,8 @@ def _splice(node, pos_labels):
 
 
 def read_text(path):
-    """The text of input file ``path``, every line ending read as ``\\n``.
+    """The text of input file ``path``, every line ending read as ``\\n`` and
+    a leading byte-order mark dropped.
 
     A path that is missing or a directory, a file that cannot be read, and
     one that is not UTF-8 are each an SpsError naming ``path``.
@@ -378,8 +379,9 @@ def read_text(path):
         raise SpsError(
             f"input file not UTF-8: {path} ({e.reason} at byte {e.start})"
         ) from None
-    # What reading in text mode does: "\r\n" and a lone "\r" end a line.
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    # The mark is dropped after decoding: "utf-8-sig" would count error
+    # offsets from after it.  As in text mode, "\r\n" and a lone "\r" end a line.
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_json(path, error=SpsError):

@@ -17,7 +17,13 @@ from spskit.generator import PromptConfig
 from spskit.parser import PcfgBackend, TrainConfig, train
 from spskit.selection import CriterionConfig
 from spskit.synthetic import sample_corpus, source_grammar, target_grammar
-from spskit.treebank import parse_bracketed, read_treebank, write_json, write_treebank
+from spskit.treebank import (
+    parse_bracketed,
+    read_treebank,
+    serialize,
+    write_json,
+    write_treebank,
+)
 
 SUBCOMMANDS = [
     "convert",
@@ -448,6 +454,32 @@ class TestPipeline:
         assert code == 1
         assert f"{raw}:3: bad token '(va)'" in capsys.readouterr().err
         assert not parsed.exists()
+
+    @pytest.mark.parametrize("marked", ["source.txt", "raw.txt", "seg.txt", "lexicon.txt"])
+    def test_an_input_with_a_byte_order_mark_reads_as_without(self, tmp_path, marked):
+        # Some editors begin a UTF-8 file with U+FEFF; it is no part of the text.
+        trees = sample_corpus(source_grammar(), 40, seed=1, name="cli-src")
+        texts = {
+            "source.txt": "".join(serialize(t) + "\n" for t in trees),
+            "raw.txt": "".join(" ".join(t.leaves()) + "\n" for t in trees[:5]),
+            "seg.txt": "(s (n 圣诞) (n 节))\n",
+            "lexicon.txt": "圣诞节\n",
+        }
+        outputs = []
+        for mark in ("", "\ufeff"):
+            d = tmp_path / f"mark{len(mark)}"
+            d.mkdir()
+            for name, text in texts.items():
+                (d / name).write_text((mark if name == marked else "") + text, encoding="utf-8")
+            model, parsed, seg_out = d / "model.json", d / "parsed.txt", d / "seg-out.txt"
+            assert main(["train", "--input", str(d / "source.txt"), "--output", str(model)]) == 0
+            assert main(["parse", "--model", str(model), "--input", str(d / "raw.txt"),
+                         "--output", str(parsed)]) == 0
+            assert main(["transfer-seg", "--input", str(d / "seg.txt"),
+                         "--lexicon", str(d / "lexicon.txt"), "--output", str(seg_out)]) == 0
+            outputs.append([model.read_bytes(), parsed.read_bytes(), seg_out.read_bytes()])
+        assert outputs[1] == outputs[0]
+        assert outputs[0][2] == "(s (n 圣诞节))\n".encode("utf-8")
 
     def test_parse_rejects_a_model_file_that_is_no_object(self, tmp_path, capsys):
         model = tmp_path / "model.json"

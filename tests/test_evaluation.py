@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -149,28 +150,36 @@ class TestScoreCorpus:
         "opts",
         [ScoreOptions(), ScoreOptions(include_root=True, include_pos=True, exclude_labels={"A"})],
     )
-    def test_precomputed_gold_spans_give_the_same_report(self, opts):
+    def test_per_label_scores_match_counts_made_here(self, opts):
+        # P is only ever predicted and G only ever gold.
         rng = random.Random(8)
         preds, golds = [], []
         for _ in range(40):
             tokens = ["t%d" % i for i in range(rng.randint(1, 7))]
-            preds.append(random_bracketing(tokens, rng))
-            golds.append(random_bracketing(tokens, rng))
-        gold_spans = [spans(g, opts) for g in golds]
-        kept = [dict(s) for s in gold_spans]
-        plain = score_corpus(preds, golds, opts)
-        for _ in range(2):
-            report = score_corpus(preds, golds, opts, gold_spans=gold_spans)
-            assert report == plain
-        assert [dict(s) for s in gold_spans] == kept
+            preds.append(random_bracketing(tokens, rng, labels=("A", "B", "P")))
+            golds.append(random_bracketing(tokens, rng, labels=("A", "B", "G")))
+        matched, predicted, gold = Counter(), Counter(), Counter()
+        for pred_tree, gold_tree in zip(preds, golds):
+            p, g = spans(pred_tree, opts), spans(gold_tree, opts)
+            for span in p.keys() | g.keys():
+                predicted[span[0]] += p[span]
+                gold[span[0]] += g[span]
+                matched[span[0]] += min(p[span], g[span])
+        assert predicted["P"] and not gold["P"]
+        assert gold["G"] and not predicted["G"]
 
-    def test_precomputed_gold_spans_still_check_tokens_and_length(self):
-        gold = parse_bracketed("(s (n a))")
-        pred = parse_bracketed("(s (n b))")
-        with pytest.raises(TokenMismatchError):
-            score_corpus([pred], [gold], gold_spans=[spans(gold)])
-        with pytest.raises(ValueError):
-            score_corpus([gold], [gold], gold_spans=[])
+        report = score_corpus(preds, golds, opts)
+        assert report.per_label.keys() == predicted.keys() | gold.keys()
+        for label, scores in report.per_label.items():
+            m, p, g = matched[label], predicted[label], gold[label]
+            precision = 100 * m / p if p else 0.0
+            recall = 100 * m / g if g else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if m else 0.0
+            assert scores == pytest.approx(
+                {"precision": precision, "recall": recall, "f1": f1}
+            ), label
+        totals = (sum(matched.values()), sum(predicted.values()), sum(gold.values()))
+        assert (report.matched, report.predicted, report.gold) == totals
 
     def test_report_serialization(self, tmp_path):
         gold = parse_bracketed("(s (subj (n a)) (pred (v b)))")

@@ -6,17 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spskit.errors import MappingTableError, UnmappedNodeError
-from spskit.mapping import (
-    ConversionReport,
-    MappingRule,
-    MappingTable,
-    convert,
-    convert_corpus,
-)
+from spskit.mapping import MappingRule, MappingTable, convert_corpus
 from spskit.treebank import ParseTree, parse_bracketed, serialize
 
 tokens = st.text(alphabet="abc指标", min_size=1, max_size=3)
 labels = st.sampled_from(["IP", "NP", "VP", "NN", "VV"])
+
+
+def convert(tree, table):
+    """The one tree ``convert_corpus([tree], table)`` returns."""
+    (out,), _ = convert_corpus([tree], table)
+    return out
 
 
 def trees(max_depth=4):
@@ -183,8 +183,9 @@ class TestConvertCorpus:
         )
         corpus = corpus + [parse_bracketed("(IP (NP (NN a)) (VP (XX a)))")] * 2
         out, report = convert_corpus(corpus, table)
-        reports = [ConversionReport() for _ in corpus]
-        assert out == [convert(t, table, r) for t, r in zip(corpus, reports)]
+        per_tree = [convert_corpus([t], table) for t in corpus]
+        assert out == [tree for (tree,), _ in per_tree]
+        reports = [r for _, r in per_tree]
         assert report.trees == len(corpus)
         assert report.fallback_count == sum(r.fallback_count for r in reports)
         assert report.fallbacks_by_label == sum(

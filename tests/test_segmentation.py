@@ -78,8 +78,7 @@ class TestSplitTable:
         path = tmp_path / "split.tsv"
         path.write_text("武侠小说\t武侠 小说\n惹火\t惹 火\n", encoding="utf-8")
         table = SplitTable.from_file(path)
-        assert table["武侠小说"] == ("武侠", "小说")
-        assert len(table) == 2
+        assert table.entries == {"武侠小说": ("武侠", "小说"), "惹火": ("惹", "火")}
 
     def test_a_second_line_for_one_word_is_an_error(self, tmp_path):
         path = tmp_path / "split.tsv"
@@ -337,6 +336,15 @@ class TestTransferCorpus:
             with pytest.raises(ValueError, match="lookahead must be >= 1"):
                 transfer_corpus(trees, lex, lookahead=lookahead)
 
+    @pytest.mark.parametrize("lookahead", [2.5, 2.0, True, "2", None])
+    def test_lookahead_that_is_no_int_is_rejected(self, lookahead):
+        # A bool is no int here: True would run as a lookahead of 1.
+        tree = parse_bracketed("(s (n 圣诞) (n 节))")
+        for trees in ([tree], []):
+            with pytest.raises(ValueError, match="lookahead must be >= 1") as err:
+                transfer_corpus(trees, Lexicon(["圣诞节"]), lookahead=lookahead)
+            assert repr(lookahead) in str(err.value)
+
     @settings(deadline=None)
     @given(
         st.lists(
@@ -417,7 +425,7 @@ class TestTransferGolden:
         trees, lex, split_table = golden_corpus()
         out, report = transfer_corpus(trees, lex, split_table=split_table)
         table_splits = sum(
-            leaf in split_table for tree in trees for leaf in tree.leaves()
+            leaf in split_table.entries for tree in trees for leaf in tree.leaves()
         )
         assert table_splits > 0
         assert report.split - table_splits > 0  # merges undone word-first

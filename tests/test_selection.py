@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -283,6 +284,25 @@ class TestSelectTopK:
             shuffled = pool[:]
             rng.shuffle(shuffled)
             assert set(map(id, select(shuffled, cfg, refs))) == baseline
+
+    @pytest.mark.parametrize("kind", ["token", "conf"])
+    def test_full_ties_break_by_the_serialized_tree(self, refs, kind):
+        # One token sequence and one confidence, as ``spskit select`` can
+        # receive: under these kinds the scores tie too, so only the tree decides.
+        texts = [
+            "(s (subj (n a)) (pred (v b)))",
+            "(s (x (n a) (v b)))",
+            "(s (pred (n a)) (subj (v b)))",
+            "(s (n a) (v b))",
+        ]
+        candidates = [pseudo(text, 0.5) for text in texts]
+        assert len({s for _, s in score(candidates, CriterionConfig(kind), refs)}) == 1
+        expected = sorted(texts)
+        for k in (1, 2, len(texts)):
+            cfg = CriterionConfig(kind, k=k)
+            for order in itertools.permutations(candidates):
+                chosen = select(list(order), cfg, refs)
+                assert [serialize(c.tree) for c in chosen] == expected[:k]
 
     def test_combined_output_contained_in_prefilter(self, refs):
         rng = random.Random(1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spskit.errors import LabelError, RootPromotionError, TreeSyntaxError
+from spskit.errors import LabelError, RootPromotionError, SpsError, TreeSyntaxError
 from spskit.parser import PseudoTree, train
 from spskit.rules import SyntacticRule
 from spskit.selftrain import RunManifest
@@ -211,6 +211,16 @@ class TestTreebankFiles:
         crlf.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
         with pytest.raises(TreeSyntaxError, match=f"^{re.escape(str(crlf))}:4: "):
             read_treebank(crlf)
+
+    def test_a_byte_order_mark_is_dropped_and_offsets_count_from_the_file(self, tmp_path):
+        # Some editors begin a UTF-8 file with U+FEFF (bytes EF BB BF).
+        path = tmp_path / "trees.txt"
+        path.write_bytes(b"\xef\xbb\xbf(adv (t a))\n")
+        assert read_treebank(path) == [parse_bracketed("(adv (t a))")]
+        path.write_bytes(b"\xef\xbb\xbf(a\xff)\n")  # the bad byte is byte 5
+        with pytest.raises(SpsError) as err:
+            read_treebank(path)
+        assert str(err.value) == f"input file not UTF-8: {path} (invalid start byte at byte 5)"
 
     @pytest.mark.parametrize("separator", ["\x1c", "\x85", "\u2028"])
     def test_a_unicode_line_separator_does_not_end_a_tree(self, tmp_path, separator):
