@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import selftrain
-from .errors import ConfigError, SpsError, probability
+from .errors import ConfigError, SpsError, int_at_least, probability
 from .evaluation import ScoreOptions, score_corpus
 from .generator import (
     MockPcfgGenerator,
@@ -171,6 +171,7 @@ def cmd_extract_rules(args):
 
 
 def cmd_generate(args):
+    int_at_least("count", args.count, 1)
     stats = corpus_stats(read_treebank(args.stats_from))
     examples = _read_sentences(args.examples)
     if args.backend == "mock":

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import MappingTableError, UnmappedNodeError
-from .treebank import ParseTree, _is_token, _preterminal, read_json
+from .treebank import ParseTree, _is_token, read_json
 
 __all__ = ["MappingRule", "MappingTable", "convert_corpus", "ConversionReport"]
 
@@ -206,8 +206,7 @@ def _convert_node(node, assigned, table, report, preterminals):
 
     ``preterminals`` maps each one-token preterminal's (label, token,
     assigned) to its copy and whether its label fell back to the default, so
-    a repeat skips the rule scan and the node build.  The copies themselves
-    are kept in it by ``treebank._preterminal``.
+    a repeat skips the rule scan and the node build.
     """
     children = node.children
     if len(children) == 1 and isinstance(children[0], str):
@@ -215,10 +214,7 @@ def _convert_node(node, assigned, table, report, preterminals):
         known = preterminals.get(key)
         if known is None:
             label, fell_back = _new_label(node, assigned, table.best_match(node), table)
-            known = preterminals[key] = (
-                _preterminal(preterminals, label, children[0]),
-                fell_back,
-            )
+            known = preterminals[key] = (ParseTree(label, children), fell_back)
         copy, fell_back = known
         if fell_back:
             _count_fallback(report, node.label)

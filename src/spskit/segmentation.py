@@ -70,9 +70,6 @@ class Lexicon:
     def __contains__(self, s):
         return s in self.words
 
-    def __len__(self):
-        return len(self.words)
-
     def is_strict_prefix(self, s):
         """True when some lexicon word extends ``s`` (s itself not counted)."""
         return s in self._prefixes
@@ -190,14 +187,9 @@ def _to_mutable(tree, units, container=None):
     branch = _Branch(tree.label, [], tree)
     for child in children:
         if isinstance(child, str):
-            if tree.is_preterminal:
-                raise ValueError(
-                    f"node {tree.label!r} holds {len(children)} tokens; "
-                    "segmentation requires one token per preterminal"
-                )
             raise ValueError(
-                f"node {tree.label!r} mixes tokens and subtrees; "
-                "segmentation requires one token per preterminal"
+                f"node {tree.label!r} mixes tokens and subtrees or holds several "
+                "tokens; segmentation requires one token per preterminal"
             )
         branch.children.append(_to_mutable(child, units, branch))
     return branch

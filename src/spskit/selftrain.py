@@ -29,9 +29,9 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from .errors import ConfigError, GenerationError, SpsError, boolean, int_at_least
+from .errors import ConfigError, GenerationError, SpsError
+from .errors import boolean, int_at_least, non_negative_number
 from .evaluation import ScoreOptions, score_corpus
 from .generator import PromptConfig, corpus_stats, sample_prompt
 from .rules import RuleDistribution, extract_corpus_rules, token_counts
@@ -146,10 +146,11 @@ class RunManifest:
 
     @classmethod
     def load(cls, path):
-        """Read a manifest; a ConfigError naming ``path`` if it cannot be
-        read or is no JSON object, its version is not ``MANIFEST_VERSION``, a
-        key is missing, or a record's keys are not exactly ``IterationRecord``'s
-        fields.  So a damaged manifest stops ``run_multiseed``."""
+        """Read a manifest; a ConfigError naming ``path`` if it cannot be read
+        or is no JSON object, its version is not ``MANIFEST_VERSION``, a key is
+        missing, a record is no ``IterationRecord`` with values of its types,
+        or ``artifacts`` lacks the selected trees of a record after the first.
+        So a damaged manifest stops ``run``, ``run_multiseed`` and ``report``."""
         try:
             data = read_json(path)
         except SpsError as e:
@@ -164,22 +165,40 @@ class RunManifest:
                 f"manifest {path} has version {data['version']!r}, "
                 f"not {MANIFEST_VERSION}"
             )
-        fields = {f.name for f in dataclasses.fields(IterationRecord)}
-        records = data["records"]
-        if not isinstance(records, list) or any(
-            not isinstance(r, dict) or set(r) != fields for r in records
-        ):
-            raise ConfigError(
-                f"manifest {path}: every record must have exactly the keys "
-                + ", ".join(sorted(fields))
-            )
-        return cls(
-            config=data["config"],
-            records=[IterationRecord(**r) for r in records],
-            artifacts=data["artifacts"],
-            status=data["status"],
-            version=data["version"],
-        )
+        records, artifacts = data["records"], data["artifacts"]
+        try:
+            if not isinstance(records, list):
+                raise ConfigError(f"'records' must be a list, got {records!r}")
+            records = [_record_of(f"records[{i}]", r) for i, r in enumerate(records)]
+            names = {f"selected_iter_{r.iteration}" for r in records[1:]}
+            if not isinstance(artifacts, dict) or names - artifacts.keys() or not all(
+                isinstance(name, str) for name in artifacts.values()
+            ):
+                raise ConfigError(
+                    f"'artifacts' must be an object of strings holding {sorted(names)}"
+                )
+        except ConfigError as e:
+            raise ConfigError(f"manifest {path}: {e}") from None
+        return cls(data["config"], records, artifacts, data["status"], data["version"])
+
+
+def _record_of(where, data):
+    """The IterationRecord of a manifest's record ``data``; a ConfigError
+    naming ``where`` and the key for another key or a value of another type."""
+    fields = sorted(f.name for f in dataclasses.fields(IterationRecord))
+    if not isinstance(data, dict) or sorted(data) != fields:
+        raise ConfigError(f"{where!r} must have exactly the keys {', '.join(fields)}")
+    for key in ("iteration", "pool_size", "k", "train_size", "seed"):
+        int_at_least(f"{where}.{key}", data[key])
+    for key, kind in (("selected_ids", list), ("criterion", str)):
+        if not isinstance(data[key], kind):
+            raise ConfigError(f"'{where}.{key}' must be a {kind.__name__}")
+    for i, value in enumerate(data["selected_ids"]):
+        int_at_least(f"{where}.selected_ids[{i}]", value)
+    for key in ("dev_f1_source", "dev_f1_target"):
+        if data[key] is not None:
+            non_negative_number(f"{where}.{key}", data[key])
+    return IterationRecord(**data)
 
 
 def build_refs(cfg, source_trees=None, converted_target_trees=None):
@@ -208,31 +227,17 @@ def _refs(cfg, counts):
     return SelectionRefs(**{cfg.reference_name: RuleDistribution(counts)})
 
 
-class _DevSet(NamedTuple):
-    """A dev set's gold trees with their sentences, built once per run and
-    scored every iteration."""
-
-    golds: list
-    sentences: list
-
-
-def _dev_set(golds):
-    """The ``_DevSet`` of ``golds``; None for a missing or empty set."""
-    if not golds:
-        return None
-    return _DevSet(golds, [g.sentence() for g in golds])
-
-
 def _record(experiment, model, devs, **fields):
     """An iteration's manifest record, with ``model``'s F1 on the source and
-    target dev sets ``devs`` (each from ``_dev_set``)."""
+    target dev sets ``devs``, each a (golds, their sentences) pair or None."""
 
     def dev_f1(dev):
         if dev is None:
             return None
+        golds, sentences = dev
         backend = experiment.parser_backend
-        preds = [backend.parse(model, sentence).tree for sentence in dev.sentences]
-        return round(score_corpus(preds, dev.golds, experiment.score_options).f1, 4)
+        preds = [backend.parse(model, sentence).tree for sentence in sentences]
+        return round(score_corpus(preds, golds, experiment.score_options).f1, 4)
 
     source, target = devs
     return IterationRecord(
@@ -255,7 +260,7 @@ def build_pool(generator, stats, examples, size, rng, prompt_config, excluded):
     """
     pool = []
     provenance = []
-    seen = set()
+    seen = set(excluded)
     failures = 0
     max_failures = 20
     max_batches = 50 + 10 * size
@@ -276,7 +281,7 @@ def build_pool(generator, stats, examples, size, rng, prompt_config, excluded):
         provenance.append(batch.provenance)
         for sentence in batch.sentences:
             key = sentence.tokens
-            if key in excluded or key in seen:
+            if key in seen:
                 continue
             seen.add(key)
             pool.append(sentence)
@@ -346,8 +351,11 @@ def run(experiment, resume=False):
                 train_set += read_treebank(os.path.join(out_dir, name))
             manifest.status = "running"
 
-    devs = (_dev_set(experiment.source_dev), _dev_set(experiment.target_dev))
-    excluded = {s.tokens for dev in devs if dev for s in dev.sentences}
+    devs = [
+        (golds, [g.sentence() for g in golds]) if golds else None
+        for golds in (experiment.source_dev, experiment.target_dev)
+    ]
+    excluded = {s.tokens for dev in devs if dev for s in dev[1]}
     excluded.update(s.tokens for s in experiment.exclude_sentences)
     example_pool = [s for s in experiment.target_examples if s.tokens not in excluded]
     if not example_pool:

@@ -13,12 +13,12 @@ labels, so every tree re-reads from its bracketing.  Every input file is
 opened by ``read_text`` here, and every output written by
 ``write_text_atomic``.
 
-Because trees are immutable, equal nodes may be one object: within one pass
-over a corpus, ``read_treebank`` and ``mapping.convert_corpus`` each build
-one node per distinct one-token preterminal (``_preterminal``) and hand it
-to every position that holds it.  A node therefore stands for its value, not
-its position, and no caller may key anything on a node's identity; only
-``PseudoTree`` candidates are keyed by ``id``.
+Because trees are immutable, equal nodes may be one object: ``read_treebank``
+builds one preterminal node per distinct (label, token) per file, and
+``mapping.convert_corpus`` one per distinct (label, token, assigned label)
+per call, each handed to every position that holds it.  A node thus stands
+for its value, not its position, and no caller may key anything on a node's
+identity; only ``PseudoTree`` candidates are keyed by ``id``.
 """
 
 from __future__ import annotations
@@ -155,12 +155,6 @@ class Sentence:
     def text(self):
         return " ".join(self.tokens)
 
-    def __len__(self):
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
 
 @dataclass(frozen=True)
 class LabelInventory:
@@ -217,20 +211,6 @@ def default_inventory():
     return _inventory(json.loads(text), "shipped inventory")
 
 
-def _preterminal(table, label, token):
-    """The preterminal ``(label token)`` held in ``table`` under (label,
-    token), built and added on first use.
-
-    One pass over a corpus keeps one table, so it builds each distinct
-    preterminal once and hands that node to every position that holds it.
-    """
-    key = (label, token)
-    node = table.get(key)
-    if node is None:
-        node = table[key] = ParseTree(label, (token,))
-    return node
-
-
 def parse_bracketed(text, inventory=None):
     """Parse one balanced bracketed expression into a ParseTree.
 
@@ -276,7 +256,10 @@ def _parse_bracketed(text, inventory, strings):
             if not children:
                 raise TreeSyntaxError(f"node {label!r} has no children")
             if len(children) == 1 and isinstance(children[0], str):
-                tree = _preterminal(strings, label, children[0])
+                key = (label, children[0])
+                tree = strings.get(key)
+                if tree is None:
+                    tree = strings[key] = ParseTree(label, tuple(children))
             else:
                 tree = ParseTree(label, tuple(children))
             if not enclosing:

@@ -560,6 +560,24 @@ class TestPipeline:
         )
         assert out.read_text(encoding="utf-8") == out2.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_generate_refuses_a_count_below_one_up_front(self, tmp_path, capsys, count):
+        # The stats treebank does not exist: the count is refused before any
+        # input is read.
+        examples = tmp_path / "examples.txt"
+        examples.write_text("na va\n", encoding="utf-8")
+        out = tmp_path / "sentences.txt"
+        code = main(
+            ["generate", "--stats-from", str(tmp_path / "missing.txt"),
+             "--examples", str(examples), "--count", count,
+             "--mock-treebank", str(tmp_path / "missing.txt"), "--output", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"spskit: error: 'count' must be an integer >= 1, got {count}" in err
+        assert not out.exists()
+        assert not (tmp_path / "sentences.txt.provenance.json").exists()
+
     def test_generate_with_batch_size_zero_is_a_data_error(self, tmp_path, capsys):
         stats_treebank = tmp_path / "stats.txt"
         write_treebank(sample_corpus(source_grammar(), 50, seed=3, name="cli-stats"), stats_treebank)
@@ -919,7 +937,13 @@ class TestSelfTrainCommand:
         assert (tmp_path / "run" / "aggregate.json").read_bytes() == aggregate
 
     @pytest.mark.parametrize("command", ["resume", "report"])
-    @pytest.mark.parametrize("damage", ["version-99", "missing-key", "extra-record-key"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "version-99", "missing-key", "extra-record-key", "null-iteration",
+            "artifacts-list", "missing-selected-artifact",
+        ],
+    )
     def test_a_bad_manifest_is_a_data_error(self, tmp_path, capsys, command, damage):
         path = self.make_config(tmp_path)
         assert main(["self-train", "--config", str(path)]) == 0
@@ -929,8 +953,14 @@ class TestSelfTrainCommand:
             manifest["version"] = 99
         elif damage == "missing-key":
             del manifest["artifacts"]
-        else:
+        elif damage == "extra-record-key":
             manifest["records"][1]["extra"] = 0
+        elif damage == "null-iteration":
+            manifest["records"][1]["iteration"] = None
+        elif damage == "artifacts-list":
+            manifest["artifacts"] = []
+        else:
+            del manifest["artifacts"]["selected_iter_1"]
         text = json.dumps(manifest)
         manifest_path.write_text(text, encoding="utf-8")
         capsys.readouterr()

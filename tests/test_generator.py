@@ -226,7 +226,7 @@ class TestMockGenerator:
             spec = self.make_spec(stats, examples, seed=length, length=length)
             lo, hi = gen.length_bounds(spec.target_length)
             batch = gen.generate(spec)
-            assert all(lo <= len(s) <= hi for s in batch.sentences)
+            assert all(lo <= len(s.tokens) <= hi for s in batch.sentences)
 
     def test_provenance_records_prompt_and_seed(self, stats, examples):
         spec = self.make_spec(stats, examples)

@@ -58,7 +58,7 @@ class TestLexicon:
         assert lex.is_strict_prefix("a")
 
     def test_duplicates_are_accepted(self):
-        assert len(Lexicon(["a", "a", "b"])) == 2
+        assert len(Lexicon(["a", "a", "b"]).words) == 2
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -217,9 +217,10 @@ class TestGreedyMerge:
         assert second.merged == 0
 
     def test_rejects_non_standard_form(self, toy_lexicon):
-        tree = ParseTree("s", ("a", ParseTree("n", ("b",))))
-        with pytest.raises(ValueError, match="one token per preterminal"):
-            transfer_one(tree, toy_lexicon)
+        mixed = ParseTree("s", ("a", ParseTree("n", ("b",))))
+        for tree in (mixed, parse_bracketed("(s (n a b))")):
+            with pytest.raises(ValueError, match="one token per preterminal"):
+                transfer_one(tree, toy_lexicon)
 
 
 class TestWordFirstResolve:

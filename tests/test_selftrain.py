@@ -566,6 +566,76 @@ class TestPersistenceAndResume:
         with pytest.raises(ConfigError):
             run(small_experiment(), resume=True)
 
+    @staticmethod
+    def write_damaged(path, damage):
+        """Rewrite the manifest at ``path`` as a run aborted after its last
+        iteration, with one ``damage`` applied."""
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["status"] = "aborted"
+        if damage == "artifacts-list":
+            manifest["artifacts"] = []
+        elif damage == "missing-selected-artifact":
+            del manifest["artifacts"]["selected_iter_1"]
+        else:
+            manifest["records"][1]["iteration"] = None
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "damage", ["artifacts-list", "missing-selected-artifact", "null-iteration"]
+    )
+    def test_resume_refuses_a_damaged_manifest_naming_it(self, tmp_path, damage):
+        exp = small_experiment(seed=3, iterations=2, out_dir=str(tmp_path))
+        run(exp)
+        path = tmp_path / "manifest.json"
+        self.write_damaged(path, damage)
+        with pytest.raises(ConfigError) as err:
+            run(exp, resume=True)
+        assert str(path) in str(err.value)
+
+    def test_a_damaged_seed_manifest_stops_a_multiseed_resume(self, tmp_path):
+        # A damaged seed is no tolerated run failure: aggregating the other
+        # seed alone would silently replace the full aggregate.
+        exp = small_experiment(iterations=1, out_dir=str(tmp_path))
+        run_multiseed(exp, [1, 2])
+        path = tmp_path / "seed_2" / "manifest.json"
+        self.write_damaged(path, "missing-selected-artifact")
+        with pytest.raises(ConfigError) as err:
+            run_multiseed(exp, [1, 2], resume=True)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("iteration", True, "'records[1].iteration'"),
+            ("pool_size", 1.5, "'records[1].pool_size'"),
+            ("selected_ids", "0 1", "'records[1].selected_ids'"),
+            ("selected_ids", [0, "1"], "'records[1].selected_ids[1]'"),
+            ("criterion", 7, "'records[1].criterion'"),
+            ("dev_f1_target", "97.5", "'records[1].dev_f1_target'"),
+            ("seed", None, "'records[1].seed'"),
+        ],
+    )
+    def test_load_refuses_a_record_value_of_another_type(
+        self, tmp_path, key, value, named
+    ):
+        run(small_experiment(seed=3, iterations=1, out_dir=str(tmp_path)))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["records"][1][key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            RunManifest.load(path)
+        assert str(err.value).startswith(f"manifest {path}: {named} must be ")
+
+    def test_load_refuses_an_artifact_that_is_no_string(self, tmp_path):
+        run(small_experiment(seed=3, iterations=1, out_dir=str(tmp_path)))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["artifacts"]["scores_iter_1"] = 5
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ConfigError, match="'artifacts' must be an object of strings"):
+            RunManifest.load(path)
+
 
 class TestAdaptationTrend:
     def test_target_f1_trend_non_decreasing_on_most_seeds(self):

@@ -320,7 +320,7 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Sentence(("a", "b c"))
         assert Sentence.from_text("a b").text() == "a b"
-        assert len(Sentence(("a", "b"))) == 2
+        assert len(Sentence(("a", "b")).tokens) == 2
 
     @given(st.text(alphabet="a(天)", min_size=1, max_size=4), labels)
     def test_a_token_is_rejected_or_re_reads(self, token, label):
