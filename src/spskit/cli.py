@@ -62,16 +62,6 @@ def _given(args, *names):
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-def _check_inputs(*paths):
-    for path in paths:
-        if path is None:
-            continue
-        if not os.path.isfile(path):
-            raise SpsError(f"input file not found: {path}")
-        if not os.access(path, os.R_OK):
-            raise SpsError(f"input file not readable: {path}")
-
-
 def _check_optional_output(path, flag):
     """Refuse an empty optional output path before anything is written.
 
@@ -351,8 +341,8 @@ def _from_section(cls, config, name):
 
 
 def _build_experiment(config, seed_override=None, out_dir_override=None):
-    """Check every run-config key and input path, then read the inputs; the
-    objects built from them check the values they hold."""
+    """Check every run-config key and value, then read each input with
+    ``read_text``; the objects built from them check the values they hold."""
     _check_keys(config, "the run config", _RUN_KEYS)
     gen_cfg = config.get("generator", {})
     backend = gen_cfg.get("backend", "mock") if isinstance(gen_cfg, dict) else "mock"
@@ -393,8 +383,6 @@ def _build_experiment(config, seed_override=None, out_dir_override=None):
     for key, path in given + [("exclude", path) for path in exclude]:
         if not isinstance(path, str) or not path:
             raise ConfigError(f"{key!r} must be a non-empty string, got {path!r}")
-    del paths["generator.endpoint"]  # no file: ServiceGenerator checks the URL
-    _check_inputs(*paths.values(), *exclude)
 
     seed = seed_override if seed_override is not None else config.get("seed", 0)
     options = {k: v for k, v in gen_cfg.items() if k in _GENERATOR_KEYS[backend]}

@@ -348,7 +348,10 @@ def run(experiment, resume=False):
                 return manifest
             for record in manifest.records[1:]:
                 name = manifest.artifacts[f"selected_iter_{record.iteration}"]
-                train_set += read_treebank(os.path.join(out_dir, name))
+                try:
+                    train_set += read_treebank(os.path.join(out_dir, name))
+                except SpsError as e:
+                    raise ConfigError(f"manifest {manifest_path}: {e}") from None
             manifest.status = "running"
 
     devs = [
@@ -412,21 +415,21 @@ def run(experiment, resume=False):
             train_set = train_set + [p.tree for p in selected]
             model = experiment.parser_backend.train(train_set)
 
-            manifest.records.append(
-                _record(
-                    experiment,
-                    model,
-                    devs,
-                    iteration=iteration,
-                    pool_size=len(pool),
-                    selected_ids=[index[id(c)] for c in selected],
-                    train_size=len(train_set),
-                )
+            record = _record(
+                experiment,
+                model,
+                devs,
+                iteration=iteration,
+                pool_size=len(pool),
+                selected_ids=[index[id(c)] for c in selected],
+                train_size=len(train_set),
             )
+            # The record joins the manifest only once the files it names exist.
             if out_dir:
                 _persist_iteration(
                     experiment, manifest, iteration, selected, scored, index
                 )
+            manifest.records.append(record)
             save()
     except Exception:
         manifest.status = "aborted"

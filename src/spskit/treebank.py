@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 
@@ -412,26 +411,21 @@ def write_treebank(trees, path):
     write_text_atomic(path, "".join(serialize(tree) + "\n" for tree in trees))
 
 
-# mkstemp creates files readable by their owner only; outputs get the mode a
-# plain open() for writing would give them.  The umask can only be read by
-# setting it, so it is read once, here.
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
-
-
 def write_text_atomic(path, text):
     """Write UTF-8 ``text`` to ``path`` through a temporary file and a rename.
 
-    Readers see the old contents or the new ones, never a partial file; on
-    failure the temporary file is removed and ``path`` is left untouched.  An
-    OSError about a file names ``path``, not the temporary file.
+    The temporary file, ``.spskit-<16 hex digits>.tmp`` beside ``path``, gets
+    the mode a plain open() gives.  Readers see the old contents or the new
+    ones, never a partial file; on failure the temporary file is removed and
+    ``path`` is left untouched.  An OSError about a file names ``path``, not
+    the temporary file.
     """
     directory = os.path.dirname(os.path.abspath(path))
+    name = os.path.join(directory, f".spskit-{os.urandom(8).hex()}.tmp")
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            os.fchmod(f.fileno(), 0o666 & ~_UMASK)
+        with open(name, "x", encoding="utf-8") as f:
+            tmp = name
             f.write(text)
         os.replace(tmp, path)
     except BaseException as e:

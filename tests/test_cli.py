@@ -1370,6 +1370,49 @@ def test_every_input_flag_refuses_a_file_it_cannot_read(
     assert list((tmp_path / "out").iterdir()) == []
 
 
+# Every file-valued run-config key; a "generator." key sits in that section,
+# and "exclude" stands for one entry of that list.
+RUN_CONFIG_PATHS = (
+    "source_treebank", "target_examples", "converted_target_treebank", "source_dev",
+    "target_dev", "exclude", "generator.treebank", "generator.template",
+)
+RUN_CONFIG_CASES = [
+    (key, case)
+    for key in RUN_CONFIG_PATHS
+    for case in ("missing", "a-directory", "not-utf-8")
+]
+
+
+@pytest.mark.parametrize(
+    "key, case", RUN_CONFIG_CASES, ids=[f"{k}-{case}" for k, case in RUN_CONFIG_CASES]
+)
+def test_every_run_config_path_refuses_a_file_it_cannot_read(
+    tmp_path, capsys, key, case
+):
+    argv = reader_argv(tmp_path, "self-train")
+    config_path = pathlib.Path(argv[argv.index("--config") + 1])
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    # Every key holds a good file but the one under test.
+    config["exclude"] = [config["target_dev"]]
+    config["generator"]["template"] = str(tmp_path / "in" / "template.txt")
+    content, reason = BAD_INPUTS[case]
+    bad = tmp_path / case
+    if content == "directory":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+    group, _, name = key.rpartition(".")
+    section = config[group] if group else config
+    section[name] = [str(bad)] if key == "exclude" else str(bad)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["self-train", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spskit: error: ")
+    assert reason in err
+    assert err.count(str(bad)) == 1
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "subcommand, flag",
     [(subcommand, flag) for subcommand, flags in INPUT_FLAGS.items() for flag in flags],

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
@@ -602,6 +603,51 @@ class TestPersistenceAndResume:
         with pytest.raises(ConfigError) as err:
             run_multiseed(exp, [1, 2], resume=True)
         assert str(path) in str(err.value)
+
+    def test_a_failed_artifact_write_leaves_a_resumable_run(
+        self, tmp_path, monkeypatch
+    ):
+        # An iteration's record joins the manifest only once the files it
+        # names are written, so a full disk leaves a manifest resume accepts.
+        def experiment(out_dir):
+            return cross_domain_experiment(
+                seed=1, iterations=2, pool_size=30, k=5, out_dir=str(out_dir)
+            )
+
+        straight, broken = tmp_path / "straight", tmp_path / "broken"
+        run(experiment(straight))
+        write_json = selftrain.write_json
+
+        def disk_full(path, data):
+            if os.path.basename(path) == "scores_iter_2.json":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            write_json(path, data)
+
+        with monkeypatch.context() as m:
+            m.setattr(selftrain, "write_json", disk_full)
+            with pytest.raises(OSError):
+                run(experiment(broken))
+        assert RunManifest.load(broken / "manifest.json").status == "aborted"
+        run(experiment(broken), resume=True)
+
+        def files(directory):
+            return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+        assert files(broken) == files(straight)
+
+    def test_a_missing_replayed_artifact_stops_a_multiseed_resume(self, tmp_path):
+        # A seed that cannot be replayed is no tolerated run failure either.
+        exp = small_experiment(iterations=1, out_dir=str(tmp_path))
+        run_multiseed(exp, [1, 2])
+        path = tmp_path / "seed_2" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["status"] = "aborted"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        missing = tmp_path / "seed_2" / "selected_iter_1.txt"
+        missing.unlink()
+        with pytest.raises(ConfigError) as err:
+            run_multiseed(exp, [1, 2], resume=True)
+        assert str(err.value) == f"manifest {path}: input file not found: {missing}"
 
     @pytest.mark.parametrize(
         "key, value, named",

@@ -292,15 +292,35 @@ class TestAtomicWrites:
         assert ".tmp" not in str(err.value)
         assert [p.name for p in tmp_path.rglob("*")] == ["a-directory"]
 
-    def test_new_files_get_the_permissions_of_a_plain_open(self, tmp_path):
-        plain = tmp_path / "plain.txt"
-        with open(plain, "w", encoding="utf-8") as f:
-            f.write("x\n")
-        atomic = tmp_path / "atomic.txt"
-        write_text_atomic(atomic, "x\n")
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_new_files_get_the_permissions_of_a_plain_open(self, tmp_path, umask):
+        # The umask of the moment applies, not one taken earlier.
+        previous = os.umask(umask)
+        try:
+            plain = tmp_path / "plain.txt"
+            with open(plain, "w", encoding="utf-8") as f:
+                f.write("x\n")
+            atomic = tmp_path / "atomic.txt"
+            write_text_atomic(atomic, "x\n")
+        finally:
+            os.umask(previous)
         assert atomic.stat().st_mode == plain.stat().st_mode
+        assert atomic.stat().st_mode & 0o777 == 0o666 & ~umask
         assert atomic.read_bytes() == plain.read_bytes()
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_a_temporary_name_in_use_is_refused_and_left_alone(
+        self, tmp_path, monkeypatch
+    ):
+        taken = tmp_path / ".spskit-0000000000000000.tmp"
+        taken.write_text("another writer's\n", encoding="utf-8")
+        monkeypatch.setattr(os, "urandom", bytes)  # bytes(8): eight zero bytes
+        target = tmp_path / "out.txt"
+        with pytest.raises(FileExistsError) as err:
+            write_text_atomic(target, "x\n")
+        assert err.value.filename == str(target)
+        assert taken.read_text(encoding="utf-8") == "another writer's\n"
+        assert [p.name for p in tmp_path.iterdir()] == [taken.name]
 
 
 class TestFuzzing:
